@@ -135,8 +135,10 @@ def sorter_cascade(n_dofs, input_state_per_dof):
 
     `input_state_per_dof` is a single (a, b) qubit amplitude pair shared by all
     DoFs, or a sequence of one pair per DoF.  Detector k (1-based) fires when
-    sorter j yields bit j of k-1; D_1 collects the all-0 word and D_{2**N} the
-    all-1 word, so Z-basis inputs land in {D_1, D_{2**N}} with probability 1.
+    sorter j (0-based) yields bit j of k-1, counting from the least significant
+    bit, so the last sorter is the most significant bit.  D_1 collects the all-0
+    word and D_{2**N} the all-1 word, so Z-basis inputs land in
+    {D_1, D_{2**N}} with probability 1.
     """
     if n_dofs < 1:
         raise ValueError("need at least one DoF")
@@ -152,14 +154,7 @@ def sorter_cascade(n_dofs, input_state_per_dof):
     out = np.ones(1)
     for j in range(n_dofs):
         out = np.concatenate([out * p01[j, 0], out * p01[j, 1]])
-    # bit j of the detector word is the outcome of sorter j; reorder so the
-    # first sorter is the most significant bit
-    idx = np.arange(2 ** n_dofs)
-    words = ((idx[:, None] >> np.arange(n_dofs)) & 1)[:, ::-1]
-    flat = (words * (2 ** np.arange(n_dofs)[::-1])).sum(axis=1)
-    result = np.zeros_like(out)
-    result[flat] = out[idx]
-    return result
+    return out
 
 
 POL = DofSpec(1, ("H", "V"))

@@ -92,8 +92,10 @@ def _cmd_tables(args):
 
 
 def _cmd_chsh(args):
-    settings = measurement.ChshSettings(
-        *[math.radians(float(x)) for x in args.settings.split(",")])
+    vals = [math.radians(float(x)) for x in args.settings.split(",")]
+    if len(vals) != 4:
+        raise ValueError("expected four comma-separated settings (degrees)")
+    settings = measurement.ChshSettings(*vals)
     value = measurement.chsh(args.kind, settings)
     verdict = ("no violation" if value <= 2.0 + 1e-12 else
                "violation" if value < 2 * math.sqrt(2) - 1e-9 else
@@ -284,6 +286,8 @@ def _apply_config_file(parser, argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
     known = {a.lstrip("-") for a in
@@ -300,7 +304,7 @@ def _apply_config_file(parser, argv):
             key, _, value = line.partition("=")
             key = key.strip()
             if key not in known:
-                raise SystemExit(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             flag = "--" + key
             if flag not in rest:
                 extra += [flag, value.strip()]
@@ -410,12 +414,10 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(parser, argv))
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,11 +1,11 @@
 """Singlet fraction, teleportation fidelity, and the relation between them.
 
-The singlet fraction of a two-qubit matrix is maximized over all maximally
-entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), by a multi-start local
-optimizer seeded with the analytic optimum (the signed-singular-value form of
-the correlation matrix).  The generalized quantities sum the pairwise values
-over DoF pairs of a two-party state, reducing each pair with the trace rules
-appropriate to the particle kind.
+The singlet fraction of a two-qubit matrix, its maximal overlap with the
+maximally entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), is computed in
+closed form from the signed singular values of the correlation matrix.  The
+generalized quantities sum the pairwise values over DoF pairs of a two-party
+state, reducing each pair with the trace rules appropriate to the particle
+kind.
 
 Teleportation is simulated with the standard Bell-measurement-and-correction
 protocol; fidelities are input-output overlaps averaged over the six Pauli
@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .states import BOSON, DISTINGUISHABLE, DensityMatrix, DofSpec, Ket
+from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
+                     DensityMatrix, DofSpec, Ket)
 from .trace import Subsystem, to_qubit_array, trace_dof_dist, trace_dof_indist
 
 _PAULI = [np.eye(2, dtype=complex),
@@ -91,94 +91,15 @@ def _fef_closed(rho):
     return 0.25 * (1.0 + s)
 
 
-def _mes_vector(angles):
-    a, b, g = angles
-    u = (np.array([[np.exp(-1j * a / 2), 0], [0, np.exp(1j * a / 2)]])
-         @ np.array([[math.cos(b / 2), -math.sin(b / 2)],
-                     [math.sin(b / 2), math.cos(b / 2)]])
-         @ np.array([[np.exp(-1j * g / 2), 0], [0, np.exp(1j * g / 2)]]))
-    return np.kron(np.eye(2), u) @ PHI_PLUS
-
-
-def _overlap(angles, rho):
-    v = _mes_vector(angles)
-    return float((v.conj() @ rho @ v).real)
-
-
-def singlet_fraction(rho, d=2, restarts=6, seed=0, return_spread=False):
-    """Maximal overlap of `rho` with a maximally entangled state.
-
-    Multi-start local maximization over the 3-angle unitary parameterization,
-    seeded from the analytic optimum; the best restart is returned.  With
-    `return_spread` the gap between the best and worst converged restart is
-    reported so optimization trouble can be flagged.
-    """
+def singlet_fraction(rho, d=2):
+    """Maximal overlap of `rho` with a maximally entangled state (closed form)."""
     rho = np.asarray(rho, dtype=complex)
     if d != 2 or rho.shape != (4, 4):
         raise ValueError("v1 computes singlet fractions of two-qubit states")
-    rho = rho / np.trace(rho).real
-    best = _fef_closed(rho)
-    if restarts == 0:
-        # analytic fast path for aggregate callers
-        return (best, 0.0) if return_spread else best
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(3), np.array([0.0, math.pi, 0.0])]
-    starts += [rng.uniform(0, 2 * math.pi, 3) for _ in range(restarts)]
-    converged = []
-    for x0 in starts:
-        res = minimize(lambda x: -_overlap(x, rho), x0, method="L-BFGS-B",
-                       options={"ftol": 1e-14, "gtol": 1e-12})
-        converged.append(-res.fun)
-    top = max(converged)
-    value = max(best, top)
-    if return_spread:
-        spread = value - top
-        return value, spread
-    return value
-
-
-def _mes_batch(alphas, betas, gammas):
-    """All MES vectors over an angle grid, shape (A, B, G, 4)."""
-    a = alphas[:, None, None]
-    b = betas[None, :, None]
-    g = gammas[None, None, :]
-    ea, eg = np.exp(-1j * a / 2), np.exp(-1j * g / 2)
-    cb, sb = np.cos(b / 2), np.sin(b / 2)
-    u00 = ea * cb * eg
-    u01 = -ea * sb / eg
-    u10 = sb * eg / ea
-    u11 = cb / (ea * eg)
-    shape = np.broadcast_shapes(u00.shape, u01.shape, u10.shape, u11.shape)
-    out = np.zeros(shape + (4,), dtype=complex)
-    s2 = math.sqrt(2)
-    out[..., 0] = np.broadcast_to(u00, shape) / s2
-    out[..., 1] = np.broadcast_to(u10, shape) / s2
-    out[..., 2] = np.broadcast_to(u01, shape) / s2
-    out[..., 3] = np.broadcast_to(u11, shape) / s2
-    return out
-
-
-def singlet_fraction_grid(rho, points_per_axis=22, refine=2):
-    """Deterministic grid oracle over the 3-angle parameterization."""
-    rho = np.asarray(rho, dtype=complex)
-    rho = rho / np.trace(rho).real
-    lo = np.zeros(3)
-    hi = np.full(3, 2 * math.pi)
-    best_x, best = None, -1.0
-    for _ in range(refine + 1):
-        axes = [np.linspace(lo[i], hi[i], points_per_axis) for i in range(3)]
-        vs = _mes_batch(*axes).reshape(-1, 4)
-        vals = np.einsum("ni,ij,nj->n", vs.conj(), rho, vs).real
-        top = int(np.argmax(vals))
-        if vals[top] > best:
-            best = float(vals[top])
-            ia, rem = divmod(top, points_per_axis ** 2)
-            ib, ig = divmod(rem, points_per_axis)
-            best_x = np.array([axes[0][ia], axes[1][ib], axes[2][ig]])
-        span = (hi - lo) / (points_per_axis - 1)
-        lo = best_x - 2 * span
-        hi = best_x + 2 * span
-    return best
+    tr = np.trace(rho).real
+    if abs(tr) < 1e-12:
+        raise DegenerateStateError("singlet fraction of a zero-trace matrix")
+    return _fef_closed(rho / tr)
 
 
 # -- pair reductions -----------------------------------------------------------
@@ -204,14 +125,14 @@ def _pair_matrix(dm, layout, i, j):
     return to_qubit_array(reduced, None)
 
 
-def generalized_singlet_fraction(dm, layout, restarts=0, seed=0):
+def generalized_singlet_fraction(dm, layout):
     """Max over one fixed DoF of either party of the summed pairwise fractions."""
     n = layout.n
     pair_f = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             pair_f[i - 1, j - 1] = singlet_fraction(
-                _pair_matrix(dm, layout, i, j), restarts=restarts, seed=seed)
+                _pair_matrix(dm, layout, i, j))
     by_i = pair_f.sum(axis=1).max()
     by_j = pair_f.sum(axis=0).max()
     return float(max(by_i, by_j))
@@ -283,25 +204,14 @@ def _dist_specs(n):
     return tuple(DofSpec(i, ("0", "1")) for i in range(1, n + 1))
 
 
-def _dist_basis(n):
+def _dist_basis(n, first="A", second="B"):
     vals = list(itertools.product("01", repeat=n))
     kets = []
     for va in vals:
         for vb in vals:
-            ka = Ket("A", tuple((i + 1, v) for i, v in enumerate(va)))
-            kb = Ket("B", tuple((i + 1, v) for i, v in enumerate(vb)))
+            ka = Ket(first, tuple((i + 1, v) for i, v in enumerate(va)))
+            kb = Ket(second, tuple((i + 1, v) for i, v in enumerate(vb)))
             kets.append((ka, kb))
-    return tuple(kets)
-
-
-def _indist_basis(n):
-    vals = list(itertools.product("01", repeat=n))
-    kets = []
-    for va in vals:
-        for vb in vals:
-            k1 = Ket("s1", tuple((i + 1, v) for i, v in enumerate(va)))
-            k2 = Ket("s2", tuple((i + 1, v) for i, v in enumerate(vb)))
-            kets.append((k1, k2))
     return tuple(kets)
 
 
@@ -326,7 +236,7 @@ def max_entangled_resource(layout):
         perm = perm + [2 * n + p for p in perm]
         data = t.transpose(perm).reshape(dim, dim)
         return DensityMatrix(basis, data, DISTINGUISHABLE, _dist_specs(n), n)
-    basis = _indist_basis(n)
+    basis = _dist_basis(n, "s1", "s2")
     v = np.zeros(dim, dtype=complex)
     lo = tuple("0" for _ in range(n))
     hi = tuple("1" for _ in range(n))
@@ -348,7 +258,7 @@ def two_param_state(p, layout):
                          resource.dof_specs, resource.n_dofs_orig)
 
 
-def relation_check(layout, p_grid=None, params=None, restarts=0, seed=0):
+def relation_check(layout, p_grid=None, params=None):
     """Check f_g against its linear prediction from F_g across the noise family.
 
     With `params` omitted, the ceilings are measured on the family's p = 1
@@ -361,16 +271,14 @@ def relation_check(layout, p_grid=None, params=None, restarts=0, seed=0):
         endpoint = two_param_state(1.0, layout)
         params = FidelityParams(
             generalized_teleportation_fidelity(endpoint, layout),
-            generalized_singlet_fraction(endpoint, layout,
-                                         restarts=restarts, seed=seed))
+            generalized_singlet_fraction(endpoint, layout))
     n, d = layout.n, layout.d
     records = []
     for p in p_grid:
         dm = two_param_state(float(p), layout)
         f_g = generalized_teleportation_fidelity(
             dm, layout, FidelityParams(params.f_max, params.big_f_max))
-        big_f = generalized_singlet_fraction(dm, layout, restarts=restarts,
-                                             seed=seed)
+        big_f = generalized_singlet_fraction(dm, layout)
         predicted = ((big_f - n / d ** 2) * (params.f_max - 1 / d)
                      / (params.big_f_max - n / d ** 2) + 1 / d)
         records.append({"p": float(p), "f_g": f_g, "F_g": big_f,
@@ -379,7 +287,7 @@ def relation_check(layout, p_grid=None, params=None, restarts=0, seed=0):
     return records
 
 
-def sf_upper_bound_check(layout, samples=200, seed=0, restarts=0):
+def sf_upper_bound_check(layout, samples=200, seed=0):
     """Random distinguishable states never beat the 1 + (n-1)/d ceiling."""
     if layout.kind != "distinguishable":
         raise ValueError("the ceiling check applies to distinguishable layouts")
@@ -394,8 +302,7 @@ def sf_upper_bound_check(layout, samples=200, seed=0, restarts=0):
         v /= np.linalg.norm(v)
         dm = DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE,
                            _dist_specs(n), n)
-        val = generalized_singlet_fraction(dm, layout, restarts=restarts,
-                                           seed=seed)
+        val = generalized_singlet_fraction(dm, layout)
         worst = max(worst, val)
     return {"bound": bound, "max_observed": worst,
             "within": worst <= bound + 1e-6}

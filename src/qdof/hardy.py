@@ -6,9 +6,7 @@ depolarizing-plus-readout noise model with binomial shot noise; and the
 two-phase estimator that bounds q from below using Student-t confidence
 intervals calibrated on known zero-q states.
 
-The t-distribution quantiles are computed in-house from the regularized
-incomplete beta function (continued fraction) so the statistics layer has no
-external dependency.
+The t-distribution quantiles come from scipy's inverse Student-t CDF.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .circuits import hardy_state, u_phase, u_rot
 
@@ -88,16 +87,14 @@ Q_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 def qmax_solve(step_deg=0.25):
     """Grid-plus-refine maximization of q over (0, 90) x (0, 90) degrees."""
     grid = np.deg2rad(np.arange(step_deg, 90.0, step_deg))
-    best = (0.0, 0.0, -1.0)
-    for t in grid:
-        ct = math.cos(t)
-        if ct <= 0:
-            continue
-        for f in grid:
-            q = hardy_q(HardyParams(t, f))
-            if q > best[2]:
-                best = (t, f, q)
-    t, f, q = best
+    # hardy_q over the whole grid; argmax keeps the first maximum in (t, f)
+    # row-major order, as a strict-improvement scan would
+    ts, fs = np.meshgrid(grid, grid, indexing="ij")
+    chi = np.arctan2(1.0, np.tan(ts) * np.cos(fs))
+    z = 0.5 * np.cos(ts) * np.cos(chi) * (1 - np.exp(-2j * fs))
+    i, j = np.unravel_index(np.argmax(np.abs(z) ** 2), ts.shape)
+    t, f = grid[i], grid[j]
+    q = hardy_q(HardyParams(t, f))
     h = math.radians(step_deg)
     for _ in range(40):
         h *= 0.6
@@ -203,77 +200,13 @@ def noisy_sample(p, noise, n_runs=10, seed=0):
 # -- Student-t machinery ---------------------------------------------------------
 
 
-def _betacf(a, b, x):
-    # Lentz continued fraction for the incomplete beta function
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-16:
-            break
-    return h
-
-
-def betainc(a, b, x):
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_quantile(alpha_half, nu):
     """Upper-tail Student-t quantile: P(T > t) = alpha_half for nu dof."""
     if not 0.0 < alpha_half < 0.5:
         raise ValueError("tail probability must lie in (0, 0.5)")
-    target = 2.0 * alpha_half
-
-    def tail(t):
-        x = nu / (nu + t * t)
-        return betainc(nu / 2.0, 0.5, x)
-
-    lo, hi = 0.0, 1.0
-    while tail(hi) > target:
-        hi *= 2.0
-        if hi > 1e8:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if nu < 1:
+        raise ValueError("need at least one degree of freedom")
+    return float(stdtrit(nu, 1.0 - alpha_half))
 
 
 def t_ci(sample, alpha):
@@ -289,6 +222,8 @@ def diff_lower_bound(x, y, alpha):
     """Lower confidence limit of E[x] - E[y] at level 1 - alpha."""
     if x.n != y.n:
         raise ValueError("sample sets must have matching run counts")
+    if x.n < 2:
+        raise ValueError("need at least two runs for a bound")
     t = t_quantile(alpha / 2.0, x.n - 1)
     return (x.mean - y.mean
             - t * math.sqrt(x.sd ** 2 + y.sd ** 2) / math.sqrt(x.n))
@@ -319,6 +254,8 @@ def estimate_qlb(offline_sets, online, alpha):
     The decision is 'nmes' when the bound is positive, otherwise
     'inconclusive'.
     """
+    if online.n < 2:
+        raise ValueError("need at least two runs for a bound")
     state = calibrate_offline(offline_sets, alpha)
     t = t_quantile(alpha / 2.0, online.n - 1)
     delta = (t * math.sqrt(online.sd ** 2 + state.s_sigma4 ** 2)

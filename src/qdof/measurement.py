@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import PhaseConfig, li_circuit
-from .states import DISTINGUISHABLE
 
 ALICE = "s1"
 BOB = "s2"
@@ -89,25 +88,14 @@ def _outcome(ket, observable):
 def coincidence_table(state, obs_a, obs_b):
     """Joint detection probabilities when each party receives one particle."""
     probs = {}
-    if state.eta == DISTINGUISHABLE:
-        # no interference between the two labelled assignments
-        for kets, amp in state.terms.items():
-            regions = [k.region for k in kets]
-            if sorted(regions) != [ALICE, BOB]:
-                continue
-            a_ket = kets[regions.index(ALICE)]
-            b_ket = kets[regions.index(BOB)]
-            key = (_outcome(a_ket, obs_a), _outcome(b_ket, obs_b))
-            probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
-    else:
-        for kets, amp in state.terms.items():
-            regions = sorted(k.region for k in kets)
-            if regions != [ALICE, BOB]:
-                continue
-            a_ket = next(k for k in kets if k.region == ALICE)
-            b_ket = next(k for k in kets if k.region == BOB)
-            key = (_outcome(a_ket, obs_a), _outcome(b_ket, obs_b))
-            probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
+    for kets, amp in state.terms.items():
+        regions = [k.region for k in kets]
+        if sorted(regions) != [ALICE, BOB]:
+            continue
+        a_ket = kets[regions.index(ALICE)]
+        b_ket = kets[regions.index(BOB)]
+        key = (_outcome(a_ket, obs_a), _outcome(b_ket, obs_b))
+        probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
     rows = tuple(sorted({a for a, _ in probs}))
     cols = tuple(sorted({b for _, b in probs}))
     table = np.zeros((len(rows), len(cols)))

@@ -14,6 +14,7 @@ concurrence pipeline on them.
 
 from __future__ import annotations
 
+import itertools as it
 import math
 from dataclasses import dataclass, field
 
@@ -316,7 +317,6 @@ def case_state(case):
                         dof_pairs.append((dd, v))
                     options.append((coeff, Ket(_REGIONS[region_idx], tuple(dof_pairs))))
             slots.append(options)
-        import itertools as it
         for combo in it.product(*slots):
             amp = w * math.prod([c for c, _ in combo], start=1.0 + 0j)
             kets = tuple(k for _, k in combo)

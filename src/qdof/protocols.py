@@ -141,12 +141,7 @@ def qpq_particle_state(theta):
     return v / np.linalg.norm(v)
 
 
-def qpq_dof_state(theta):
-    """Same amplitudes carried by a second DoF of the reply particle."""
-    return qpq_particle_state(theta)
-
-
-def qpq_sf(theta, ancilla="particle", restarts=0):
+def qpq_sf(theta, ancilla="particle"):
     """Generalized singlet fraction of the query state, by ancilla type.
 
     With a particle ancilla the ancilla is traced out as a whole particle
@@ -161,7 +156,7 @@ def qpq_sf(theta, ancilla="particle", restarts=0):
     v = qpq_particle_state(theta).reshape(2, 2, 2)
     if ancilla == "particle":
         rho = np.einsum("bax,cdx->bacd", v, v.conj()).reshape(4, 4)
-        return singlet_fraction(rho, restarts=restarts)
+        return singlet_fraction(rho)
     if ancilla != "dof":
         raise ValueError("ancilla must be 'particle' or 'dof'")
     spec1 = DofSpec(1, ("0", "1"))
@@ -183,7 +178,7 @@ def qpq_sf(theta, ancilla="particle", restarts=0):
                 reduced = trace_dof_indist(reduced, Subsystem("s1", k))
             if k != j:
                 reduced = trace_dof_indist(reduced, Subsystem("s2", k))
-        total += singlet_fraction(to_qubit_array(reduced), restarts=restarts)
+        total += singlet_fraction(to_qubit_array(reduced))
     return float(total)
 
 

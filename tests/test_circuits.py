@@ -95,6 +95,14 @@ def test_sorter_cascade_three_dofs_middle_mass():
     assert dist[1:-1].sum() == pytest.approx(0.75)
 
 
+def test_sorter_cascade_last_sorter_is_most_significant_bit():
+    assert sorter_cascade(2, [(1, 0), (0, 1)]) == pytest.approx([0, 0, 1, 0])
+    for j in range(3):
+        amps = [(0, 1) if k == j else (1, 0) for k in range(3)]
+        dist = sorter_cascade(3, amps)
+        assert dist[2 ** j] == pytest.approx(1.0)
+
+
 def test_sorter_cascade_normalized_any_input():
     rng = np.random.default_rng(5)
     for n in (1, 2, 4, 7):

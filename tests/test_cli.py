@@ -67,6 +67,34 @@ def test_bad_value_exits_2(capsys):
                  "--alpha", "1.5"]) == 2
 
 
+def _exit_2_with_one_line(capsys, *argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_hardy_estimate_single_run_exits_2(capsys):
+    _exit_2_with_one_line(capsys, "hardy", "estimate", "--runs", "1")
+
+
+def test_chsh_requires_four_settings(capsys):
+    _exit_2_with_one_line(capsys, "chsh", "--kind", "boson",
+                          "--settings", "1,2")
+    _exit_2_with_one_line(capsys, "chsh", "--kind", "boson",
+                          "--settings", "0,180,45,-45,10")
+
+
+def test_config_without_path_exits_2(capsys):
+    _exit_2_with_one_line(capsys, "tables", "--kind", "boson", "--config")
+
+
+def test_config_missing_file_exits_2(tmp_path, capsys):
+    _exit_2_with_one_line(capsys, "tables", "--config",
+                          str(tmp_path / "absent.cfg"))
+
+
 def test_monogamy_subcommand(capsys):
     _, out = run(capsys, "monogamy", "--kind", "boson",
                  "--phases", "10,50,-20,30")

@@ -9,10 +9,12 @@ from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
                            generalized_singlet_fraction,
                            generalized_teleportation_fidelity, relation_check,
                            sf_upper_bound_check, singlet_fraction,
-                           singlet_fraction_grid, teleport_fidelity,
-                           teleport_output, two_param_state)
-from qdof.states import to_density
+                           teleport_fidelity, teleport_output,
+                           two_param_state)
+from qdof.states import DegenerateStateError, to_density
 from qdof.trace import project_one_per_region
+
+from oracles import optimized_singlet_fraction, singlet_fraction_grid
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -32,13 +34,14 @@ def test_singlet_fraction_range_and_rotation_invariance():
     rng = np.random.default_rng(0)
     for _ in range(10):
         rho = _random_rho(rng)
-        f = singlet_fraction(rho, restarts=2)
+        f = optimized_singlet_fraction(rho, restarts=2)
         assert 0.25 - 1e-9 <= f <= 1.0 + 1e-9
         # invariant under 1 x U rotations
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, r = np.linalg.qr(z)
         u = np.kron(np.eye(2), q @ np.diag(np.diag(r) / np.abs(np.diag(r))))
-        assert singlet_fraction(u @ rho @ u.conj().T, restarts=2) == \
+        assert optimized_singlet_fraction(u @ rho @ u.conj().T,
+                                          restarts=2) == \
             pytest.approx(f, abs=1e-6)
 
 
@@ -46,7 +49,7 @@ def test_optimizer_agrees_with_grid_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         rho = _random_rho(rng)
-        f_opt = singlet_fraction(rho, restarts=6)
+        f_opt = optimized_singlet_fraction(rho, restarts=6)
         f_grid = singlet_fraction_grid(rho, points_per_axis=22, refine=2)
         assert abs(f_opt - f_grid) <= 1e-4
 
@@ -55,14 +58,22 @@ def test_optimizer_agrees_with_closed_form():
     rng = np.random.default_rng(2)
     for _ in range(10):
         rho = _random_rho(rng)
-        assert singlet_fraction(rho, restarts=6) == \
+        assert optimized_singlet_fraction(rho, restarts=6) == \
             pytest.approx(_fef_closed(rho), abs=1e-8)
 
 
 def test_singlet_fraction_spread_flag():
-    value, spread = singlet_fraction(BELL, restarts=4, return_spread=True)
+    value, spread = optimized_singlet_fraction(BELL, restarts=4,
+                                               return_spread=True)
     assert value == pytest.approx(1.0)
     assert spread <= 1e-6
+
+
+def test_singlet_fraction_rejects_zero_trace():
+    with pytest.raises(DegenerateStateError):
+        singlet_fraction(np.zeros((4, 4)))
+    with pytest.raises(DegenerateStateError):
+        singlet_fraction(np.diag([0.5, -0.5, 0.0, 0.0]))
 
 
 def test_photon_pair_has_half_singlet_fraction():

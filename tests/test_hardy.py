@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdof.hardy import (BoundaryError, EQUATIONS, HardyParams, NoiseModel,
-                        Q_MAX, SampleSet, betainc, calibrate_offline,
+                        Q_MAX, SampleSet, calibrate_offline,
                         chsh_hardy_lhs, diff_lower_bound, estimate_qlb,
                         hardy_probs, hardy_q, noisy_probabilities,
                         noisy_sample, qmax_solve, t_ci, t_quantile)
@@ -98,13 +98,6 @@ def test_noisy_sampling_concentrates_with_shots():
     assert sd_big < sd_small
 
 
-def test_betainc_reference_values():
-    # I_x(a, b) at textbook points
-    assert betainc(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert betainc(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-12)
-    assert betainc(2.0, 3.0, 0.4) == pytest.approx(0.5248, abs=1e-4)
-
-
 def test_t_quantiles_against_tables():
     # six-decimal two-sided table values
     assert t_quantile(0.005, 9) == pytest.approx(3.249836, abs=1e-5)
@@ -112,6 +105,11 @@ def test_t_quantiles_against_tables():
     assert t_quantile(0.05, 9) == pytest.approx(1.833113, abs=1e-5)
     assert t_quantile(0.025, 39) == pytest.approx(2.022691, abs=1e-5)
     assert t_quantile(0.005, 1) == pytest.approx(63.656741, abs=1e-3)
+
+
+def test_t_quantile_rejects_zero_dof():
+    with pytest.raises(ValueError):
+        t_quantile(0.025, 0)
 
 
 def test_t_quantile_approaches_normal():
@@ -149,6 +147,14 @@ def test_diff_lower_bound_algebra():
 def test_diff_lower_bound_requires_matching_n():
     with pytest.raises(ValueError):
         diff_lower_bound(SampleSet(np.zeros(4)), SampleSet(np.zeros(5)), 0.05)
+
+
+def test_single_run_bounds_rejected():
+    one = SampleSet(np.array([0.1]))
+    with pytest.raises(ValueError):
+        diff_lower_bound(one, one, 0.05)
+    with pytest.raises(ValueError):
+        estimate_qlb([one], one, 0.01)
 
 
 def _offline(noise, runs=10, seed=100):
