@@ -63,8 +63,16 @@ def _emit(args, config, results, method, csv_text=None, plain=None):
     return 0
 
 
+def _radians(degrees):
+    """Radians of one command-line angle in degrees; nan and inf are rejected."""
+    value = float(degrees)
+    if not math.isfinite(value):
+        raise ValueError(f"angles must be finite numbers of degrees, got {value}")
+    return math.radians(value)
+
+
 def _phases(text):
-    vals = [math.radians(float(x)) for x in text.split(",")]
+    vals = [_radians(x) for x in text.split(",")]
     if len(vals) != 4:
         raise ValueError("expected four comma-separated phases (degrees)")
     return circuits.PhaseConfig(phi_l=vals[0], phi_d=vals[1],
@@ -92,7 +100,7 @@ def _cmd_tables(args):
 
 
 def _cmd_chsh(args):
-    vals = [math.radians(float(x)) for x in args.settings.split(",")]
+    vals = [_radians(x) for x in args.settings.split(",")]
     if len(vals) != 4:
         raise ValueError("expected four comma-separated settings (degrees)")
     settings = measurement.ChshSettings(*vals)
@@ -109,8 +117,13 @@ def _cmd_trace(args):
     dm = project_one_per_region(to_density(circuits.li_circuit(args.kind, ph)),
                                 ["s1", "s2"])
     for item in args.drop.split(","):
-        region, idx = item.split(":")
-        dm = trace_dof_indist(dm, Subsystem(region, int(idx)))
+        region, _, idx = item.partition(":")
+        try:
+            sub = Subsystem(region, int(idx))
+        except ValueError:
+            raise ValueError("--drop expects region:dof_index items, "
+                             f"got {item!r}") from None
+        dm = trace_dof_indist(dm, sub)
     arr = to_qubit_array(dm)
     csv_text = "\n".join(",".join(repr(float(x)) for pair in
                                   zip(row.real, row.imag) for x in pair)
@@ -182,7 +195,7 @@ def _cmd_signaling(args):
 
 
 def _cmd_qpq(args):
-    theta = math.radians(args.theta)
+    theta = _radians(args.theta)
     return _emit(args, {"theta_deg": args.theta, "ancilla": args.ancilla,
                         "seed": args.seed},
                  {"generalized_singlet_fraction":
@@ -200,8 +213,8 @@ def _cmd_swap(args):
 
 
 def _cmd_attack(args):
-    cfg = protocols.AttackConfig(math.radians(args.theta),
-                                 math.radians(args.phi), args.alpha)
+    cfg = protocols.AttackConfig(_radians(args.theta), _radians(args.phi),
+                                 args.alpha)
     return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
                         "alpha": args.alpha},
                  protocols.hardy_attack(cfg), "identity_mixing_attack")
@@ -221,7 +234,7 @@ def _cmd_hardy(args):
                                 "phi_deg": math.degrees(f), "q_max": q,
                                 "q_max_closed_form": hardy.Q_MAX},
                      "witness_maximum")
-    theta, phi = math.radians(args.theta), math.radians(args.phi)
+    theta, phi = _radians(args.theta), _radians(args.phi)
     if (args.allow_boundary and abs(args.theta - 90) < 1e-9
             and abs(args.phi - 90) < 1e-9):
         theta = phi = math.radians(89.99)

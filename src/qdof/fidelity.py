@@ -267,6 +267,8 @@ def relation_check(layout, p_grid=None, params=None):
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 21)
+    if len(p_grid) == 0:
+        raise ValueError("p_grid needs at least one point")
     if params is None:
         endpoint = two_param_state(1.0, layout)
         params = FidelityParams(
@@ -291,6 +293,8 @@ def sf_upper_bound_check(layout, samples=200, seed=0):
     """Random distinguishable states never beat the 1 + (n-1)/d ceiling."""
     if layout.kind != "distinguishable":
         raise ValueError("the ceiling check applies to distinguishable layouts")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     n = layout.n
     dim = 4 ** n

@@ -32,6 +32,8 @@ class HardyParams:
     phi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError("test-state angles must be finite")
         if (abs(self.theta - math.pi / 2) < 1e-9
                 and abs(self.phi - math.pi / 2) < 1e-9):
             raise BoundaryError("chi is undefined at theta = phi = 90 deg")
@@ -130,6 +132,8 @@ class NoiseModel:
         for v in (self.depolarizing, self.dephasing, self.readout):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("noise probabilities must lie in [0, 1]")
+        if self.shots < 1:
+            raise ValueError("need at least one shot per run")
 
 
 @dataclass
@@ -189,6 +193,8 @@ def noisy_probabilities(p, noise):
 
 def noisy_sample(p, noise, n_runs=10, seed=0):
     """Shot-limited repeated-run estimates for each equation."""
+    if n_runs < 1:
+        raise ValueError("need at least one run")
     rng = np.random.default_rng(seed)
     probs = noisy_probabilities(p, noise)
     return {name: SampleSet(rng.binomial(noise.shots,

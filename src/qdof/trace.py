@@ -1,31 +1,39 @@
 """Projection and trace-out rules for region-labelled multi-DoF states.
 
-Three reduction primitives live here:
+Every reduction is one operator sum on the ket-tuple basis,
+rho -> sum_key K_key rho K_key^dagger, where K_key sends each basis tuple to
+its images ``(key, coeff, reduced_tuple)`` under that key.  Ket and bra meet
+only through images with the same key, so the key is what tells the rules
+apart:
 
 ``trace_region``
-    Standard partial trace of one spatial region: ket and bra must carry the
-    same single-particle ket in that region (summed over its values) and the
-    slot is removed.  This is the localized single-particle trace generalized
-    to several DoFs per particle.
+    Standard partial trace of one spatial region.  The key is the removed
+    single-particle ket: ket and bra must carry the same ket there (summed
+    over its values).  This is the localized single-particle trace
+    generalized to several DoFs per particle.
 
 ``trace_dof_indist``
     Trace of a single DoF at one region for indistinguishable particles.  For
     states whose particles carry two or more DoFs this *forgets the label
-    coherently*: the traced value is removed from ket and bra independently
-    and amplitudes over different removed values add.  Repeating it over all
-    DoFs of a region is therefore not the same as ``trace_region`` -- the
-    defining feature of the inter-DoF reduction, and what produces maximally
-    entangled reduced pairs from circuit states where an internal and an
-    external mode are perfectly correlated.  For single-DoF systems it
-    degenerates to the standard localized particle trace, so both notions
-    agree there.
+    coherently*: the key is shared, so the traced value is removed from ket
+    and bra independently and amplitudes over different removed values add.
+    Repeating it over all DoFs of a region is therefore not the same as
+    ``trace_region`` -- the defining feature of the inter-DoF reduction, and
+    what produces maximally entangled reduced pairs from circuit states where
+    an internal and an external mode are perfectly correlated.  For
+    single-DoF systems it degenerates to the standard localized particle
+    trace, so both notions agree there.
 
 ``trace_dof_dist``
-    Ordinary partial trace over one DoF factor of a labelled
-    distinguishable particle.
+    Ordinary partial trace over one DoF factor of a labelled distinguishable
+    particle; the key is the traced value.
 
-Every reduction renormalizes to unit trace, so downstream entanglement
-measures can assume proper density matrices.
+``project_one_per_region``, ``strip_empty_slots`` and ``to_qubit_array`` are
+one-key maps (sector selection, dropping kets left without DoFs, embedding
+into the tensor-ordered qubit array).  Entries of magnitude at most 1e-16
+count as zero.  Every reduction renormalizes to unit trace, so downstream
+entanglement measures can assume proper density matrices; ``to_qubit_array``
+only lays the matrix out anew and keeps its trace.
 """
 
 from __future__ import annotations
@@ -51,26 +59,47 @@ class EmptySubspaceError(DegenerateStateError):
     """Projection or trace produced a zero-trace matrix."""
 
 
-def _entries(dm):
-    n = len(dm.basis)
-    for a in range(n):
-        for b in range(n):
-            w = dm.data[a, b]
-            if abs(w) > 1e-16:
-                yield dm.basis[a], dm.basis[b], w
+def _operator_sum(dm, images_of):
+    """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``.
 
-
-def _rebuild(pairs, eta, dof_specs, ndof):
-    basis = sorted({s for s, _, _ in pairs} | {t for _, t, _ in pairs})
+    Only tuples whose row or column carries weight are mapped.  The basis is
+    the sorted set of their images that meet a weighted partner under the
+    same key, so an image whose amplitudes cancel keeps its place.
+    """
+    weight = np.abs(dm.data) > 1e-16
+    rho = np.where(weight, dm.data, 0.0)
+    linked = weight | weight.T
+    by_key = {}
+    for col in np.flatnonzero(linked.any(axis=1)):
+        for key, coeff, reduced in images_of(dm.basis[col]):
+            by_key.setdefault(key, []).append((col, coeff, reduced))
+    for key, images in by_key.items():
+        reach = linked[:, [col for col, _, _ in images]].any(axis=1)
+        by_key[key] = [im for im in images if reach[im[0]]]
+    basis = sorted({r for images in by_key.values() for _, _, r in images})
     index = {b: i for i, b in enumerate(basis)}
     data = np.zeros((len(basis), len(basis)), dtype=complex)
-    for s, t, w in pairs:
-        data[index[s], index[t]] += w
-    dm = DensityMatrix(tuple(basis), data, eta, dof_specs, ndof)
-    tr = dm.trace
-    if tr <= 1e-24:
+    for images in by_key.values():
+        k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
+        for col, coeff, reduced in images:
+            k[index[reduced], col] += coeff
+        data += k @ rho @ k.conj().T
+    return basis, data
+
+
+def _reduce(dm, images_of, empty, n_dofs=None):
+    """Renormalized `_operator_sum`; `empty` is the message when nothing is left."""
+    basis, data = _operator_sum(dm, images_of)
+    if not basis:
+        raise EmptySubspaceError(empty)
+    return _renormalized(basis, data, dm, n_dofs or dm.n_dofs_orig)
+
+
+def _renormalized(basis, data, source, n_dofs):
+    red = DensityMatrix(tuple(basis), data, source.eta, source.dof_specs, n_dofs)
+    if red.trace <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
-    return dm.renormalized()
+    return red.renormalized()
 
 
 def project_one_per_region(dm, regions):
@@ -79,18 +108,13 @@ def project_one_per_region(dm, regions):
     if len(set(regions)) != len(regions):
         raise ValueError("regions must be distinct")
 
-    def ok(kets):
-        counts = {r: 0 for r in regions}
-        for k in kets:
-            if k.region not in counts:
-                return False
-            counts[k.region] += 1
-        return all(c == 1 for c in counts.values())
+    wanted = sorted(regions)
 
-    pairs = [(s, t, w) for s, t, w in _entries(dm) if ok(s) and ok(t)]
-    if not pairs:
-        raise EmptySubspaceError("no weight in the one-particle-per-region sector")
-    return _rebuild(pairs, dm.eta, dm.dof_specs, dm.n_dofs_orig)
+    def images_of(kets):
+        return [(None, 1.0, kets)] if sorted(k.region for k in kets) == wanted else []
+
+    return _reduce(dm, images_of,
+                   "no weight in the one-particle-per-region sector")
 
 
 def _norm_ratio(big, small, eta):
@@ -101,23 +125,30 @@ def _norm_ratio(big, small, eta):
     return math.sqrt(g_small / g_big)
 
 
-def _slot_removals(kets, region, eta):
-    """Yield (sign*ratio, reduced_tuple) for removing one region-slot entirely.
+def _slot_images(kets, region, eta, dof_index=None):
+    """Images (key, coeff, reduced_tuple) of a tuple under one `region` slot.
 
-    The removed ket is returned alongside so the caller can match ket and bra
-    sides on the same traced value.
+    With `dof_index` None the slot is removed and the key is its ket; else
+    the slot keeps its ket minus that DoF under one shared key (slots
+    without the DoF have no image), which makes the DoF trace coherent.
     """
     out = []
     for i, k in enumerate(kets):
         if k.region != region:
             continue
-        reduced = kets[:i] + kets[i + 1:]
+        if dof_index is None:
+            key, replacement = k, ()
+        elif k.value(dof_index) is None:
+            continue
+        else:
+            key, replacement = None, (k.drop(dof_index),)
+        reduced = kets[:i] + replacement + kets[i + 1:]
         sign = 1 if (eta == DISTINGUISHABLE or i % 2 == 0) else eta
         reduced_c, csign = canonical(reduced, eta)
         if csign == 0:
             continue
         coeff = sign * csign * _norm_ratio(kets, reduced_c, eta)
-        out.append((k, coeff, reduced_c))
+        out.append((key, coeff, reduced_c))
     return out
 
 
@@ -125,31 +156,8 @@ def trace_region(dm, region):
     """Standard partial trace over one spatial region (one particle there)."""
     if not any(k.region == region for kets in dm.basis for k in kets):
         raise ValueError(f"unknown region {region!r}")
-    pairs = []
-    for s, t, w in _entries(dm):
-        for ket_s, cs, s_red in _slot_removals(s, region, dm.eta):
-            for ket_t, ct, t_red in _slot_removals(t, region, dm.eta):
-                if ket_s == ket_t:
-                    pairs.append((s_red, t_red, w * cs * np.conj(ct)))
-    if not pairs:
-        raise EmptySubspaceError(f"tracing region {region!r} left nothing")
-    return _rebuild(pairs, dm.eta, dm.dof_specs, dm.n_dofs_orig)
-
-
-def _dof_drops(kets, region, dof_index, eta):
-    """Yield (coeff, reduced_tuple, removed_value) dropping one DoF at a region."""
-    out = []
-    for i, k in enumerate(kets):
-        if k.region != region or k.value(dof_index) is None:
-            continue
-        reduced = kets[:i] + (k.drop(dof_index),) + kets[i + 1:]
-        sign = 1 if (eta == DISTINGUISHABLE or i % 2 == 0) else eta
-        reduced_c, csign = canonical(reduced, eta)
-        if csign == 0:
-            continue
-        coeff = sign * csign * _norm_ratio(kets, reduced_c, eta)
-        out.append((coeff, reduced_c, k.value(dof_index)))
-    return out
+    return _reduce(dm, lambda kets: _slot_images(kets, region, dm.eta),
+                   f"tracing region {region!r} left nothing")
 
 
 def trace_dof_indist(dm, sub):
@@ -163,79 +171,69 @@ def trace_dof_indist(dm, sub):
     if ndof <= 1:
         # single-DoF systems: the rule degenerates to the localized particle trace
         return trace_region(dm, sub.region)
-    pairs = []
-    for s, t, w in _entries(dm):
-        for cs, s_red, _vs in _dof_drops(s, sub.region, sub.dof_index, dm.eta):
-            for ct, t_red, _vt in _dof_drops(t, sub.region, sub.dof_index, dm.eta):
-                pairs.append((s_red, t_red, w * cs * np.conj(ct)))
-    if not pairs:
-        raise EmptySubspaceError("DoF trace left nothing")
-    return _rebuild(pairs, dm.eta, dm.dof_specs, ndof)
+    return _reduce(dm, lambda kets: _slot_images(kets, sub.region, dm.eta,
+                                                 sub.dof_index),
+                   "DoF trace left nothing", ndof)
 
 
 def trace_dof_dist(dm, particle, dof_index):
     """Partial trace over DoF `dof_index` of labelled particle slot `particle`."""
     if dm.eta != DISTINGUISHABLE:
         raise ShapeError("trace_dof_dist expects the distinguishable representation")
-    nslots = len(dm.basis[0])
-    if not 0 <= particle < nslots:
+    if not 0 <= particle < len(dm.basis[0]):
         raise ValueError("particle slot out of range")
-    pairs = []
-    for s, t, w in _entries(dm):
-        vs = s[particle].value(dof_index)
-        vt = t[particle].value(dof_index)
-        if vs is None or vt is None:
+
+    def images_of(kets):
+        k = kets[particle]
+        value = k.value(dof_index)
+        if value is None:
             raise ValueError(f"dof index {dof_index} not present on that particle")
-        if vs != vt:
-            continue
-        s_red = s[:particle] + (s[particle].drop(dof_index),) + s[particle + 1:]
-        t_red = t[:particle] + (t[particle].drop(dof_index),) + t[particle + 1:]
-        pairs.append((s_red, t_red, w))
-    if not pairs:
-        raise EmptySubspaceError("DoF trace left nothing")
-    return _rebuild(pairs, dm.eta, dm.dof_specs, dm.n_dofs_orig)
+        return [(value, 1.0,
+                 kets[:particle] + (k.drop(dof_index),) + kets[particle + 1:])]
+
+    return _reduce(dm, images_of, "DoF trace left nothing")
 
 
 def particle_trace_lofranco(state, region=None):
     """Single-particle reduced matrix of a two-particle, single-DoF pure state.
 
     Contracts the state with every single-particle basis bra (optionally only
-    those localized in `region`) and renormalizes.
+    those localized in `region`) and renormalizes.  The contracted vectors
+    are built from the state's amplitudes, not through `_operator_sum`, so
+    this stays an independent check of the region and DoF traces.
     """
     if state.n_particles != 2:
         raise ShapeError("expected a two-particle state")
     if state.n_dofs > 1:
         raise ShapeError("expected single-DoF particles")
-    kets = sorted({k for tup in state.terms for k in tup})
-    if region is not None:
-        kets = [k for k in kets if k.region == region]
-    outer = {}
-    for k in kets:
-        vec = {}
-        for tup, amp in state.terms.items():
-            for i, slot in enumerate(tup):
-                if slot == k:
-                    reduced = tup[:i] + tup[i + 1:]
-                    sign = 1 if i % 2 == 0 else state.eta
-                    vec[reduced] = vec.get(reduced, 0.0) + sign * amp
-        for (s, vs) in vec.items():
-            for (t, vt) in vec.items():
-                outer[(s, t)] = outer.get((s, t), 0.0) + vs * np.conj(vt)
-    if not outer:
+    vecs = {}
+    for tup, amp in state.terms.items():
+        for i, slot in enumerate(tup):
+            if region in (None, slot.region):
+                vec = vecs.setdefault(slot, {})
+                reduced = tup[:i] + tup[i + 1:]
+                sign = 1 if i % 2 == 0 else state.eta
+                vec[reduced] = vec.get(reduced, 0.0) + sign * amp
+    if not vecs:
         raise DegenerateStateError("zero localized norm")
-    pairs = [(s[0:], t[0:], w) for (s, t), w in outer.items()]
-    # reduced tuples here are single kets wrapped in 1-tuples
-    return _rebuild(pairs, state.eta, state.dof_specs, 1)
+    basis = sorted({r for vec in vecs.values() for r in vec})
+    index = {b: i for i, b in enumerate(basis)}
+    data = np.zeros((len(basis), len(basis)), dtype=complex)
+    for _, vec in sorted(vecs.items()):
+        v = np.zeros(len(basis), dtype=complex)
+        v[[index[r] for r in vec]] = list(vec.values())
+        # v v^dagger from real parts: each entry rounds as a scalar complex
+        # product does, whatever numpy's vectorized complex loops fuse
+        re, im = v.real, v.imag
+        data.real += np.multiply.outer(re, re) + np.multiply.outer(im, im)
+        data.imag += np.multiply.outer(im, re) - np.multiply.outer(re, im)
+    return _renormalized(basis, data, state, 1)
 
 
 def strip_empty_slots(dm):
     """Drop kets that have lost all their DoFs from every basis tuple."""
-    pairs = []
-    for s, t, w in _entries(dm):
-        s2 = tuple(k for k in s if k.dofs)
-        t2 = tuple(k for k in t if k.dofs)
-        pairs.append((s2, t2, w))
-    return _rebuild(pairs, dm.eta, dm.dof_specs, dm.n_dofs_orig)
+    return _reduce(dm, lambda kets: [(None, 1.0, tuple(k for k in kets if k.dofs))],
+                   "reduction produced an empty subspace")
 
 
 def to_qubit_array(dm, subsystems=None):
@@ -245,8 +243,7 @@ def to_qubit_array(dm, subsystems=None):
     values.  Slots are ordered by region label (or by the given subsystem
     order); within a slot the DoF's declared eigenvalue order fixes |0>,|1>.
     """
-    sample = dm.basis[0]
-    nslots = len(sample)
+    nslots = len(dm.basis[0])
     if subsystems is None:
         regions = sorted({k.region for kets in dm.basis for k in kets})
     else:
@@ -278,14 +275,14 @@ def to_qubit_array(dm, subsystems=None):
     dim = int(np.prod(dims))
     out = np.zeros((dim, dim), dtype=complex)
 
-    def flat(kets):
+    def embed(kets):
+        by_region = {k.region: k for k in kets}
         pos = 0
         for o, d in zip(orders, dims):
-            by_region = {k.region: k for k in kets}
-            k = by_region[o[0].region]
-            pos = pos * d + o.index(k)
-        return pos
+            pos = pos * d + o.index(by_region[o[0].region])
+        return [(None, 1.0, pos)]
 
-    for s, t, w in _entries(dm):
-        out[flat(s), flat(t)] += w
+    positions, data = _operator_sum(dm, embed)
+    positions = np.array(positions, dtype=int)
+    out[np.ix_(positions, positions)] = data
     return out

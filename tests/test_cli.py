@@ -86,6 +86,25 @@ def test_chsh_requires_four_settings(capsys):
                           "--settings", "0,180,45,-45,10")
 
 
+@pytest.mark.parametrize("argv", [
+    ("hardy", "sample", "--runs", "0"),
+    ("hardy", "estimate", "--shots", "0"),
+    ("sf-bound", "--samples", "0"),
+    ("sf-bound", "--samples", "-3"),
+    ("fidelity-relation", "--kind", "distinguishable", "--points", "0"),
+    ("hardy", "probs", "--theta", "nan"),
+    ("hardy", "sample", "--phi", "inf"),
+    ("attack", "--theta", "nan"),
+    ("qpq", "--theta=-inf"),
+    ("tables", "--kind", "boson", "--phases", "nan,0,0,0"),
+    ("chsh", "--kind", "boson", "--settings", "nan,0,0,0"),
+    ("trace", "--drop", "s1"),
+    ("trace", "--drop", "s1:1,s2"),
+])
+def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
+    _exit_2_with_one_line(capsys, *argv)
+
+
 def test_config_without_path_exits_2(capsys):
     _exit_2_with_one_line(capsys, "tables", "--kind", "boson", "--config")
 

@@ -66,6 +66,12 @@ def test_boundary_point_rejected():
         HardyParams(math.pi / 2, math.pi / 2)
 
 
+@pytest.mark.parametrize("theta, phi", [(math.nan, 0.5), (0.5, math.inf)])
+def test_non_finite_angles_rejected(theta, phi):
+    with pytest.raises(ValueError, match="finite"):
+        HardyParams(theta, phi)
+
+
 def test_zero_noise_matches_ideal():
     p = HardyParams(deg(40), deg(70))
     clean = noisy_probabilities(p, NoiseModel(0.0, 0.0, 0.0, 8192))
