@@ -86,8 +86,7 @@ def _assemble(kind, first, second, dof_specs):
     for ca, ka in first:
         for cb, kb in second:
             terms[(ka, kb)] = terms.get((ka, kb), 0.0) + 0.25 * ca * cb
-    labels = ("1", "2") if eta == DISTINGUISHABLE else ()
-    return SymState(eta, terms, dof_specs, labels)
+    return SymState(eta, terms, dof_specs)
 
 
 def li_circuit(kind, phases):
@@ -173,7 +172,7 @@ def pol_oam_pair(theta, phi):
     k_vm_i = Ket("idl", ((1, "V"), (2, "-l")))
     k_hp_i = Ket("idl", ((1, "H"), (2, "+l")))
     terms = {(k_hp, k_vm_i): c, (k_vm, k_hp_i): s * np.exp(1j * phi)}
-    return normalize(SymState(DISTINGUISHABLE, terms, (POL, ORBITAL), ("sig", "idl")))
+    return normalize(SymState(DISTINGUISHABLE, terms, (POL, ORBITAL)))
 
 
 # -- two-qubit gate circuit ---------------------------------------------------
@@ -194,10 +193,6 @@ def u_phase(lam):
     return np.array([[1, 0], [0, np.exp(1j * lam)]], dtype=complex)
 
 
-def coupling_direct(phi):
-    return np.diag([1, 1, 1, np.exp(2j * phi)]).astype(complex)
-
-
 def coupling_gates(phi):
     """The diagonal coupling decomposed into CNOTs and single-qubit phases."""
     ident = np.eye(2, dtype=complex)
@@ -213,14 +208,6 @@ class HardyStatePair:
 
     analytic_vector: np.ndarray
     gate_vector: np.ndarray
-
-    @property
-    def analytic(self):
-        return np.outer(self.analytic_vector, self.analytic_vector.conj())
-
-    @property
-    def gate_built(self):
-        return np.outer(self.gate_vector, self.gate_vector.conj())
 
 
 def hardy_state(theta, phi):

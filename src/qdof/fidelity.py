@@ -36,6 +36,8 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 AXIS_STATES = [np.array(v, dtype=complex) / np.linalg.norm(v) for v in
                ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])]
 
+D = 2  # every DoF is two-level
+
 
 @dataclass(frozen=True)
 class ChannelLayout:
@@ -43,12 +45,11 @@ class ChannelLayout:
 
     kind: str  # 'distinguishable' | 'indistinguishable'
     n: int
-    d: int = 2
 
     def __post_init__(self):
         if self.kind not in ("distinguishable", "indistinguishable"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n < 1 or self.d != 2:
+        if self.n < 1:
             raise ValueError("v1 supports n >= 1 two-level DoFs")
 
 
@@ -57,7 +58,7 @@ class FidelityParams:
     """Ceilings of the generalized fidelity and singlet fraction.
 
     Defaults follow the closed-form ceilings: unit channel fidelity and
-    1 + (n-1)/d for distinguishable particles, a configurable sub-unit
+    1 + (n-1)/D for distinguishable particles, a configurable sub-unit
     fidelity (5/6) and n for indistinguishable ones.
     """
 
@@ -67,7 +68,7 @@ class FidelityParams:
     @staticmethod
     def for_layout(layout, f_max_indist=5.0 / 6.0):
         if layout.kind == "distinguishable":
-            return FidelityParams(1.0, 1.0 + (layout.n - 1) / layout.d)
+            return FidelityParams(1.0, 1.0 + (layout.n - 1) / D)
         return FidelityParams(f_max_indist, float(layout.n))
 
 
@@ -91,10 +92,10 @@ def _fef_closed(rho):
     return 0.25 * (1.0 + s)
 
 
-def singlet_fraction(rho, d=2):
+def singlet_fraction(rho):
     """Maximal overlap of `rho` with a maximally entangled state (closed form)."""
     rho = np.asarray(rho, dtype=complex)
-    if d != 2 or rho.shape != (4, 4):
+    if rho.shape != (4, 4):
         raise ValueError("v1 computes singlet fractions of two-qubit states")
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
@@ -114,7 +115,7 @@ def _pair_matrix(dm, layout, i, j):
                 reduced = trace_dof_dist(reduced, 0, k)
             if k != j:
                 reduced = trace_dof_dist(reduced, 1, k)
-        return to_qubit_array(reduced, None)
+        return to_qubit_array(reduced)
     regions = sorted({k.region for kets in dm.basis for k in kets})
     first, second = regions[0], regions[1]
     for k in range(1, layout.n + 1):
@@ -122,7 +123,7 @@ def _pair_matrix(dm, layout, i, j):
             reduced = trace_dof_indist(reduced, Subsystem(first, k))
         if k != j:
             reduced = trace_dof_indist(reduced, Subsystem(second, k))
-    return to_qubit_array(reduced, None)
+    return to_qubit_array(reduced)
 
 
 def generalized_singlet_fraction(dm, layout):
@@ -193,7 +194,7 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
             f = average_teleport_fidelity(_pair_matrix(dm, layout, i, j))
             best = max(best, f)
     if layout.kind == "indistinguishable":
-        best = _rescale_to_ceiling(best, layout.d, params.f_max)
+        best = _rescale_to_ceiling(best, D, params.f_max)
     return float(best)
 
 
@@ -274,15 +275,15 @@ def relation_check(layout, p_grid=None, params=None):
         params = FidelityParams(
             generalized_teleportation_fidelity(endpoint, layout),
             generalized_singlet_fraction(endpoint, layout))
-    n, d = layout.n, layout.d
+    n = layout.n
     records = []
     for p in p_grid:
         dm = two_param_state(float(p), layout)
         f_g = generalized_teleportation_fidelity(
             dm, layout, FidelityParams(params.f_max, params.big_f_max))
         big_f = generalized_singlet_fraction(dm, layout)
-        predicted = ((big_f - n / d ** 2) * (params.f_max - 1 / d)
-                     / (params.big_f_max - n / d ** 2) + 1 / d)
+        predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
+                     / (params.big_f_max - n / D ** 2) + 1 / D)
         records.append({"p": float(p), "f_g": f_g, "F_g": big_f,
                         "predicted_f_g": predicted,
                         "residual": f_g - predicted})
@@ -290,7 +291,7 @@ def relation_check(layout, p_grid=None, params=None):
 
 
 def sf_upper_bound_check(layout, samples=200, seed=0):
-    """Random distinguishable states never beat the 1 + (n-1)/d ceiling."""
+    """Random distinguishable states never beat the 1 + (n-1)/D ceiling."""
     if layout.kind != "distinguishable":
         raise ValueError("the ceiling check applies to distinguishable layouts")
     if samples < 1:
@@ -299,7 +300,7 @@ def sf_upper_bound_check(layout, samples=200, seed=0):
     n = layout.n
     dim = 4 ** n
     basis = _dist_basis(n)
-    bound = 1.0 + (n - 1) / layout.d
+    bound = 1.0 + (n - 1) / D
     worst = -1.0
     for _ in range(samples):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)

@@ -85,10 +85,12 @@ def hardy_q(p):
 
 Q_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 
+_QMAX_STEP_DEG = 0.25  # spacing of the coarse grid, before the refine
 
-def qmax_solve(step_deg=0.25):
+
+def qmax_solve():
     """Grid-plus-refine maximization of q over (0, 90) x (0, 90) degrees."""
-    grid = np.deg2rad(np.arange(step_deg, 90.0, step_deg))
+    grid = np.deg2rad(np.arange(_QMAX_STEP_DEG, 90.0, _QMAX_STEP_DEG))
     # hardy_q over the whole grid; argmax keeps the first maximum in (t, f)
     # row-major order, as a strict-improvement scan would
     ts, fs = np.meshgrid(grid, grid, indexing="ij")
@@ -97,7 +99,7 @@ def qmax_solve(step_deg=0.25):
     i, j = np.unravel_index(np.argmax(np.abs(z) ** 2), ts.shape)
     t, f = grid[i], grid[j]
     q = hardy_q(HardyParams(t, f))
-    h = math.radians(step_deg)
+    h = math.radians(_QMAX_STEP_DEG)
     for _ in range(40):
         h *= 0.6
         candidates = [(t + dt, f + df) for dt in (-h, 0, h) for df in (-h, 0, h)]

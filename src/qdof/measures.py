@@ -161,9 +161,9 @@ def monogamy_report(dm, sub_a, sub_b, sub_c):
                     reduced = trace_dof_indist(reduced, Subsystem(r, i))
         return reduced
 
-    rho_ab = to_qubit_array(reduce_to([sub_a, sub_b]), None)
-    rho_ac = to_qubit_array(reduce_to([sub_a, sub_c]), None)
-    rho_a = to_qubit_array(reduce_to([sub_a]), None)
+    rho_ab = to_qubit_array(reduce_to([sub_a, sub_b]))
+    rho_ac = to_qubit_array(reduce_to([sub_a, sub_c]))
+    rho_a = to_qubit_array(reduce_to([sub_a]))
     c2_ab = concurrence(rho_ab) ** 2
     c2_ac = concurrence(rho_ac) ** 2
     audit = {"flip_spectrum_ab": spin_flip_spectrum(rho_ab).tolist(),
@@ -199,15 +199,14 @@ def mixed_monogamy_check(ensemble):
     t = rho.reshape(2, 2, 2, 2, 2, 2)
     rho_ab = np.einsum("abcxyc->abxy", t).reshape(4, 4)
     rho_ac = np.einsum("abcxbz->acxz", t).reshape(4, 4)
-    lhs = concurrence(rho_ab) ** 2 + concurrence(rho_ac) ** 2
+    ab = concurrence(rho_ab) ** 2
+    ac = concurrence(rho_ac) ** 2
     roof = 0.0
     for w, v in zip(weights, vecs):
         psi = v.reshape(2, 2, 2)
         rho_a = np.einsum("abc,xbc->ax", psi, psi.conj())
         roof += w * tangle_one_vs_rest(rho_a)
-    ab = concurrence(rho_ab) ** 2
-    ac = concurrence(rho_ac) ** 2
-    return MonogamyReport(ab, ac, roof), roof, bool(lhs <= roof + 1e-9)
+    return MonogamyReport(ab, ac, roof), roof, bool(ab + ac <= roof + 1e-9)
 
 
 # -- three-particle case engine -----------------------------------------------

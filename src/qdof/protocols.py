@@ -19,11 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .circuits import PhaseConfig, sorter_cascade, swap_circuit
-from .fidelity import singlet_fraction
+from .fidelity import ChannelLayout, _pair_matrix, singlet_fraction
 from .hardy import HardyParams, hardy_q
 from .measurement import ChshSettings, chsh, coincidence_table
 from .states import BOSON, DofSpec, Ket, SymState, normalize, to_density
-from .trace import Subsystem, to_qubit_array, trace_dof_indist
 
 
 @dataclass(frozen=True)
@@ -88,29 +87,23 @@ def signaling_mc(cfg, mode="dofs"):
         words = np.where(sent[:, None] == 0, words_z, bits)
         all_same = (words == words[:, :1]).all(axis=1)
         decoded = np.where(all_same, 0, 1)
+        hits = int((decoded == sent).sum())
+        exact = signaling_exact(n)
     elif mode == "copies":
         # the conditional bottleneck: given a Hadamard-basis message, each
         # copy stays on the edge with probability 1/2, and decoding succeeds
         # as soon as any copy leaves it (computational-basis messages always
         # decode, so they carry no information about the error rate)
         stay = rng.random(size=(trials, n)) < 0.5
-        any_off_edge = ~stay.all(axis=1)
-        hits = int(any_off_edge.sum())
-        estimate = hits / trials
-        stderr = math.sqrt(max(estimate * (1 - estimate), 1e-12) / trials)
-        return {"estimate": float(estimate), "stderr": float(stderr),
-                "exact": float(signaling_multicopy(n)), "trials": trials,
-                "seed": cfg.seed, "mode": mode, "physical": False}
+        hits = int((~stay.all(axis=1)).sum())
+        exact = signaling_multicopy(n)
     else:
         raise ValueError("mode must be 'dofs' or 'copies'")
-    hits = (decoded == sent).sum()
     estimate = hits / trials
     stderr = math.sqrt(max(estimate * (1 - estimate), 1e-12) / trials)
     return {"estimate": float(estimate), "stderr": float(stderr),
-            "exact": float(signaling_exact(n) if mode == "dofs"
-                           else signaling_multicopy(n)),
-            "trials": trials, "seed": cfg.seed, "mode": mode,
-            "physical": False}
+            "exact": float(exact), "trials": trials, "seed": cfg.seed,
+            "mode": mode, "physical": False}
 
 
 def signaling_multicopy(m):
@@ -170,15 +163,10 @@ def qpq_sf(theta, ancilla="particle"):
         terms[(kb, ka)] = complex(amp)
     state = normalize(SymState(BOSON, terms, (spec1, spec2)))
     dm = to_density(state)
+    layout = ChannelLayout("indistinguishable", 2)
     total = 0.0
     for j in (1, 2):
-        reduced = dm
-        for k in (1, 2):
-            if k != 1:
-                reduced = trace_dof_indist(reduced, Subsystem("s1", k))
-            if k != j:
-                reduced = trace_dof_indist(reduced, Subsystem("s2", k))
-        total += singlet_fraction(to_qubit_array(reduced))
+        total += singlet_fraction(_pair_matrix(dm, layout, 1, j))
     return float(total)
 
 

@@ -16,15 +16,17 @@ holds by construction.  The two-particle amplitude rule
 
     <a,b | c,d> = <a|c><b|d> + eta <a|d><b|c>
 
-is extended to ``p`` particles as a permutation sum (a permanent for bosons, a
-determinant for fermions) over the single-ket overlap matrix.
+extends to ``p`` particles as a permutation sum over the single-ket overlaps,
+and on canonical tuples that sum has a closed form: distinct tuples are
+orthogonal, and <S|S> is the Gram factor prod_k m_k! for bosons (m_k counts
+the repeats of each ket) and 1 for fermions and distinguishable particles.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +81,6 @@ class Ket:
         """Copy of this ket without DoF `index` (the region label is kept)."""
         return Ket(self.region, tuple(p for p in self.dofs if p[0] != index))
 
-    def with_value(self, index, value):
-        pairs = tuple(sorted([p for p in self.dofs if p[0] != index] + [(index, value)]))
-        return Ket(self.region, pairs)
-
 
 def canonical(kets, eta):
     """Sort a ket tuple into canonical order.
@@ -106,28 +104,17 @@ def canonical(kets, eta):
     return sorted_kets, 1
 
 
-def _overlap_matrix(s, t):
-    n = len(s)
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = 1.0 if s[i] == t[j] else 0.0
-    return m
-
-
 def tuple_overlap(s, t, eta):
-    """<s|t> for canonical ket tuples: permanent (bosons) or determinant (fermions)."""
-    if len(s) != len(t):
+    """<s|t> for canonical ket tuples: the Gram factor of `s` if equal, else 0.
+
+    Holds only for canonical tuples (see `canonical`); `SymState`,
+    `to_density` and the trace rules produce no others.
+    """
+    if s != t:
         return 0.0
-    if eta == DISTINGUISHABLE:
-        return 1.0 if s == t else 0.0
-    m = _overlap_matrix(s, t)
-    if eta == FERMION:
-        return float(round(np.linalg.det(m)))
-    total = 0.0
-    for perm in itertools.permutations(range(len(s))):
-        total += math.prod(m[i, perm[i]] for i in range(len(s)))
-    return total
+    if eta != BOSON:
+        return 1.0
+    return float(math.prod(math.factorial(m) for m in Counter(s).values()))
 
 
 @dataclass
@@ -140,7 +127,6 @@ class SymState:
     eta: int
     terms: dict
     dof_specs: tuple = ()
-    particle_labels: tuple = ()
 
     def __post_init__(self):
         merged = {}
@@ -165,19 +151,9 @@ class SymState:
         idx = {i for kets in self.terms for k in kets for i, _ in k.dofs}
         return len(idx)
 
-    def amplitude(self, kets):
-        kets, sign = canonical(kets, self.eta)
-        if sign == 0:
-            return 0.0
-        return sign * self.terms.get(kets, 0.0)
-
-    def map_terms(self, fn):
-        return SymState(self.eta, {k: fn(k, v) for k, v in self.terms.items()},
-                        self.dof_specs, self.particle_labels)
-
     def scaled(self, factor):
         return SymState(self.eta, {k: v * factor for k, v in self.terms.items()},
-                        self.dof_specs, self.particle_labels)
+                        self.dof_specs)
 
     # -- serialization -------------------------------------------------------
 
@@ -216,10 +192,9 @@ def symmetric_inner(a, b):
         raise ShapeError("particle numbers differ")
     total = 0.0 + 0.0j
     for s, amp_s in a.terms.items():
-        for t, amp_t in b.terms.items():
-            g = tuple_overlap(s, t, a.eta)
-            if g:
-                total += np.conj(amp_s) * amp_t * g
+        amp_t = b.terms.get(s)
+        if amp_t is not None:
+            total += np.conj(amp_s) * amp_t * tuple_overlap(s, s, a.eta)
     return complex(total)
 
 
@@ -287,9 +262,6 @@ class DensityMatrix:
         vals = sorted({k.value(dof_index) for kets in self.basis for k in kets
                        if k.value(dof_index) is not None})
         return vals
-
-    def to_array(self):
-        return np.array(self.data)
 
     def to_json(self):
         def enc(kets):

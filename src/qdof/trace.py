@@ -31,7 +31,10 @@ apart:
 ``project_one_per_region``, ``strip_empty_slots`` and ``to_qubit_array`` are
 one-key maps (sector selection, dropping kets left without DoFs, embedding
 into the tensor-ordered qubit array).  Entries of magnitude at most 1e-16
-count as zero.  Every reduction renormalizes to unit trace, so downstream
+only choose the basis: a tuple whose row and column carry no larger entry
+is left out, but the sum itself uses every entry of the matrix, so a kept
+tuple keeps its diagonal entry beside its cross terms and the result stays
+positive.  Every reduction renormalizes to unit trace, so downstream
 entanglement measures can assume proper density matrices; ``to_qubit_array``
 only lays the matrix out anew and keeps its trace.
 """
@@ -62,12 +65,12 @@ class EmptySubspaceError(DegenerateStateError):
 def _operator_sum(dm, images_of):
     """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``.
 
-    Only tuples whose row or column carries weight are mapped.  The basis is
-    the sorted set of their images that meet a weighted partner under the
-    same key, so an image whose amplitudes cancel keeps its place.
+    Only tuples whose row or column carries an entry above 1e-16 are mapped.
+    The basis is the sorted set of their images that meet such a partner
+    under the same key, so an image whose amplitudes cancel keeps its place.
+    The cut only selects the basis; the sum uses every entry of `dm.data`.
     """
     weight = np.abs(dm.data) > 1e-16
-    rho = np.where(weight, dm.data, 0.0)
     linked = weight | weight.T
     by_key = {}
     for col in np.flatnonzero(linked.any(axis=1)):
@@ -83,7 +86,7 @@ def _operator_sum(dm, images_of):
         k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
         for col, coeff, reduced in images:
             k[index[reduced], col] += coeff
-        data += k @ rho @ k.conj().T
+        data += k @ dm.data @ k.conj().T
     return basis, data
 
 
@@ -118,11 +121,7 @@ def project_one_per_region(dm, regions):
 
 
 def _norm_ratio(big, small, eta):
-    if eta == DISTINGUISHABLE:
-        return 1.0
-    g_big = tuple_overlap(big, big, eta)
-    g_small = tuple_overlap(small, small, eta) if small else 1.0
-    return math.sqrt(g_small / g_big)
+    return math.sqrt(tuple_overlap(small, small, eta) / tuple_overlap(big, big, eta))
 
 
 def _slot_images(kets, region, eta, dof_index=None):
@@ -212,7 +211,8 @@ def particle_trace_lofranco(state, region=None):
             if region in (None, slot.region):
                 vec = vecs.setdefault(slot, {})
                 reduced = tup[:i] + tup[i + 1:]
-                sign = 1 if i % 2 == 0 else state.eta
+                sign = (1 if state.eta == DISTINGUISHABLE or i % 2 == 0
+                        else state.eta)
                 vec[reduced] = vec.get(reduced, 0.0) + sign * amp
     if not vecs:
         raise DegenerateStateError("zero localized norm")
@@ -236,18 +236,15 @@ def strip_empty_slots(dm):
                    "reduction produced an empty subspace")
 
 
-def to_qubit_array(dm, subsystems=None):
+def to_qubit_array(dm):
     """Densify a reduced matrix into a standard tensor-ordered numpy array.
 
     Every remaining slot must carry at most a single DoF with at most two
-    values.  Slots are ordered by region label (or by the given subsystem
-    order); within a slot the DoF's declared eigenvalue order fixes |0>,|1>.
+    values.  Slots are ordered by region label; within a slot the DoF's
+    declared eigenvalue order fixes |0>,|1>.
     """
     nslots = len(dm.basis[0])
-    if subsystems is None:
-        regions = sorted({k.region for kets in dm.basis for k in kets})
-    else:
-        regions = [s.region if isinstance(s, Subsystem) else s for s in subsystems]
+    regions = sorted({k.region for kets in dm.basis for k in kets})
     if len(regions) != nslots:
         raise ShapeError("subsystem count does not match remaining slots")
 

@@ -1,19 +1,61 @@
-"""Numerical oracles for the closed-form singlet fraction.
+"""Numerical oracles for the closed forms in `qdof`.
 
 The fully entangled fraction of a two-qubit state is the maximal overlap
 <psi_U| rho |psi_U> over the maximally entangled states
 |psi_U> = (1 x U)|Phi+>, U in U(2).  `qdof.fidelity.singlet_fraction` computes
-it in closed form; the two routines here maximize the overlap directly over a
+it in closed form; two routines here maximize the overlap directly over a
 3-angle parameterization of U, by multi-start local optimization and by a
 refined grid, so the tests can check the closed form against them.
+
+`qdof.states.tuple_overlap` gives the overlap of canonical ket tuples as a
+Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
+determinant (fermions) of the single-ket overlap matrix instead, and
+`pairwise_inner` is the symmetric inner product over every pair of terms.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.optimize import minimize
 
 from qdof.fidelity import PHI_PLUS, _fef_closed
+from qdof.states import DISTINGUISHABLE, FERMION
+
+
+def _overlap_matrix(s, t):
+    n = len(s)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = 1.0 if s[i] == t[j] else 0.0
+    return m
+
+
+def permutation_overlap(s, t, eta):
+    """<s|t> for canonical ket tuples: permanent (bosons) or determinant (fermions)."""
+    if len(s) != len(t):
+        return 0.0
+    if eta == DISTINGUISHABLE:
+        return 1.0 if s == t else 0.0
+    m = _overlap_matrix(s, t)
+    if eta == FERMION:
+        return float(round(np.linalg.det(m)))
+    total = 0.0
+    for perm in itertools.permutations(range(len(s))):
+        total += math.prod(m[i, perm[i]] for i in range(len(s)))
+    return total
+
+
+def pairwise_inner(a, b):
+    """<a|b> summed over every pair of terms with `permutation_overlap`."""
+    total = 0.0 + 0.0j
+    for s, amp_s in a.terms.items():
+        for t, amp_t in b.terms.items():
+            g = permutation_overlap(s, t, a.eta)
+            if g:
+                total += np.conj(amp_s) * amp_t * g
+    return complex(total)
 
 
 def _mes_vector(angles):

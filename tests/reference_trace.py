@@ -4,6 +4,8 @@ Each reduction loops over every non-zero (ket, bra) entry of the input
 matrix, maps it through the rule, and rebuilds the reduced matrix from the
 resulting (ket, bra, weight) list.  `qdof.trace` computes the same maps as
 operator sums; the tests compare the two on random and catalogue states.
+Tuple overlaps come from the permanent / determinant oracle in `oracles`, so
+this engine does not rest on the closed form it checks.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import math
 
 import numpy as np
 
+from oracles import permutation_overlap as tuple_overlap
 from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
-                         Ket, ShapeError, canonical, tuple_overlap)
+                         Ket, ShapeError, canonical)
 from qdof.trace import EmptySubspaceError, Subsystem
 
 
@@ -182,7 +185,8 @@ def particle_trace_lofranco(state, region=None):
             for i, slot in enumerate(tup):
                 if slot == k:
                     reduced = tup[:i] + tup[i + 1:]
-                    sign = 1 if i % 2 == 0 else state.eta
+                    sign = (1 if state.eta == DISTINGUISHABLE or i % 2 == 0
+                            else state.eta)
                     vec[reduced] = vec.get(reduced, 0.0) + sign * amp
         for (s, vs) in vec.items():
             for (t, vt) in vec.items():

@@ -93,7 +93,7 @@ def test_to_density_bell_state():
     up_a, dn_b = k("a", "up"), k("b", "dn")
     s = normalize(SymState(DISTINGUISHABLE,
                            {(PHI, k("b", "up")): 1.0, (up_a, dn_b): -1.0},
-                           (SPIN,), ("1", "2")))
+                           (SPIN,)))
     dm = to_density(s)
     assert dm.trace == pytest.approx(1.0)
     assert dm.purity == pytest.approx(1.0)
@@ -115,9 +115,9 @@ def test_to_density_positive_and_hermitian_random():
 
 def test_mix_identity_and_diagonal():
     s00 = normalize(SymState(DISTINGUISHABLE, {(PHI, dn_b()): 1.0},
-                             (SPIN,), ("1", "2")))
+                             (SPIN,)))
     s11 = normalize(SymState(DISTINGUISHABLE, {(k("a", "up"), k("b", "up")): 1.0},
-                             (SPIN,), ("1", "2")))
+                             (SPIN,)))
     d0, d1 = to_density(s00), to_density(s11)
     assert np.allclose(mix([(1.0, d0)]).data, d0.data)
     m = mix([(0.5, d0), (0.5, d1)])
@@ -132,7 +132,7 @@ def dn_b():
 
 def test_mix_rejects_bad_weights():
     d = to_density(normalize(SymState(DISTINGUISHABLE, {(PHI, dn_b()): 1.0},
-                                      (SPIN,), ("1", "2"))))
+                                      (SPIN,))))
     with pytest.raises(ValueError):
         mix([(-0.1, d), (1.1, d)])
     with pytest.raises(ValueError):

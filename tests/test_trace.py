@@ -169,8 +169,7 @@ def test_trace_dof_dist_removes_product_factor_exactly():
     oam = DofSpec(2, ("+l", "-l"))
     ka = Ket("p", ((1, "H"), (2, "+l")))
     kb = Ket("q", ((1, "V"), (2, "-l")))
-    s = normalize(SymState(DISTINGUISHABLE, {(ka, kb): 1.0}, (pol, oam),
-                           ("p", "q")))
+    s = normalize(SymState(DISTINGUISHABLE, {(ka, kb): 1.0}, (pol, oam)))
     red = trace_dof_dist(to_density(s), 0, 2)
     assert red.purity == pytest.approx(1.0)
 
@@ -188,3 +187,35 @@ def test_lofranco_identical_bosons_pure():
     s = normalize(SymState(BOSON, {(ket, ket): 1.0}, (SPIN,)))
     red = particle_trace_lofranco(s)
     assert red.purity == pytest.approx(1.0)
+
+
+def test_tiny_amplitude_reduction_stays_positive():
+    # the c-sector tuples have diagonal entries near 4e-17, below the 1e-16
+    # cut, while their cross terms with |b:y, c:x, c:x> are near 6e-9
+    xy = DofSpec(1, ("x", "y"))
+
+    def reduced(eps):
+        kx = Ket("c", ((1, "x"),))
+        terms = {(Ket("a", ((1, "y"),)), Ket("b", ((1, "x"),)),
+                  Ket("b", ((1, "y"),))): 1.0,
+                 (Ket("b", ((1, "y"),)), kx, kx): eps,
+                 (kx, kx, kx): eps}
+        s = normalize(SymState(BOSON, terms, (xy,)))
+        return trace_region(to_density(s), "c")
+
+    red = reduced(6e-9)
+    assert np.linalg.eigvalsh(red.data).min() > -1e-12
+    assert red.purity == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(red.data, reduced(1e-8).data, atol=1e-9)
+
+
+def test_lofranco_distinguishable_matches_region_trace():
+    one = DofSpec(1, ("0", "1"))
+    p0 = Ket("p", ((1, "0"),))
+    terms = {(p0, Ket("q", ((1, v),))): 1.0 for v in "01"}
+    s = normalize(SymState(DISTINGUISHABLE, terms, (one,)))
+    for region in ("p", "q"):
+        red = particle_trace_lofranco(s, region)
+        ref = trace_region(to_density(s), region)
+        assert red.basis == ref.basis
+        assert np.allclose(red.data, ref.data, atol=1e-12)

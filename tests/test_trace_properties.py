@@ -4,9 +4,11 @@ The operator-sum engine in `qdof.trace` is checked against the per-entry
 reference engine in `reference_trace` on random bosonic, fermionic and
 distinguishable states (2-3 particles, bunched tuples, DoFs with 2 or 3
 values) and on the circuit and catalogue states: same basis, same data within
-1e-12 and the same exception.  On states whose amplitudes stay well above
-the 1e-16 weight cut, every reduced matrix must also be Hermitian, of unit
-trace and positive, and traces over different subsystems must commute.
+1e-12 and the same exception.  Every reduced matrix must be Hermitian, of
+unit trace and positive: along chains of reductions that start from the
+sector of terms whose entries straddle the 1e-16 weight cut, and, on states
+whose amplitudes stay well above that cut, for traces over two different
+subsystems, which must also commute.
 """
 
 import math
@@ -53,6 +55,38 @@ def random_states(draw, tiny_amplitudes):
         amplitude, min_size=1, max_size=6))
     try:
         return normalize(SymState(eta, terms, specs))
+    except DegenerateStateError:
+        assume(False)
+
+
+@st.composite
+def straddling_states(draw):
+    """Large terms outside region c beside small terms that reach into c.
+
+    Small amplitudes of 3e-9 to 3e-8 put the entries among the small terms on
+    both sides of the 1e-16 weight cut, while their cross terms with the
+    large ones stay above it; tracing region c keeps only their sector.
+    """
+    eta = draw(st.sampled_from([BOSON, FERMION, DISTINGUISHABLE]))
+    n_particles = draw(st.integers(2, 3))
+    xy = DofSpec(1, ("x", "y"))
+
+    def kets(regions):
+        ket = st.builds(lambda region, v: Ket(region, ((1, v),)),
+                        st.sampled_from(regions), st.sampled_from(xy.values))
+        return st.lists(ket, min_size=n_particles,
+                        max_size=n_particles).map(tuple)
+
+    large = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
+                               allow_nan=False, allow_infinity=False)
+    small = st.builds(lambda m, phase: m * phase, st.floats(3e-9, 3e-8),
+                      st.sampled_from([1, -1, 1j, -1j]))
+    terms = draw(st.dictionaries(kets("ab"), large, min_size=1, max_size=2))
+    terms.update(draw(st.dictionaries(
+        kets("abc").filter(lambda t: any(k.region == "c" for k in t)),
+        small, min_size=2, max_size=3)))
+    try:
+        return normalize(SymState(eta, terms, (xy,)))
     except DegenerateStateError:
         assume(False)
 
@@ -140,6 +174,24 @@ def test_operator_sums_match_the_per_entry_engine(state, data):
         if isinstance(new, np.ndarray):
             return
         dm = new
+
+
+@PROPERTY_SETTINGS
+@given(state=straddling_states(), data=st.data())
+def test_reduction_chains_stay_positive(state, data):
+    # the first step keeps the sector of the small terms only
+    dm = to_density(state)
+    name, args = "trace_region", ("c",)
+    for _ in range(data.draw(st.integers(1, 4))):
+        reduced, exc = _run(getattr(trace, name), dm, *args)
+        if exc is not None:
+            return
+        if isinstance(reduced, np.ndarray):
+            assert np.linalg.eigvalsh(reduced).min() > -1e-9
+            return
+        _assert_density_matrix(reduced)
+        dm = reduced
+        name, args = _draw_reduction(data, dm)
 
 
 def _commute(first, second, dm):
