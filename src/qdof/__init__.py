@@ -9,8 +9,8 @@ and query protocols; and the two-qubit nonlocality-witness statistics with a
 synthetic noise model.
 """
 
-from .circuits import (PhaseConfig, hardy_state, li_circuit, pol_oam_pair,
-                       sorter_cascade, swap_circuit)
+from .circuits import (PhaseConfig, gate_hardy_state, hardy_state, li_circuit,
+                       pol_oam_pair, sorter_cascade, swap_circuit)
 from .fidelity import (ChannelLayout, FidelityParams,
                        generalized_singlet_fraction,
                        generalized_teleportation_fidelity, relation_check,
@@ -31,8 +31,7 @@ from .protocols import (AttackConfig, SignalingConfig, hardy_attack, qpq_sf,
 from .states import (BOSON, DISTINGUISHABLE, FERMION, DensityMatrix, DofSpec,
                      Ket, SymState, mix, normalize, symmetric_inner,
                      to_density)
-from .trace import (Subsystem, particle_trace_lofranco, project_one_per_region,
-                    to_qubit_array, trace_dof_dist, trace_dof_indist,
-                    trace_region)
+from .trace import (Subsystem, project_one_per_region, to_qubit_array,
+                    trace_dof_dist, trace_dof_indist, trace_region)
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 Builds the two-particle interferometer state in which a hybrid beam splitter
 couples an internal mode (spin or polarization) to an external path mode, for
 bosons, fermions and labelled distinguishable particles; the two-boson swap
-variant; the DoF-sorter detector cascade; and the two-qubit gate circuit used
-by the nonlocality tests.
+variant; the DoF-sorter detector cascade; and the two-qubit test state of the
+nonlocality statistics, both as the analytic vector (``hardy_state``, what
+the statistics use) and as the output of its gate circuit
+(``gate_hardy_state``), which agree up to a global phase.
 
 Conventions: the two source particles enter at modes R and L; Alice collects
 modes L and D (region ``s1``) and controls ``phi_L``/``phi_D``; Bob collects R
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BOSON, DISTINGUISHABLE, FERMION, DofSpec, Ket, SymState, normalize
+from .states import DISTINGUISHABLE, ETA_OF_KIND, DofSpec, Ket, SymState, normalize
 
 PATH = DofSpec(1, ("D", "L", "R", "U"))
 SPIN = DofSpec(2, ("dn", "up"))
@@ -27,15 +29,7 @@ POLARIZATION = DofSpec(2, ("H", "V"))
 
 _REGION_OF_MODE = {"L": "s1", "D": "s1", "R": "s2", "U": "s2"}
 
-KINDS = ("boson", "fermion", "distinguishable")
-
-
-def eta_of(kind):
-    try:
-        return {"boson": BOSON, "fermion": FERMION,
-                "distinguishable": DISTINGUISHABLE}[kind]
-    except KeyError:
-        raise ValueError(f"unknown particle kind {kind!r}") from None
+KINDS = tuple(ETA_OF_KIND)
 
 
 @dataclass(frozen=True)
@@ -81,7 +75,9 @@ def _interferometer(phases, internal_by_mode):
 def _assemble(kind, first, second, dof_specs):
     # construction of SymState merges, signs and Pauli-excludes the slots;
     # in the distinguishable mode the slot order is the particle label
-    eta = eta_of(kind)
+    if kind not in ETA_OF_KIND:
+        raise ValueError(f"unknown particle kind {kind!r}")
+    eta = ETA_OF_KIND[kind]
     terms = {}
     for ca, ka in first:
         for cb, kb in second:
@@ -101,25 +97,6 @@ def li_circuit(kind, phases):
     first, second = _interferometer(phases, internal)
     state = _assemble(kind, first, second, (PATH, SPIN))
     return normalize(state)
-
-
-def circuit_from_spec(doc):
-    """Build a circuit state from a JSON document {kind, phases_deg}.
-
-    `phases_deg` lists (phi_L, phi_D, phi_R, phi_U) in degrees; kind 'swap'
-    selects the two-boson swap network.
-    """
-    import json
-    data = json.loads(doc) if isinstance(doc, str) else doc
-    vals = [math.radians(float(x)) for x in data["phases_deg"]]
-    if len(vals) != 4:
-        raise ValueError("phases_deg must list four angles")
-    phases = PhaseConfig(phi_l=vals[0], phi_d=vals[1], phi_r=vals[2],
-                         phi_u=vals[3])
-    kind = data["kind"]
-    if kind == "swap":
-        return swap_circuit(phases)
-    return li_circuit(kind, phases)
 
 
 def swap_circuit(phases):
@@ -202,24 +179,18 @@ def coupling_gates(phi):
     return m3 @ CNOT @ m2 @ CNOT @ m1
 
 
-@dataclass(frozen=True)
-class HardyStatePair:
-    """Analytic and gate-composed copies of the two-qubit test state."""
-
-    analytic_vector: np.ndarray
-    gate_vector: np.ndarray
-
-
 def hardy_state(theta, phi):
-    """Two-qubit state cos(t)/sqrt2 (|00>+|10>) + sin(t)/sqrt2 (|01>+e^{2ip}|11>).
-
-    Returns the analytic vector together with the one produced by composing the
-    gate decomposition of the diagonal coupling; they agree up to global phase.
-    """
+    """Two-qubit state cos(t)/sqrt2 (|00>+|10>) + sin(t)/sqrt2 (|01>+e^{2ip}|11>)."""
     c, s = math.cos(theta), math.sin(theta)
-    analytic = np.array([c, s, c, s * np.exp(2j * phi)], dtype=complex) / math.sqrt(2)
+    return np.array([c, s, c, s * np.exp(2j * phi)], dtype=complex) / math.sqrt(2)
+
+
+def gate_hardy_state(theta, phi):
+    """The same state composed from gates: rotations, then the coupling circuit.
+
+    Agrees with `hardy_state` up to a global phase.
+    """
     prep = np.kron(u_rot(math.pi / 4), u_rot(theta))
     zero = np.zeros(4, dtype=complex)
     zero[0] = 1.0
-    gate = coupling_gates(phi) @ (prep @ zero)
-    return HardyStatePair(analytic, gate)
+    return coupling_gates(phi) @ (prep @ zero)

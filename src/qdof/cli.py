@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Every subcommand prints one JSON record (optionally CSV/text) that is
-byte-identical across runs for the same configuration, including the seed.
+Every subcommand prints one JSON record that is byte-identical across runs
+for the same configuration, including the seed.  ``--format csv`` is offered
+by ``trace``, ``fidelity-relation``, ``hardy sample`` and ``hardy estimate``,
+``--format text`` by ``tables``; any other pairing is a validation error.
 Angles are taken in degrees on the command line and converted to radians
 internally.  Exit codes: 0 success, 2 validation error, 3 flagged numeric
 failure.
@@ -47,13 +49,13 @@ def _emit(args, config, results, method, csv_text=None, plain=None):
         "results": _round_floats(results),
         "provenance": {"method": method, "version": __version__},
     }
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        text = csv_text if csv_text is not None else json.dumps(record, sort_keys=True) + "\n"
     else:
-        text = plain if plain is not None else json.dumps(record, sort_keys=True, indent=2) + "\n"
+        text = csv_text if args.format == "csv" else plain
+        if text is None:
+            raise ValueError(f"no {args.format} output for this subcommand; "
+                             "use --format json")
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
@@ -260,38 +262,34 @@ def _cmd_hardy(args):
                             "seed": args.seed},
                      results, "noisy_sampling",
                      csv_text="\n".join(csv_lines) + "\n")
-    if args.hardy_cmd == "estimate":
-        nm = _noise(args)
-        offline_pts = [(45.0, 90.0), (0.0, 0.0), (45.0, 0.0), (90.0, 0.0),
-                       (90.0, 45.0)]
-        offline = [hardy.noisy_sample(
-            hardy.HardyParams(math.radians(a), math.radians(b)), nm,
-            n_runs=args.runs, seed=args.seed + 1 + i)["e5"]
-            for i, (a, b) in enumerate(offline_pts)]
-        online = hardy.noisy_sample(p, nm, n_runs=args.runs,
-                                    seed=args.seed)["e5"]
-        res = hardy.estimate_qlb(offline, online, args.alpha)
-        csv_lines = ["state,theta_deg,phi_deg,mean,sd,"
-                     "ci_99,ci_95,ci_90,ci_80"]
+    # estimate, the last of the argparse choices
+    nm = _noise(args)
+    offline = [hardy.noisy_sample(
+        hardy.HardyParams(math.radians(a), math.radians(b)), nm,
+        n_runs=args.runs, seed=args.seed + 1 + i)["e5"]
+        for i, (a, b) in enumerate(hardy.OFFLINE_STATES_DEG)]
+    online = hardy.noisy_sample(p, nm, n_runs=args.runs,
+                                seed=args.seed)["e5"]
+    res = hardy.estimate_qlb(offline, online, args.alpha)
+    csv_lines = ["state,theta_deg,phi_deg,mean,sd,"
+                 "ci_99,ci_95,ci_90,ci_80"]
 
-        def ci_cols(s):
-            return ",".join(
-                f"{hardy.t_quantile(a / 2, s.n - 1) * s.sd / math.sqrt(s.n):.6g}"
-                for a in (0.01, 0.05, 0.10, 0.20))
+    def ci_cols(s):
+        return ",".join(f"{hardy.t_margin(a, s.n, s.sd):.6g}"
+                        for a in (0.01, 0.05, 0.10, 0.20))
 
-        for (a, b), s in zip(offline_pts, offline):
-            kind = "mes" if (a, b) == (45.0, 90.0) else "ps"
-            csv_lines.append(f"{kind},{a},{b},{s.mean:.6g},{s.sd:.6g},"
-                             + ci_cols(s))
-        csv_lines.append(f"online,{args.theta},{args.phi},{online.mean:.6g},"
-                         f"{online.sd:.6g}," + ci_cols(online))
-        return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
-                            "alpha": args.alpha, "runs": args.runs,
-                            "shots": args.shots, "seed": args.seed,
-                            "noise": args.noise or "default"},
-                     {**res, "online_mean": online.mean, "online_sd": online.sd},
-                     "two_phase_estimator", csv_text="\n".join(csv_lines) + "\n")
-    raise ValueError(f"unknown hardy subcommand {args.hardy_cmd!r}")
+    for i, ((a, b), s) in enumerate(zip(hardy.OFFLINE_STATES_DEG, offline)):
+        kind = "mes" if i == 0 else "ps"
+        csv_lines.append(f"{kind},{a},{b},{s.mean:.6g},{s.sd:.6g},"
+                         + ci_cols(s))
+    csv_lines.append(f"online,{args.theta},{args.phi},{online.mean:.6g},"
+                     f"{online.sd:.6g}," + ci_cols(online))
+    return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
+                        "alpha": args.alpha, "runs": args.runs,
+                        "shots": args.shots, "seed": args.seed,
+                        "noise": args.noise or "default"},
+                 {**res, "online_mean": online.mean, "online_sd": online.sd},
+                 "two_phase_estimator", csv_text="\n".join(csv_lines) + "\n")
 
 
 def _apply_config_file(parser, argv):
@@ -431,7 +429,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -279,8 +279,7 @@ def relation_check(layout, p_grid=None, params=None):
     records = []
     for p in p_grid:
         dm = two_param_state(float(p), layout)
-        f_g = generalized_teleportation_fidelity(
-            dm, layout, FidelityParams(params.f_max, params.big_f_max))
+        f_g = generalized_teleportation_fidelity(dm, layout, params)
         big_f = generalized_singlet_fraction(dm, layout)
         predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
                      / (params.big_f_max - n / D ** 2) + 1 / D)

@@ -67,7 +67,7 @@ EQUATIONS = (
 
 def hardy_probs(p):
     """The four ideal joint probabilities; the first three vanish, the last is q."""
-    psi = hardy_state(p.theta, p.phi).analytic_vector
+    psi = hardy_state(p.theta, p.phi)
     (a1, a2), (b1, b2) = measurement_operators(p)
     ops = ((a1, a2), (b1, b2))
     out = {}
@@ -168,7 +168,7 @@ _Z2 = np.diag([1, -1, 1, -1]).astype(complex)
 
 def noisy_state(p, noise):
     """Density matrix after preparation noise (dephasing then depolarizing)."""
-    psi = hardy_state(p.theta, p.phi).analytic_vector
+    psi = hardy_state(p.theta, p.phi)
     rho = np.outer(psi, psi.conj())
     z = noise.dephasing
     rho = ((1 - z) ** 2 * rho
@@ -217,12 +217,16 @@ def t_quantile(alpha_half, nu):
     return float(stdtrit(nu, 1.0 - alpha_half))
 
 
+def t_margin(alpha, n, spread):
+    """Two-sided Student-t half-width t_{alpha/2, n-1} * spread / sqrt(n)."""
+    return t_quantile(alpha / 2.0, n - 1) * spread / math.sqrt(n)
+
+
 def t_ci(sample, alpha):
     """Two-sided (1 - alpha) confidence interval around the sample mean."""
     if sample.n < 2:
         raise ValueError("need at least two runs for an interval")
-    t = t_quantile(alpha / 2.0, sample.n - 1)
-    half = t * sample.sd / math.sqrt(sample.n)
+    half = t_margin(alpha, sample.n, sample.sd)
     return sample.mean - half, sample.mean + half
 
 
@@ -232,9 +236,14 @@ def diff_lower_bound(x, y, alpha):
         raise ValueError("sample sets must have matching run counts")
     if x.n < 2:
         raise ValueError("need at least two runs for a bound")
-    t = t_quantile(alpha / 2.0, x.n - 1)
     return (x.mean - y.mean
-            - t * math.sqrt(x.sd ** 2 + y.sd ** 2) / math.sqrt(x.n))
+            - t_margin(alpha, x.n, math.sqrt(x.sd ** 2 + y.sd ** 2)))
+
+
+# known zero-q calibration states (theta, phi) in degrees: the maximally
+# entangled state first, then four product states
+OFFLINE_STATES_DEG = ((45.0, 90.0), (0.0, 0.0), (45.0, 0.0), (90.0, 0.0),
+                      (90.0, 45.0))
 
 
 @dataclass
@@ -265,9 +274,8 @@ def estimate_qlb(offline_sets, online, alpha):
     if online.n < 2:
         raise ValueError("need at least two runs for a bound")
     state = calibrate_offline(offline_sets, alpha)
-    t = t_quantile(alpha / 2.0, online.n - 1)
-    delta = (t * math.sqrt(online.sd ** 2 + state.s_sigma4 ** 2)
-             / math.sqrt(online.n))
+    delta = t_margin(alpha, online.n,
+                     math.sqrt(online.sd ** 2 + state.s_sigma4 ** 2))
     q_lb = online.mean - state.sigma4_bar - delta
     return {"q_lb_hat": q_lb, "delta": delta,
             "sigma4_bar": state.sigma4_bar, "s_sigma4": state.s_sigma4,

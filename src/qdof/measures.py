@@ -233,7 +233,6 @@ class ThreeParticleCase:
     particles: tuple
     measured: tuple
     weights: tuple
-    expected_pattern: tuple = ()
 
     def __post_init__(self):
         for _, (c0, c1) in self.particles:

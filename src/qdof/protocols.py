@@ -27,7 +27,11 @@ from .states import BOSON, DofSpec, Ket, SymState, normalize, to_density
 
 @dataclass(frozen=True)
 class SignalingConfig:
-    """Monte-Carlo configuration for the signaling estimate."""
+    """Monte-Carlo configuration for the signaling estimate.
+
+    `n_dofs` may reach 30 in 'copies' mode; 'dofs' mode stops at 20, the
+    size limit of the sorter cascade.
+    """
 
     n_dofs: int = 2
     trials: int = 100_000
@@ -46,12 +50,11 @@ def signaling_exact(n):
     The sender's basis choice is uniform.  A computational-basis input leaves
     the cascade deterministically in the two edge detectors; a Hadamard-basis
     input spreads uniformly over all 2^N detector words, and only the two
-    all-equal words are mistaken for the computational basis.
+    all-equal words are mistaken for the computational basis.  The sorter
+    cascade it enumerates takes at most 20 DoFs.
     """
     if n < 2:
         raise ValueError("need at least two DoFs")
-    if n > 30:
-        raise ValueError("exact enumeration capped at 30 DoFs")
     total = Fraction(0)
     # basis Z: both branch states land in an edge detector with certainty
     z_dist = sorter_cascade(n, (1.0, 0.0))
@@ -69,7 +72,7 @@ def signaling_exact(n):
 def signaling_mc(cfg, mode="dofs"):
     """Monte-Carlo estimate of the signaling probability with binomial stderr.
 
-    `mode='dofs'` broadcasts onto N DoF registers of one particle;
+    `mode='dofs'` broadcasts onto N <= 20 DoF registers of one particle;
     `mode='copies'` uses N separate two-DoF copies and flags the Hadamard
     basis as soon as any copy leaves the edge detectors.  The copier is an
     ideal (non-physical) broadcast; the Bell-measurement outcome is drawn

@@ -34,6 +34,8 @@ import numpy as np
 BOSON = 1
 FERMION = -1
 DISTINGUISHABLE = 0
+ETA_OF_KIND = {"boson": BOSON, "fermion": FERMION,
+               "distinguishable": DISTINGUISHABLE}
 
 _ATOL = 1e-9
 
@@ -161,8 +163,7 @@ class SymState:
         def enc(kets):
             return [[k.region, [list(p) for p in k.dofs]] for k in kets]
         return json.dumps({
-            "eta": {BOSON: "boson", FERMION: "fermion",
-                    DISTINGUISHABLE: "distinguishable"}[self.eta],
+            "eta": {eta: kind for kind, eta in ETA_OF_KIND.items()}[self.eta],
             "dof_specs": [[d.index, list(d.values)] for d in self.dof_specs],
             "terms": [{"kets": enc(k), "re": v.real, "im": v.imag}
                       for k, v in sorted(self.terms.items())],
@@ -171,8 +172,7 @@ class SymState:
     @staticmethod
     def from_json(doc):
         data = json.loads(doc) if isinstance(doc, str) else doc
-        eta = {"boson": BOSON, "fermion": FERMION,
-               "distinguishable": DISTINGUISHABLE}[data["eta"]]
+        eta = ETA_OF_KIND[data["eta"]]
         specs = tuple(DofSpec(i, tuple(v)) for i, v in data.get("dof_specs", []))
         terms = {}
         for t in data["terms"]:

@@ -21,22 +21,23 @@ apart:
     ``trace_region`` -- the defining feature of the inter-DoF reduction, and
     what produces maximally entangled reduced pairs from circuit states where
     an internal and an external mode are perfectly correlated.  For
-    single-DoF systems it degenerates to the standard localized particle
-    trace, so both notions agree there.
+    single-DoF systems it is ``trace_region``, which there is the localized
+    single-particle trace of Lo Franco and Compagno (Sci. Rep. 6, 20603,
+    2016); the tests check it against an independent contraction of the
+    state's amplitudes.
 
 ``trace_dof_dist``
     Ordinary partial trace over one DoF factor of a labelled distinguishable
     particle; the key is the traced value.
 
-``project_one_per_region``, ``strip_empty_slots`` and ``to_qubit_array`` are
-one-key maps (sector selection, dropping kets left without DoFs, embedding
-into the tensor-ordered qubit array).  Entries of magnitude at most 1e-16
-only choose the basis: a tuple whose row and column carry no larger entry
-is left out, but the sum itself uses every entry of the matrix, so a kept
-tuple keeps its diagonal entry beside its cross terms and the result stays
-positive.  Every reduction renormalizes to unit trace, so downstream
-entanglement measures can assume proper density matrices; ``to_qubit_array``
-only lays the matrix out anew and keeps its trace.
+``project_one_per_region`` and ``to_qubit_array`` are one-key maps (sector
+selection, embedding into the tensor-ordered qubit array).  Entries of
+magnitude at most 1e-16 only choose the basis: a tuple whose row and column
+carry no larger entry is left out, but the sum itself uses every entry of the
+matrix, so a kept tuple keeps its diagonal entry beside its cross terms and
+the result stays positive.  Every reduction renormalizes to unit trace, so
+downstream entanglement measures can assume proper density matrices;
+``to_qubit_array`` only lays the matrix out anew and keeps its trace.
 """
 
 from __future__ import annotations
@@ -95,11 +96,8 @@ def _reduce(dm, images_of, empty, n_dofs=None):
     basis, data = _operator_sum(dm, images_of)
     if not basis:
         raise EmptySubspaceError(empty)
-    return _renormalized(basis, data, dm, n_dofs or dm.n_dofs_orig)
-
-
-def _renormalized(basis, data, source, n_dofs):
-    red = DensityMatrix(tuple(basis), data, source.eta, source.dof_specs, n_dofs)
+    red = DensityMatrix(tuple(basis), data, dm.eta, dm.dof_specs,
+                        n_dofs or dm.n_dofs_orig)
     if red.trace <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
     return red.renormalized()
@@ -193,49 +191,6 @@ def trace_dof_dist(dm, particle, dof_index):
     return _reduce(dm, images_of, "DoF trace left nothing")
 
 
-def particle_trace_lofranco(state, region=None):
-    """Single-particle reduced matrix of a two-particle, single-DoF pure state.
-
-    Contracts the state with every single-particle basis bra (optionally only
-    those localized in `region`) and renormalizes.  The contracted vectors
-    are built from the state's amplitudes, not through `_operator_sum`, so
-    this stays an independent check of the region and DoF traces.
-    """
-    if state.n_particles != 2:
-        raise ShapeError("expected a two-particle state")
-    if state.n_dofs > 1:
-        raise ShapeError("expected single-DoF particles")
-    vecs = {}
-    for tup, amp in state.terms.items():
-        for i, slot in enumerate(tup):
-            if region in (None, slot.region):
-                vec = vecs.setdefault(slot, {})
-                reduced = tup[:i] + tup[i + 1:]
-                sign = (1 if state.eta == DISTINGUISHABLE or i % 2 == 0
-                        else state.eta)
-                vec[reduced] = vec.get(reduced, 0.0) + sign * amp
-    if not vecs:
-        raise DegenerateStateError("zero localized norm")
-    basis = sorted({r for vec in vecs.values() for r in vec})
-    index = {b: i for i, b in enumerate(basis)}
-    data = np.zeros((len(basis), len(basis)), dtype=complex)
-    for _, vec in sorted(vecs.items()):
-        v = np.zeros(len(basis), dtype=complex)
-        v[[index[r] for r in vec]] = list(vec.values())
-        # v v^dagger from real parts: each entry rounds as a scalar complex
-        # product does, whatever numpy's vectorized complex loops fuse
-        re, im = v.real, v.imag
-        data.real += np.multiply.outer(re, re) + np.multiply.outer(im, im)
-        data.imag += np.multiply.outer(im, re) - np.multiply.outer(re, im)
-    return _renormalized(basis, data, state, 1)
-
-
-def strip_empty_slots(dm):
-    """Drop kets that have lost all their DoFs from every basis tuple."""
-    return _reduce(dm, lambda kets: [(None, 1.0, tuple(k for k in kets if k.dofs))],
-                   "reduction produced an empty subspace")
-
-
 def to_qubit_array(dm):
     """Densify a reduced matrix into a standard tensor-ordered numpy array.
 
@@ -251,8 +206,6 @@ def to_qubit_array(dm):
     orders = []
     for r in regions:
         slot_kets = sorted({k for kets in dm.basis for k in kets if k.region == r})
-        if not slot_kets:
-            raise ValueError(f"region {r!r} absent from basis")
         idxs = {i for k in slot_kets for i, _ in k.dofs}
         if len(idxs) > 1:
             raise ShapeError(f"region {r!r} still carries several DoFs")
@@ -268,7 +221,7 @@ def to_qubit_array(dm):
             orders.append([Ket(r, ((di, v),)) for v in use])
         else:
             orders.append([Ket(r)])
-    dims = [max(len(o), 1) for o in orders]
+    dims = [len(o) for o in orders]
     dim = int(np.prod(dims))
     out = np.zeros((dim, dim), dtype=complex)
 

@@ -9,12 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qdof.circuits import PhaseConfig, hardy_state, li_circuit, pol_oam_pair
+import reference_trace as ref
+from qdof.circuits import (PhaseConfig, gate_hardy_state, hardy_state,
+                           li_circuit, pol_oam_pair)
 from qdof.fidelity import (ChannelLayout, generalized_singlet_fraction,
                            relation_check, sf_upper_bound_check,
                            singlet_fraction, _pair_matrix)
-from qdof.hardy import (HardyParams, NoiseModel, Q_MAX, hardy_q,
-                        noisy_sample, estimate_qlb, qmax_solve)
+from qdof.hardy import (HardyParams, NoiseModel, OFFLINE_STATES_DEG, Q_MAX,
+                        hardy_q, noisy_sample, estimate_qlb, qmax_solve)
 from qdof.measures import (concurrence, log_negativity, mixed_monogamy_check,
                            monogamy_report, monogamy_report_qubits,
                            random_case, three_particle_case, z_form_tangle)
@@ -22,8 +24,7 @@ from qdof.measurement import ChshSettings, chsh, coincidence_table, generalized_
 from qdof.protocols import (AttackConfig, SignalingConfig, hardy_attack,
                             signaling_exact, signaling_mc, signaling_multicopy)
 from qdof.states import BOSON, FERMION, DofSpec, Ket, SymState, normalize, to_density
-from qdof.trace import (Subsystem, particle_trace_lofranco,
-                        project_one_per_region, to_qubit_array,
+from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
                         trace_dof_indist, trace_region)
 
 deg = math.radians
@@ -224,9 +225,8 @@ def test_criterion_10_hardy_core():
     gate_ok = True
     for _ in range(10):
         th, ph = rng.uniform(0.1, 1.4, 2)
-        pair = hardy_state(th, ph)
-        gate_ok &= abs(abs(np.vdot(pair.analytic_vector, pair.gate_vector))
-                       - 1.0) <= 1e-9
+        gate_ok &= abs(abs(np.vdot(hardy_state(th, ph),
+                                   gate_hardy_state(th, ph))) - 1.0) <= 1e-9
     ok = qmax_ok and zero_ok and mid_ok and gate_ok
     _verdict(10, ok, f"qmax {qmax_ok}, zero rows {zero_ok}, midpoint {mid_ok}, "
              f"gate twin {gate_ok}", time.perf_counter() - t0, 5.0)
@@ -235,10 +235,9 @@ def test_criterion_10_hardy_core():
 def test_criterion_11_hardy_estimator():
     t0 = time.perf_counter()
     noise = NoiseModel()
-    offline_pts = [(45, 90), (0, 0), (45, 0), (90, 0), (90, 45)]
     offline = [noisy_sample(HardyParams(deg(a), deg(b)), noise, n_runs=10,
                             seed=200 + i)["e5"]
-               for i, (a, b) in enumerate(offline_pts)]
+               for i, (a, b) in enumerate(OFFLINE_STATES_DEG)]
     results = {}
     for a, b in [(51.827, 51.827), (55, 55), (30, 60)]:
         online = noisy_sample(HardyParams(deg(a), deg(b)), noise, n_runs=10,
@@ -323,14 +322,13 @@ def test_criterion_13_trace_rule_properties():
         except Exception:
             continue
         via_dof = trace_dof_indist(to_density(st), Subsystem("a", 1))
-        via_lf = particle_trace_lofranco(st, region="a")
+        via_lf = ref.particle_trace_lofranco(st, region="a")
         worst_lf = max(worst_lf, np.abs(via_dof.data - via_lf.data).max())
     # the witness where repeated DoF traces differ from the region trace
     dm = project_one_per_region(
         to_density(li_circuit("boson", PhaseConfig(0.3, 1.4, -0.6, 0.9))),
         ["s1", "s2"])
-    from qdof.trace import strip_empty_slots
-    repeated = strip_empty_slots(
+    repeated = ref.strip_empty_slots(
         trace_dof_indist(trace_dof_indist(dm, Subsystem("s1", 1)),
                          Subsystem("s1", 2)))
     region = trace_region(dm, "s1")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qdof.circuits import (PhaseConfig, hardy_state, li_circuit, pol_oam_pair,
-                           sorter_cascade, swap_circuit)
+from qdof.circuits import (PhaseConfig, gate_hardy_state, hardy_state,
+                           li_circuit, pol_oam_pair, sorter_cascade,
+                           swap_circuit)
 from qdof.measurement import coincidence_table
 from qdof.states import norm_squared
 
@@ -123,15 +124,15 @@ def test_hardy_state_gate_decomposition_matches():
     rng = np.random.default_rng(6)
     for _ in range(20):
         theta, phi = rng.uniform(0, math.pi / 2, 2)
-        pair = hardy_state(theta, phi)
-        overlap = abs(np.vdot(pair.analytic_vector, pair.gate_vector))
+        overlap = abs(np.vdot(hardy_state(theta, phi),
+                              gate_hardy_state(theta, phi)))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hardy_state_special_points():
-    mes = hardy_state(math.radians(45), math.radians(90)).analytic_vector
+    mes = hardy_state(math.radians(45), math.radians(90))
     assert mes == pytest.approx(np.array([1, 1, 1, -1]) / 2)
-    ps = hardy_state(0.0, 0.7).analytic_vector
+    ps = hardy_state(0.0, 0.7)
     # product state (|0> + |1>)/sqrt2 x |0>
     assert ps == pytest.approx(np.array([1, 0, 1, 0]) / math.sqrt(2))
 
@@ -139,13 +140,3 @@ def test_hardy_state_special_points():
 def test_pol_oam_pair_is_normalized():
     assert norm_squared(pol_oam_pair(0.4, 1.0)) == pytest.approx(1.0)
 
-
-def test_circuit_from_spec_document():
-    import json
-    from qdof.circuits import circuit_from_spec
-    doc = json.dumps({"kind": "fermion", "phases_deg": [10, 20, 30, 40]})
-    st = circuit_from_spec(doc)
-    direct = li_circuit("fermion", PhaseConfig(*np.deg2rad([10, 20, 30, 40])))
-    assert st.terms.keys() == direct.terms.keys()
-    doc = {"kind": "swap", "phases_deg": [0, 0, 0, 0]}
-    assert norm_squared(circuit_from_spec(doc)) == pytest.approx(1.0)

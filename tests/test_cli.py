@@ -100,9 +100,34 @@ def test_chsh_requires_four_settings(capsys):
     ("chsh", "--kind", "boson", "--settings", "nan,0,0,0"),
     ("trace", "--drop", "s1"),
     ("trace", "--drop", "s1:1,s2"),
+    ("chsh", "--kind", "boson", "--format", "csv"),
+    ("hardy", "probs", "--format", "text"),
+    ("hardy", "qmax", "--format", "csv"),
+    ("tables", "--kind", "boson", "--format", "csv"),
+    ("trace", "--format", "text"),
+    ("signaling", "--n", "21", "--trials", "100"),
 ])
 def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
     _exit_2_with_one_line(capsys, *argv)
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    from qdof import fidelity
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 256. GiB for an array")
+
+    monkeypatch.setattr(fidelity, "sf_upper_bound_check", exhausted)
+    _exit_2_with_one_line(capsys, "sf-bound", "--n", "9", "--samples", "1")
+
+
+def test_signaling_copies_mode_past_the_cascade_limit(capsys):
+    # dofs mode stops at the 20-DoF sorter cascade (exit 2 above); copies
+    # mode needs no cascade and still runs
+    code, out = run(capsys, "signaling", "--n", "21", "--trials", "100",
+                    "--mode", "copies")
+    assert code != 2
+    assert json.loads(out)["results"]["exact_fraction"] == "2097151/2097152"
 
 
 def test_config_without_path_exits_2(capsys):

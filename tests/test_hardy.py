@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdof.hardy import (BoundaryError, EQUATIONS, HardyParams, NoiseModel,
-                        Q_MAX, SampleSet, calibrate_offline,
+                        OFFLINE_STATES_DEG, Q_MAX, SampleSet, calibrate_offline,
                         chsh_hardy_lhs, diff_lower_bound, estimate_qlb,
                         hardy_probs, hardy_q, noisy_probabilities,
                         noisy_sample, qmax_solve, t_ci, t_quantile)
@@ -164,10 +164,9 @@ def test_single_run_bounds_rejected():
 
 
 def _offline(noise, runs=10, seed=100):
-    pts = [(45, 90), (0, 0), (45, 0), (90, 0), (90, 45)]
     return [noisy_sample(HardyParams(deg(a), deg(b)), noise, n_runs=runs,
                          seed=seed + i)["e5"]
-            for i, (a, b) in enumerate(pts)]
+            for i, (a, b) in enumerate(OFFLINE_STATES_DEG)]
 
 
 def test_estimator_sign_pattern():
@@ -224,17 +223,18 @@ def test_chsh_lhs_values():
 
 
 def test_gate_built_state_gives_identical_probabilities():
-    from qdof.circuits import hardy_state
+    from qdof.circuits import gate_hardy_state, hardy_state
     from qdof.hardy import measurement_operators, _outcome_distribution
     rng = np.random.default_rng(2)
     for _ in range(10):
         p = HardyParams(rng.uniform(0.05, 1.5), rng.uniform(0.05, 1.5))
-        pair = hardy_state(p.theta, p.phi)
+        analytic = hardy_state(p.theta, p.phi)
+        gate = gate_hardy_state(p.theta, p.phi)
         (a1, a2), (b1, b2) = measurement_operators(p)
         for op_a in (a1, a2):
             for op_b in (b1, b2):
-                da = _outcome_distribution(pair.analytic_vector, op_a, op_b)
-                dg = _outcome_distribution(pair.gate_vector, op_a, op_b)
+                da = _outcome_distribution(analytic, op_a, op_b)
+                dg = _outcome_distribution(gate, op_a, op_b)
                 assert np.abs(da - dg).max() <= 1e-9
 
 
