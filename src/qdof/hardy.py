@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .circuits import hardy_state, u_phase, u_rot
 
@@ -214,6 +213,7 @@ def t_quantile(alpha_half, nu):
         raise ValueError("tail probability must lie in (0, 0.5)")
     if nu < 1:
         raise ValueError("need at least one degree of freedom")
+    from scipy.special import stdtrit  # its import costs most of `import qdof`
     return float(stdtrit(nu, 1.0 - alpha_half))
 
 

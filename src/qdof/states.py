@@ -274,14 +274,14 @@ class DensityMatrix:
 
     def to_csv(self):
         """Row-major CSV with re/im interleaved."""
-        lines = []
-        for row in self.data:
-            cells = []
-            for z in row:
-                cells.append(repr(float(z.real)))
-                cells.append(repr(float(z.imag)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return matrix_csv(self.data)
+
+
+def matrix_csv(matrix):
+    """Row-major CSV of a complex matrix, re/im interleaved, each as repr."""
+    return "\n".join(",".join(repr(float(x)) for z in row
+                              for x in (z.real, z.imag))
+                     for row in matrix) + "\n"
 
 
 def to_density(s):

@@ -59,7 +59,7 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    assert main(["frobnicate"]) == 2
+    _exit_2_with_one_line(capsys, "frobnicate")
 
 
 def test_bad_value_exits_2(capsys):
@@ -111,6 +111,41 @@ def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
     _exit_2_with_one_line(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", [
+    (),
+    ("hardy",),
+    ("tables", "--kind", "photon"),
+    ("tables", "--phases", "0,0,0,0"),
+    ("fidelity-relation", "--n", "2"),
+    ("sf-bound", "--n", "two"),
+    # flags a subcommand would not read
+    ("tables", "--kind", "boson", "--seed", "1"),
+    ("hardy", "qmax", "--theta", "5"),
+    ("hardy", "probs", "--runs", "3"),
+    ("hardy", "sample", "--alpha", "0.1"),
+])
+def test_parse_errors_and_unread_flags_exit_2(capsys, argv):
+    _exit_2_with_one_line(capsys, *argv)
+
+
+def test_help_exits_0_and_lists_only_the_modes_flags(capsys):
+    assert main(["hardy", "sample", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--runs" in out and "--allow-boundary" in out
+    assert "--alpha" not in out
+
+
+def test_format_is_rejected_before_any_computation(monkeypatch, capsys):
+    from qdof import fidelity
+
+    def never(*args, **kwargs):
+        raise AssertionError("sf-bound computed before rejecting --format")
+
+    monkeypatch.setattr(fidelity, "sf_upper_bound_check", never)
+    _exit_2_with_one_line(capsys, "sf-bound", "--n", "3", "--samples", "100",
+                          "--format", "csv")
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     from qdof import fidelity
 
@@ -144,6 +179,14 @@ def test_monogamy_subcommand(capsys):
                  "--phases", "10,50,-20,30")
     rec = json.loads(out)
     assert rec["results"]["verdict"] == "violated_maximally"
+
+
+def test_signaling_without_a_miss_is_no_false_alarm(capsys):
+    # 100,000 trials expect about 0.1 misses at n = 20; seeing none is no
+    # evidence against the exact probability 1 - 2^-20
+    code, out = run(capsys, "signaling", "--n", "20")
+    assert code == 0
+    assert json.loads(out)["results"]["within_4_sigma"] is True
 
 
 def test_signaling_subcommand(capsys):
@@ -183,6 +226,39 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("fluxcapacitor=1\n")
     assert main(["tables", "--config", str(cfg)]) == 2
+
+
+def test_config_key_of_another_subcommand_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=boson\n")
+    _exit_2_with_one_line(capsys, "qpq", "--config", str(cfg))
+
+
+@pytest.mark.parametrize("explicit", [
+    ("--theta=30", "--config", "CFG"),
+    ("--theta", "30", "--config", "CFG"),
+    ("--config", "CFG", "--theta", "30"),
+])
+def test_explicit_flag_beats_config_file(tmp_path, capsys, explicit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=60\nancilla=particle\n")
+    argv = [str(cfg) if a == "CFG" else a for a in explicit]
+    code, out = run(capsys, "qpq", *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["theta_deg"] == 30.0
+    assert config["ancilla"] == "particle"
+
+
+def test_config_bare_key_sets_a_switch(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# the one boundary point\nallow-boundary\n"
+                   "theta = 90\nphi=90\n")
+    code, out = run(capsys, "hardy", "probs", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["results"]["e5"] >= 0.0
+    cfg.write_text("allow-boundary=1\n")
+    _exit_2_with_one_line(capsys, "hardy", "probs", "--config", str(cfg))
 
 
 def test_output_file(tmp_path, capsys):
