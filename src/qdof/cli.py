@@ -321,7 +321,12 @@ def _expand_config(argv):
 
 class _Parser(argparse.ArgumentParser):
     """Raises each parse error as ValueError, which `main` reports in one
-    line with exit code 2."""
+    line with exit code 2.  Flags must be spelled out: an abbreviation is an
+    unknown flag, so adding a flag never changes what another argv means.
+    Subcommand parsers are built from this class and inherit both."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
-                     DensityMatrix, DofSpec, Ket)
-from .trace import Subsystem, to_qubit_array, trace_dof_dist, trace_dof_indist
+                     DensityMatrix, DofSpec)
+from .trace import (Subsystem, _product_basis, to_qubit_array, trace_dof_dist,
+                    trace_dof_indist)
 
 _PAULI = [np.eye(2, dtype=complex),
           np.array([[0, 1], [1, 0]], dtype=complex),
@@ -75,11 +76,15 @@ class FidelityParams:
 # -- singlet fraction ----------------------------------------------------------
 
 
+_PAULI_PAIRS = [[np.kron(_PAULI[i + 1], _PAULI[j + 1]) for j in range(3)]
+                for i in range(3)]
+
+
 def _correlation_matrix(rho):
     t = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            t[i, j] = np.trace(rho @ np.kron(_PAULI[i + 1], _PAULI[j + 1])).real
+            t[i, j] = np.trace(rho @ _PAULI_PAIRS[i][j]).real
     return t
 
 
@@ -106,37 +111,65 @@ def singlet_fraction(rho):
 # -- pair reductions -----------------------------------------------------------
 
 
+def _pair_steps(n, i, j):
+    """The trace steps (side, DoF) that leave the (i, j) pair, in chain order."""
+    steps = []
+    for k in range(1, n + 1):
+        if k != i:
+            steps.append((0, k))
+        if k != j:
+            steps.append((1, k))
+    return steps
+
+
+def _pair_matrices(dm, layout, pairs=None):
+    """{(i, j): 4x4 matrix of the (i-th DoF of party 1, j-th DoF of party 2)
+    pair} for `pairs`, all n^2 pairs by default.
+
+    Each pair is reduced by its own chain of single-DoF traces; chains that
+    begin with the same steps share those reductions through a memo kept for
+    this call only.
+    """
+    n = layout.n
+    if pairs is None:
+        pairs = itertools.product(range(1, n + 1), repeat=2)
+    if layout.kind == "indistinguishable":
+        regions = sorted({k.region for kets in dm.basis for k in kets})
+    memo = {(): dm}
+    grid = {}
+    for i, j in pairs:
+        prefix = ()
+        for side, k in _pair_steps(n, i, j):
+            reduced = memo[prefix]
+            prefix += ((side, k),)
+            if prefix not in memo:
+                if layout.kind == "distinguishable":
+                    memo[prefix] = trace_dof_dist(reduced, side, k)
+                else:
+                    memo[prefix] = trace_dof_indist(
+                        reduced, Subsystem(regions[side], k))
+        grid[i, j] = to_qubit_array(memo[prefix])
+    return grid
+
+
 def _pair_matrix(dm, layout, i, j):
     """4x4 matrix of the (i-th DoF of party 1, j-th DoF of party 2) pair."""
-    reduced = dm
-    if layout.kind == "distinguishable":
-        for k in range(1, layout.n + 1):
-            if k != i:
-                reduced = trace_dof_dist(reduced, 0, k)
-            if k != j:
-                reduced = trace_dof_dist(reduced, 1, k)
-        return to_qubit_array(reduced)
-    regions = sorted({k.region for kets in dm.basis for k in kets})
-    first, second = regions[0], regions[1]
-    for k in range(1, layout.n + 1):
-        if k != i:
-            reduced = trace_dof_indist(reduced, Subsystem(first, k))
-        if k != j:
-            reduced = trace_dof_indist(reduced, Subsystem(second, k))
-    return to_qubit_array(reduced)
+    return _pair_matrices(dm, layout, [(i, j)])[i, j]
+
+
+def _singlet_fraction_of(grid, n):
+    pair_f = np.empty((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            pair_f[i - 1, j - 1] = singlet_fraction(grid[i, j])
+    by_i = pair_f.sum(axis=1).max()
+    by_j = pair_f.sum(axis=0).max()
+    return float(max(by_i, by_j))
 
 
 def generalized_singlet_fraction(dm, layout):
     """Max over one fixed DoF of either party of the summed pairwise fractions."""
-    n = layout.n
-    pair_f = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pair_f[i - 1, j - 1] = singlet_fraction(
-                _pair_matrix(dm, layout, i, j))
-    by_i = pair_f.sum(axis=1).max()
-    by_j = pair_f.sum(axis=0).max()
-    return float(max(by_i, by_j))
+    return _singlet_fraction_of(_pair_matrices(dm, layout), layout.n)
 
 
 # -- teleportation -------------------------------------------------------------
@@ -188,10 +221,15 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
     """Max over DoF pairs of the simulated average teleportation fidelity."""
     if params is None:
         params = FidelityParams.for_layout(layout)
+    return _teleportation_fidelity_of(_pair_matrices(dm, layout), layout,
+                                      params)
+
+
+def _teleportation_fidelity_of(grid, layout, params):
     best = -1.0
     for i in range(1, layout.n + 1):
         for j in range(1, layout.n + 1):
-            f = average_teleport_fidelity(_pair_matrix(dm, layout, i, j))
+            f = average_teleport_fidelity(grid[i, j])
             best = max(best, f)
     if layout.kind == "indistinguishable":
         best = _rescale_to_ceiling(best, D, params.f_max)
@@ -206,14 +244,10 @@ def _dist_specs(n):
 
 
 def _dist_basis(n, first="A", second="B"):
-    vals = list(itertools.product("01", repeat=n))
-    kets = []
-    for va in vals:
-        for vb in vals:
-            ka = Ket(first, tuple((i + 1, v) for i, v in enumerate(va)))
-            kb = Ket(second, tuple((i + 1, v) for i, v in enumerate(vb)))
-            kets.append((ka, kb))
-    return tuple(kets)
+    """Sorted product basis of two parties with `n` two-valued DoFs each; the
+    cached object, so the trace rules recognize it by identity."""
+    dofs = tuple((i, ("0", "1")) for i in range(1, n + 1))
+    return _product_basis(((first, dofs), (second, dofs)))
 
 
 def max_entangled_resource(layout):
@@ -270,17 +304,18 @@ def relation_check(layout, p_grid=None, params=None):
         p_grid = np.linspace(0.0, 1.0, 21)
     if len(p_grid) == 0:
         raise ValueError("p_grid needs at least one point")
-    if params is None:
-        endpoint = two_param_state(1.0, layout)
-        params = FidelityParams(
-            generalized_teleportation_fidelity(endpoint, layout),
-            generalized_singlet_fraction(endpoint, layout))
     n = layout.n
+    if params is None:
+        grid = _pair_matrices(two_param_state(1.0, layout), layout)
+        params = FidelityParams(
+            _teleportation_fidelity_of(grid, layout,
+                                       FidelityParams.for_layout(layout)),
+            _singlet_fraction_of(grid, n))
     records = []
     for p in p_grid:
-        dm = two_param_state(float(p), layout)
-        f_g = generalized_teleportation_fidelity(dm, layout, params)
-        big_f = generalized_singlet_fraction(dm, layout)
+        grid = _pair_matrices(two_param_state(float(p), layout), layout)
+        f_g = _teleportation_fidelity_of(grid, layout, params)
+        big_f = _singlet_fraction_of(grid, n)
         predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
                      / (params.big_f_max - n / D ** 2) + 1 / D)
         records.append({"p": float(p), "f_g": f_g, "F_g": big_f,

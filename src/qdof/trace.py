@@ -38,10 +38,26 @@ matrix, so a kept tuple keeps its diagonal entry beside its cross terms and
 the result stays positive.  Every reduction renormalizes to unit trace, so
 downstream entanglement measures can assume proper density matrices;
 ``to_qubit_array`` only lays the matrix out anew and keeps its trace.
+
+The two DoF traces take a dense branch when the basis is the sorted full
+product of two-valued DoFs with one ket per distinct region (in canonical
+order for the symmetrized kinds) and every diagonal entry is above the cut,
+as for the noise family and random states of ``fidelity``.  There the
+kernel keeps the whole reduced product, every coefficient is +-1 (one sign
+per slot, so it cancels between ket and bra) and each output entry is the
+sum of two input entries, so the branch views the matrix as a ``(2,) * 2m``
+array and adds two slices.  It adds them in the kernel's order -- over the
+ket axis first for the coherent trace, key by key onto zeros for the
+distinguishable one -- and the zeros the kernel's matrix products add are
+exact, so its result is the kernel's bit for bit.  Every other input
+(sparse circuit states, bunched sectors, weights at or below the cut) stays
+on the kernel, as do ``trace_region`` and ``project_one_per_region``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +109,11 @@ def _operator_sum(dm, images_of):
 
 def _reduce(dm, images_of, empty, n_dofs=None):
     """Renormalized `_operator_sum`; `empty` is the message when nothing is left."""
-    basis, data = _operator_sum(dm, images_of)
+    return _renormalized(dm, *_operator_sum(dm, images_of), empty, n_dofs)
+
+
+def _renormalized(dm, basis, data, empty, n_dofs=None):
+    """The reduced matrix on `basis`, renormalized to unit trace."""
     if not basis:
         raise EmptySubspaceError(empty)
     red = DensityMatrix(tuple(basis), data, dm.eta, dm.dof_specs,
@@ -101,6 +121,66 @@ def _reduce(dm, images_of, empty, n_dofs=None):
     if red.trace <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
     return red.renormalized()
+
+
+@functools.lru_cache(maxsize=256)
+def _product_basis(slots):
+    """Sorted full product basis of `slots`, ((region, ((dof, values), ...)), ...)."""
+    per_slot = [[Ket(region, tuple(zip([i for i, _ in dofs], combo)))
+                 for combo in itertools.product(*[v for _, v in dofs])]
+                for region, dofs in slots]
+    return tuple(itertools.product(*per_slot))
+
+
+def _product_slots(dm):
+    """The slots of `dm` when the dense branch applies (module doc), else None."""
+    if not dm.basis or not (np.abs(dm.data.diagonal()) > 1e-16).all():
+        return None
+    slots = []
+    for lo, hi in zip(dm.basis[0], dm.basis[-1]):
+        pairs = list(zip(lo.dofs, hi.dofs))
+        if (lo.region != hi.region or len(lo.dofs) != len(hi.dofs)
+                or not all(i == j and a < b for (i, a), (j, b) in pairs)):
+            return None
+        slots.append((lo.region, tuple((i, (a, b)) for (i, a), (_, b) in pairs)))
+    regions = [region for region, _ in slots]
+    if len(set(regions)) < len(regions) or (
+            dm.eta != DISTINGUISHABLE and regions != sorted(regions)):
+        return None
+    slots = tuple(slots)
+    if (len(dm.basis) != 2 ** sum(len(dofs) for _, dofs in slots)
+            or dm.basis != _product_basis(slots)):
+        return None
+    return slots
+
+
+def _dense_trace(dm, slots, slot, dof_index, coherent):
+    """(basis, data) of the trace of `dof_index` at `slot` on a product basis.
+
+    Returns None when that slot does not carry the DoF.  The sums follow the
+    kernel's: the coherent trace adds over the ket axis first, as K rho does
+    before K^dagger, and the distinguishable trace adds one key at a time.
+    """
+    region, dofs = slots[slot]
+    kept = tuple(d for d in dofs if d[0] != dof_index)
+    if len(kept) == len(dofs):
+        return None
+    m = sum(len(d) for _, d in slots)
+    axis = (sum(len(d) for _, d in slots[:slot])
+            + [i for i, _ in dofs].index(dof_index))
+    t = dm.data.reshape((2,) * (2 * m))
+    ket = (slice(None),) * axis
+    out = np.zeros((2,) * (2 * m - 2), dtype=complex)
+    if coherent:
+        half = t[ket + (0,)] + t[ket + (1,)]
+        bra = (slice(None),) * (m - 1 + axis)
+        out += half[bra + (0,)] + half[bra + (1,)]
+    else:
+        skip = (slice(None),) * (m - 1)
+        out += t[ket + (0,) + skip + (0,)]
+        out += t[ket + (1,) + skip + (1,)]
+    basis = _product_basis(slots[:slot] + ((region, kept),) + slots[slot + 1:])
+    return basis, out.reshape(len(basis), len(basis))
 
 
 def project_one_per_region(dm, regions):
@@ -161,13 +241,23 @@ def trace_dof_indist(dm, sub):
     """Trace one DoF of one region out of an indistinguishable-particle matrix."""
     if sub.dof_index is None:
         raise ValueError("subsystem must name a dof_index")
-    present = {i for kets in dm.basis for k in kets for i, _ in k.dofs}
+    slots = _product_slots(dm)
+    if slots is None:
+        present = {i for kets in dm.basis for k in kets for i, _ in k.dofs}
+    else:
+        present = {i for _, dofs in slots for i, _ in dofs}
     if sub.dof_index not in present:
         raise ValueError(f"dof index {sub.dof_index} not present")
     ndof = dm.n_dofs_orig or len(present)
     if ndof <= 1:
         # single-DoF systems: the rule degenerates to the localized particle trace
         return trace_region(dm, sub.region)
+    regions = [region for region, _ in slots or ()]
+    if sub.region in regions:
+        dense = _dense_trace(dm, slots, regions.index(sub.region),
+                             sub.dof_index, coherent=True)
+        if dense is not None:
+            return _renormalized(dm, *dense, "DoF trace left nothing", ndof)
     return _reduce(dm, lambda kets: _slot_images(kets, sub.region, dm.eta,
                                                  sub.dof_index),
                    "DoF trace left nothing", ndof)
@@ -179,6 +269,11 @@ def trace_dof_dist(dm, particle, dof_index):
         raise ShapeError("trace_dof_dist expects the distinguishable representation")
     if not 0 <= particle < len(dm.basis[0]):
         raise ValueError("particle slot out of range")
+    slots = _product_slots(dm)
+    if slots is not None:
+        dense = _dense_trace(dm, slots, particle, dof_index, coherent=False)
+        if dense is not None:
+            return _renormalized(dm, *dense, "DoF trace left nothing")
 
     def images_of(kets):
         k = kets[particle]

@@ -250,6 +250,22 @@ def test_explicit_flag_beats_config_file(tmp_path, capsys, explicit):
     assert config["ancilla"] == "particle"
 
 
+@pytest.mark.parametrize("argv", [
+    ("qpq", "--the", "20", "--anc", "particle"),
+    ("qpq", "--the=20"),
+    ("hardy", "sample", "--run", "3"),
+    ("fidelity-relation", "--kind", "distinguishable", "--form", "csv"),
+])
+def test_abbreviated_flags_exit_2(capsys, argv):
+    _exit_2_with_one_line(capsys, *argv)
+
+
+def test_abbreviated_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("the=30\n")
+    _exit_2_with_one_line(capsys, "qpq", "--config", str(cfg))
+
+
 def test_config_bare_key_sets_a_switch(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# the one boundary point\nallow-boundary\n"

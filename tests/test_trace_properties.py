@@ -9,11 +9,17 @@ unit trace and positive: along chains of reductions that start from the
 sector of terms whose entries straddle the 1e-16 weight cut, and, on states
 whose amplitudes stay well above that cut, for traces over two different
 subsystems, which must also commute.
+
+On full-product states the two DoF traces take their dense branch, which
+must give the kernel's result bit for bit; inputs just outside its
+conditions must still reach the kernel.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +28,8 @@ from qdof import trace
 from qdof.circuits import KINDS, PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import case_state, random_case
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
-                         DofSpec, Ket, SymState, normalize, to_density)
+                         DensityMatrix, DofSpec, Ket, SymState, normalize,
+                         to_density)
 from qdof.trace import Subsystem
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -227,3 +234,128 @@ def test_reductions_are_density_matrices_and_commute(state, data):
     assume(exc is None)
     _commute(lambda m: trace.trace_dof_indist(m, Subsystem(r1, d1)),
              lambda m: trace.trace_dof_indist(m, Subsystem(r2, d2)), projected)
+
+
+def _product_density(eta, regions, values, rng, mixture):
+    """Random matrix on the sorted full product; `values[r]` lists the value
+    tuple of each DoF of region r."""
+    per_slot = [[Ket(region, tuple(enumerate(combo, start=1)))
+                 for combo in itertools.product(*map(sorted, vals))]
+                for region, vals in zip(regions, values)]
+    basis = tuple(itertools.product(*per_slot))
+    dim = len(basis)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    data = np.outer(v, v.conj())
+    if mixture == "mixed":
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        data = a @ a.conj().T
+    elif mixture == "noisy":
+        data = 0.3 * data / np.trace(data).real + 0.7 * np.eye(dim) / dim
+    ndof = max(len(vals) for vals in values)
+    specs = tuple(DofSpec(i, vals) for i, vals in
+                  enumerate(max(values, key=len), start=1))
+    return DensityMatrix(basis, data / np.trace(data).real, eta, specs, ndof)
+
+
+@st.composite
+def product_densities(draw):
+    """Two regions with 1-3 two-valued DoFs each, pure, mixed or noisy."""
+    eta = draw(st.sampled_from([BOSON, FERMION, DISTINGUISHABLE]))
+    regions = (draw(st.sampled_from([("A", "B"), ("B", "A")]))
+               if eta == DISTINGUISHABLE else ("s1", "s2"))
+    labels = draw(st.sampled_from([("0", "1"), ("dn", "up"), ("V", "H")]))
+    values = [(labels,) * draw(st.integers(1, 3)) for _ in regions]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mixture = draw(st.sampled_from(["pure", "mixed", "noisy"]))
+    return _product_density(eta, regions, values, rng, mixture)
+
+
+def _kernel_only(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_product_slots", lambda dm: None)
+        return fn(*args)
+
+
+@PROPERTY_SETTINGS
+@given(dm=product_densities(), data=st.data())
+def test_dense_branch_matches_the_kernel_bit_for_bit(dm, data):
+    dense_calls = []
+    dense_trace = trace._dense_trace
+
+    def spy(*args, **kwargs):
+        dense_calls.append(args[3])
+        return dense_trace(*args, **kwargs)
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        assert trace._product_slots(dm) is not None
+        slots = [s for s, k in enumerate(dm.basis[0]) if k.dofs]
+        if not slots:
+            return
+        slot = data.draw(st.sampled_from(slots))
+        ket = dm.basis[0][slot]
+        dof = data.draw(st.sampled_from([i for i, _ in ket.dofs]))
+        if dm.eta == DISTINGUISHABLE and data.draw(st.booleans()):
+            fn, args = trace.trace_dof_dist, (slot, dof)
+        else:
+            fn, args = trace.trace_dof_indist, (Subsystem(ket.region, dof),)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace, "_dense_trace", spy)
+            reduced = fn(dm, *args)
+        kernel = _kernel_only(fn, dm, *args)
+        assert reduced.basis == kernel.basis
+        assert reduced.n_dofs_orig == kernel.n_dofs_orig
+        assert np.array_equal(reduced.data, kernel.data)
+        # single-DoF layouts trace the region (on the kernel) instead
+        if fn is trace.trace_dof_dist or dm.n_dofs_orig > 1:
+            assert dense_calls[-1] == dof
+        dm = reduced
+
+
+def _li_projected():
+    state = li_circuit("boson", PhaseConfig(0.1, 0.2, 0.3, 0.4))
+    return trace.project_one_per_region(to_density(state), ["s1", "s2"])
+
+
+def _weight_below_cut(eta):
+    rng = np.random.default_rng(5)
+    dm = _product_density(eta, ("s1", "s2"), [(("0", "1"),) * 2] * 2, rng,
+                          "pure")
+    dm.data[3, :] *= 1e-9
+    dm.data[:, 3] *= 1e-9
+    return dm
+
+
+def _three_valued(eta):
+    rng = np.random.default_rng(6)
+    return _product_density(eta, ("s1", "s2"), [(("x", "y", "z"), ("0", "1"))] * 2,
+                            rng, "mixed")
+
+
+def _unsorted_basis(eta):
+    rng = np.random.default_rng(7)
+    dm = _product_density(eta, ("s1", "s2"), [(("0", "1"),) * 2] * 2, rng,
+                          "mixed")
+    order = [0, 2, 1] + list(range(3, len(dm.basis)))
+    return DensityMatrix(tuple(dm.basis[i] for i in order),
+                         dm.data[np.ix_(order, order)], eta, dm.dof_specs,
+                         dm.n_dofs_orig)
+
+
+@pytest.mark.parametrize("dm, fn, args", [
+    (_weight_below_cut(BOSON), "trace_dof_indist", (Subsystem("s1", 2),)),
+    (_weight_below_cut(DISTINGUISHABLE), "trace_dof_dist", (0, 2)),
+    (_three_valued(FERMION), "trace_dof_indist", (Subsystem("s2", 2),)),
+    (_three_valued(DISTINGUISHABLE), "trace_dof_dist", (1, 1)),
+    (_unsorted_basis(BOSON), "trace_dof_indist", (Subsystem("s2", 1),)),
+    (_unsorted_basis(DISTINGUISHABLE), "trace_dof_dist", (0, 1)),
+    (_li_projected(), "trace_dof_indist", (Subsystem("s1", 1),)),
+], ids=["weight-below-cut-indist", "weight-below-cut-dist",
+        "three-valued-indist", "three-valued-dist", "unsorted-basis-indist",
+        "unsorted-basis-dist", "li_circuit"])
+def test_inputs_outside_the_dense_branch_take_the_kernel(monkeypatch, dm, fn,
+                                                          args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense branch taken")
+
+    monkeypatch.setattr(trace, "_dense_trace", refuse)
+    _assert_same(getattr(trace, fn)(dm, *args), getattr(ref, fn)(dm, *args))
