@@ -5,7 +5,9 @@ maximally entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), is computed in
 closed form from the signed singular values of the correlation matrix.  The
 generalized quantities sum the pairwise values over DoF pairs of a two-party
 state, reducing each pair with the trace rules appropriate to the particle
-kind.
+kind.  Each distinct pair matrix of a grid is measured once: on the noise
+family the n^2 pairs share at most two matrices, and equal matrices (equal
+bytes) give equal values.
 
 Teleportation is simulated with the standard Bell-measurement-and-correction
 protocol; fidelities are input-output overlaps averaged over the six Pauli
@@ -157,11 +159,28 @@ def _pair_matrix(dm, layout, i, j):
     return _pair_matrices(dm, layout, [(i, j)])[i, j]
 
 
+def _per_distinct_matrix(measure, grid):
+    """{pair: measure(matrix)}, measuring each distinct matrix of `grid` once.
+
+    Matrices are told apart by their bytes, so equal matrices get the very
+    value a call of their own would return.
+    """
+    memo = {}
+    values = {}
+    for pair, matrix in grid.items():
+        key = matrix.tobytes()
+        if key not in memo:
+            memo[key] = measure(matrix)
+        values[pair] = memo[key]
+    return values
+
+
 def _singlet_fraction_of(grid, n):
+    values = _per_distinct_matrix(singlet_fraction, grid)
     pair_f = np.empty((n, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            pair_f[i - 1, j - 1] = singlet_fraction(grid[i, j])
+            pair_f[i - 1, j - 1] = values[i, j]
     by_i = pair_f.sum(axis=1).max()
     by_j = pair_f.sum(axis=0).max()
     return float(max(by_i, by_j))
@@ -226,11 +245,11 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
 
 
 def _teleportation_fidelity_of(grid, layout, params):
+    values = _per_distinct_matrix(average_teleport_fidelity, grid)
     best = -1.0
     for i in range(1, layout.n + 1):
         for j in range(1, layout.n + 1):
-            f = average_teleport_fidelity(grid[i, j])
-            best = max(best, f)
+            best = max(best, values[i, j])
     if layout.kind == "indistinguishable":
         best = _rescale_to_ceiling(best, D, params.f_max)
     return float(best)

@@ -30,14 +30,18 @@ apart:
     Ordinary partial trace over one DoF factor of a labelled distinguishable
     particle; the key is the traced value.
 
-``project_one_per_region`` and ``to_qubit_array`` are one-key maps (sector
-selection, embedding into the tensor-ordered qubit array).  Entries of
+``project_one_per_region`` is a one-key map (sector selection).  Entries of
 magnitude at most 1e-16 only choose the basis: a tuple whose row and column
 carry no larger entry is left out, but the sum itself uses every entry of the
 matrix, so a kept tuple keeps its diagonal entry beside its cross terms and
 the result stays positive.  Every reduction renormalizes to unit trace, so
-downstream entanglement measures can assume proper density matrices;
-``to_qubit_array`` only lays the matrix out anew and keeps its trace.
+downstream entanglement measures can assume proper density matrices.
+
+``to_qubit_array`` is not an operator sum but an index scatter: it keeps the
+tuples the same 1e-16 cut keeps and copies their entries to the tuples'
+positions in the tensor-ordered qubit array, keeping the trace.  Where
+distinguishable particles in swapped slots land on one position, their
+entries add.
 
 The two DoF traces take a dense branch when the basis is the sorted full
 product of two-valued DoFs with one ket per distinct region (in canonical
@@ -79,6 +83,13 @@ class EmptySubspaceError(DegenerateStateError):
     """Projection or trace produced a zero-trace matrix."""
 
 
+def _linked(dm):
+    """Mask of the entries above the 1e-16 basis cut, mirrored: a tuple is
+    kept when its row has one."""
+    weight = np.abs(dm.data) > 1e-16
+    return weight | weight.T
+
+
 def _operator_sum(dm, images_of):
     """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``.
 
@@ -87,8 +98,7 @@ def _operator_sum(dm, images_of):
     under the same key, so an image whose amplitudes cancel keeps its place.
     The cut only selects the basis; the sum uses every entry of `dm.data`.
     """
-    weight = np.abs(dm.data) > 1e-16
-    linked = weight | weight.T
+    linked = _linked(dm)
     by_key = {}
     for col in np.flatnonzero(linked.any(axis=1)):
         for key, coeff, reduced in images_of(dm.basis[col]):
@@ -291,7 +301,8 @@ def to_qubit_array(dm):
 
     Every remaining slot must carry at most a single DoF with at most two
     values.  Slots are ordered by region label; within a slot the DoF's
-    declared eigenvalue order fixes |0>,|1>.
+    declared eigenvalue order fixes |0>,|1>.  Tuples the reductions' 1e-16
+    basis cut would leave out stay zero.
     """
     nslots = len(dm.basis[0])
     regions = sorted({k.region for kets in dm.basis for k in kets})
@@ -318,16 +329,27 @@ def to_qubit_array(dm):
             orders.append([Ket(r)])
     dims = [len(o) for o in orders]
     dim = int(np.prod(dims))
-    out = np.zeros((dim, dim), dtype=complex)
 
     def embed(kets):
         by_region = {k.region: k for k in kets}
         pos = 0
         for o, d in zip(orders, dims):
             pos = pos * d + o.index(by_region[o[0].region])
-        return [(None, 1.0, pos)]
+        return pos
 
-    positions, data = _operator_sum(dm, embed)
-    positions = np.array(positions, dtype=int)
-    out[np.ix_(positions, positions)] = data
+    kept = np.flatnonzero(_linked(dm).any(axis=1))
+    pos = [embed(dm.basis[c]) for c in kept]
+    # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
+    if len(dm.basis) == dim and pos == list(range(dim)):
+        return dm.data + 0.0  # every tuple kept, already in qubit order
+    out = np.zeros((dim, dim), dtype=complex)
+    if len(set(pos)) == len(pos):
+        out[np.ix_(pos, pos)] = dm.data[np.ix_(kept, kept)] + 0.0
+    else:
+        # distinguishable particles in swapped slots share a position; their
+        # amplitudes add through the same product the operator sum formed
+        cells, rows = np.unique(pos, return_inverse=True)
+        k = np.zeros((len(cells), len(dm.basis)), dtype=complex)
+        k[rows, kept] = 1.0
+        out[np.ix_(cells, cells)] = k @ dm.data @ k.conj().T + 0.0
     return out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdof import fidelity
 from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
 from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
                            PHI_PLUS, _fef_closed, average_teleport_fidelity,
@@ -11,7 +12,8 @@ from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
                            sf_upper_bound_check, singlet_fraction,
                            teleport_fidelity, teleport_output,
                            two_param_state)
-from qdof.states import DegenerateStateError, to_density
+from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
+                         to_density)
 from qdof.trace import project_one_per_region
 
 from oracles import optimized_singlet_fraction, singlet_fraction_grid
@@ -181,3 +183,52 @@ def test_distinguishable_bound_never_exceeded():
 def test_bound_check_rejects_indistinguishable_layout():
     with pytest.raises(ValueError):
         sf_upper_bound_check(ChannelLayout("indistinguishable", 2))
+
+
+def _per_pair_loop(dm, layout, params):
+    """Both generalized quantities with one measurement per pair."""
+    n = layout.n
+    grid = fidelity._pair_matrices(dm, layout)
+    pair_f = np.array([[singlet_fraction(grid[i, j]) for j in range(1, n + 1)]
+                       for i in range(1, n + 1)])
+    big_f = float(max(pair_f.sum(axis=1).max(), pair_f.sum(axis=0).max()))
+    best = max(average_teleport_fidelity(grid[i, j])
+               for i in range(1, n + 1) for j in range(1, n + 1))
+    if layout.kind == "indistinguishable":
+        best = fidelity._rescale_to_ceiling(best, fidelity.D, params.f_max)
+    return float(best), big_f
+
+
+def _random_pure(layout, seed):
+    rng = np.random.default_rng(seed)
+    dim = 4 ** layout.n
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    return DensityMatrix(fidelity._dist_basis(layout.n), np.outer(v, v.conj()),
+                         DISTINGUISHABLE, fidelity._dist_specs(layout.n),
+                         layout.n)
+
+
+@pytest.mark.parametrize("layout, dm, calls", [
+    (ChannelLayout("indistinguishable", 3),
+     two_param_state(0.37, ChannelLayout("indistinguishable", 3)), 1),
+    (ChannelLayout("distinguishable", 3),
+     two_param_state(0.37, ChannelLayout("distinguishable", 3)), 2),
+    (ChannelLayout("distinguishable", 3),
+     _random_pure(ChannelLayout("distinguishable", 3), 3), 9),
+], ids=["noise-indist", "noise-dist", "random-pure"])
+def test_each_distinct_pair_matrix_is_measured_once(monkeypatch, layout, dm,
+                                                    calls):
+    params = FidelityParams.for_layout(layout)
+    want = _per_pair_loop(dm, layout, params)
+    counts = {"average_teleport_fidelity": 0, "singlet_fraction": 0}
+    for name in counts:
+        def spy(matrix, measure=getattr(fidelity, name), name=name):
+            counts[name] += 1
+            return measure(matrix)
+        monkeypatch.setattr(fidelity, name, spy)
+    got = (generalized_teleportation_fidelity(dm, layout, params),
+           generalized_singlet_fraction(dm, layout))
+    assert counts == {"average_teleport_fidelity": calls,
+                      "singlet_fraction": calls}
+    assert got == want

@@ -13,6 +13,10 @@ subsystems, which must also commute.
 On full-product states the two DoF traces take their dense branch, which
 must give the kernel's result bit for bit; inputs just outside its
 conditions must still reach the kernel.
+
+`to_qubit_array` lays matrices out by index; its array must equal, byte for
+byte (signed zeros included), the one the operator-sum kernel laid out, and
+it must fail with the same errors.
 """
 
 import itertools
@@ -28,8 +32,8 @@ from qdof import trace
 from qdof.circuits import KINDS, PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import case_state, random_case
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
-                         DensityMatrix, DofSpec, Ket, SymState, normalize,
-                         to_density)
+                         DensityMatrix, DofSpec, Ket, ShapeError, SymState,
+                         normalize, to_density)
 from qdof.trace import Subsystem
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -359,3 +363,189 @@ def test_inputs_outside_the_dense_branch_take_the_kernel(monkeypatch, dm, fn,
 
     monkeypatch.setattr(trace, "_dense_trace", refuse)
     _assert_same(getattr(trace, fn)(dm, *args), getattr(ref, fn)(dm, *args))
+
+
+def _kernel_qubit_array(dm):
+    """The qubit array as the operator-sum kernel laid it out: the layout
+    `to_qubit_array` had before it became an index scatter, kept as its
+    byte-for-byte oracle."""
+    nslots = len(dm.basis[0])
+    regions = sorted({k.region for kets in dm.basis for k in kets})
+    if len(regions) != nslots:
+        raise ShapeError("subsystem count does not match remaining slots")
+    orders = []
+    for r in regions:
+        slot_kets = sorted({k for kets in dm.basis for k in kets if k.region == r})
+        idxs = {i for k in slot_kets for i, _ in k.dofs}
+        if len(idxs) > 1:
+            raise ShapeError(f"region {r!r} still carries several DoFs")
+        if idxs:
+            di = next(iter(idxs))
+            declared = dm.value_order(di)
+            if len(declared) == 2:
+                use = declared
+            else:
+                use = [v for v in declared if any(k.value(di) == v for k in slot_kets)]
+            if len(use) > 2:
+                raise ShapeError(f"region {r!r} is not a qubit here")
+            orders.append([Ket(r, ((di, v),)) for v in use])
+        else:
+            orders.append([Ket(r)])
+    dims = [len(o) for o in orders]
+    dim = int(np.prod(dims))
+    out = np.zeros((dim, dim), dtype=complex)
+
+    def embed(kets):
+        by_region = {k.region: k for k in kets}
+        pos = 0
+        for o, d in zip(orders, dims):
+            pos = pos * d + o.index(by_region[o[0].region])
+        return [(None, 1.0, pos)]
+
+    positions, data = trace._operator_sum(dm, embed)
+    out[np.ix_(np.array(positions, dtype=int), np.array(positions, dtype=int))] = data
+    return out
+
+
+def _with_negative_zeros(dm):
+    """`dm` with every zero real or imaginary part stored as -0.0."""
+    re, im = dm.data.real.copy(), dm.data.imag.copy()
+    re[re == 0] = -0.0
+    im[im == 0] = -0.0
+    data = np.empty_like(dm.data)
+    data.real, data.imag = re, im
+    return DensityMatrix(dm.basis, data, dm.eta, dm.dof_specs, dm.n_dofs_orig)
+
+
+def _assert_same_layout(dm):
+    new, new_exc = _run(trace.to_qubit_array, dm)
+    old, old_exc = _run(_kernel_qubit_array, dm)
+    assert type(new_exc) is type(old_exc), (new_exc, old_exc)
+    if old_exc is not None:
+        assert str(new_exc) == str(old_exc)
+        return
+    assert new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+@st.composite
+def qubit_states(draw):
+    """One particle in each of 2-3 regions, each with one two-valued DoF:
+    states `to_qubit_array` lays out without a reduction.  Real, imaginary
+    and tiny amplitudes leave exact zeros inside the kept block."""
+    eta = draw(st.sampled_from([BOSON, FERMION, DISTINGUISHABLE]))
+    regions = draw(st.sampled_from(["ab", "abc", "ba", "cab"]))
+    xy = DofSpec(1, ("x", "y"))
+    kets = st.tuples(*[st.sampled_from(xy.values) for _ in regions]).map(
+        lambda values: tuple(Ket(r, ((1, v),)) for r, v in zip(regions, values)))
+    amplitude = st.one_of(st.floats(-1.0, 1.0).filter(lambda a: abs(a) > 1e-3),
+                          st.sampled_from([1j, -0.5j, 1e-9, -3e-9j]),
+                          st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
+                                             allow_nan=False, allow_infinity=False))
+    terms = draw(st.dictionaries(kets, amplitude, min_size=1, max_size=5))
+    try:
+        return normalize(SymState(eta, terms, (xy,)))
+    except DegenerateStateError:
+        assume(False)
+
+
+def _layout_after_steps(dm, negative_zeros, data):
+    """Reduce `dm` by 0-3 drawn steps, then compare the two layouts."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        name, args = _draw_reduction(data, dm)
+        if name == "to_qubit_array":
+            break
+        reduced, exc = _run(getattr(trace, name), dm, *args)
+        if exc is not None:
+            break
+        dm = reduced
+    if negative_zeros:
+        dm = _with_negative_zeros(dm)
+    _assert_same_layout(dm)
+
+
+@PROPERTY_SETTINGS
+@given(state=st.one_of(random_states(tiny_amplitudes=True), straddling_states(),
+                       named_states()),
+       negative_zeros=st.booleans(), data=st.data())
+def test_qubit_layout_matches_the_kernel_byte_for_byte(state, negative_zeros,
+                                                       data):
+    _layout_after_steps(to_density(state), negative_zeros, data)
+
+
+@PROPERTY_SETTINGS
+@given(state=qubit_states(), negative_zeros=st.booleans(), data=st.data())
+def test_qubit_layout_of_qubit_states_matches_the_kernel_byte_for_byte(
+        state, negative_zeros, data):
+    _layout_after_steps(to_density(state), negative_zeros, data)
+
+
+def _swapped_slots(n_particles):
+    """Distinguishable particles over every slot order of regions a, b, c:
+    several basis tuples land on one qubit-array position."""
+    xy = DofSpec(1, ("x", "y"))
+    regions = "abc"[:n_particles]
+    rng = np.random.default_rng(n_particles)
+    terms = {}
+    for order in itertools.permutations(regions):
+        for values in itertools.product("xy", repeat=n_particles):
+            amp = complex(rng.normal(), rng.normal())
+            terms[tuple(Ket(r, ((1, v),)) for r, v in zip(order, values))] = amp
+    return to_density(normalize(SymState(DISTINGUISHABLE, terms, (xy,))))
+
+
+def _swapped_half_below_cut():
+    """`_swapped_slots(2)` with the (b, a) half weighing below the cut, so
+    only the (a, b) tuples, already in qubit order, are laid out."""
+    dm = _swapped_slots(2)
+    low = [i for i, kets in enumerate(dm.basis) if kets[0].region == "b"]
+    dm.data[low, :] *= 1e-18
+    dm.data[:, low] *= 1e-18
+    return dm
+
+
+def _misfit(tuples):
+    """Equal superposition of boson `tuples` that no qubit array can hold."""
+    xyz = DofSpec(1, ("x", "y", "z"))
+    return to_density(normalize(SymState(
+        BOSON, {t: 1.0 for t in tuples}, (xyz, DofSpec(2, ("0", "1"))))))
+
+
+def _row_below_cut():
+    rng = np.random.default_rng(8)
+    dm = _product_density(BOSON, ("s1", "s2"), [(("0", "1"),)] * 2, rng, "mixed")
+    dm.data[1, :] *= 1e-18
+    dm.data[:, 1] *= 1e-18
+    return dm
+
+
+def _li_pair():
+    dm = _li_projected()
+    for region in ("s1", "s2"):
+        dm = trace.trace_dof_indist(dm, Subsystem(region, 2))
+    return dm
+
+
+@pytest.mark.parametrize("dm, message", [
+    (_row_below_cut(), None),
+    (_li_pair(), None),
+    (_with_negative_zeros(_li_pair()), None),
+    (_swapped_slots(2), None),
+    (_swapped_slots(3), None),
+    (_swapped_half_below_cut(), None),
+    (_with_negative_zeros(_swapped_slots(2)), None),
+    (_misfit([(Ket("a", ((1, "x"),)), Ket("a", ((1, "y"),)))]),
+     "subsystem count does not match remaining slots"),
+    (_misfit([(Ket("a", ((1, "x"), (2, "0"))), Ket("b", ((1, "y"),)))]),
+     "region 'a' still carries several DoFs"),
+    (_misfit([(Ket("a", ((1, v),)), Ket("b", ((1, "x"),))) for v in "xyz"]),
+     "region 'a' is not a qubit here"),
+], ids=["row-below-cut", "li-circuit-pair", "li-circuit-pair-negative-zeros",
+        "swapped-2", "swapped-3", "swapped-half-below-cut",
+        "swapped-2-negative-zeros", "slot-count", "several-dofs", "not-a-qubit"])
+def test_qubit_layout_edge_cases_match_the_kernel(dm, message):
+    _assert_same_layout(dm)
+    if message is not None:
+        with pytest.raises(ShapeError) as exc:
+            trace.to_qubit_array(dm)
+        assert str(exc.value) == message
