@@ -37,11 +37,12 @@ matrix, so a kept tuple keeps its diagonal entry beside its cross terms and
 the result stays positive.  Every reduction renormalizes to unit trace, so
 downstream entanglement measures can assume proper density matrices.
 
-``to_qubit_array`` is not an operator sum but an index scatter: it keeps the
-tuples the same 1e-16 cut keeps and copies their entries to the tuples'
-positions in the tensor-ordered qubit array, keeping the trace.  Where
-distinguishable particles in swapped slots land on one position, their
-entries add.
+``to_qubit_array`` does not run the kernel.  It keeps the tuples the same
+1e-16 cut keeps, finds each one's position in the tensor-ordered qubit array
+and forms the kernel's one product ``k rho k^dagger``, where ``k`` has a 1 at
+(position, tuple); distinguishable particles in swapped slots that land on
+one position thus add.  A matrix whose tuples are all kept and already in
+qubit order is returned as a copy.
 
 The two DoF traces take a dense branch when the basis is the sorted full
 product of two-valued DoFs with one ket per distinct region (in canonical
@@ -342,14 +343,11 @@ def to_qubit_array(dm):
     # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
     if len(dm.basis) == dim and pos == list(range(dim)):
         return dm.data + 0.0  # every tuple kept, already in qubit order
+    # the operator sum's own k: one row per distinct position, so the
+    # amplitudes of distinguishable particles in swapped slots add
+    cells, rows = np.unique(pos, return_inverse=True)
+    k = np.zeros((len(cells), len(dm.basis)), dtype=complex)
+    k[rows, kept] = 1.0
     out = np.zeros((dim, dim), dtype=complex)
-    if len(set(pos)) == len(pos):
-        out[np.ix_(pos, pos)] = dm.data[np.ix_(kept, kept)] + 0.0
-    else:
-        # distinguishable particles in swapped slots share a position; their
-        # amplitudes add through the same product the operator sum formed
-        cells, rows = np.unique(pos, return_inverse=True)
-        k = np.zeros((len(cells), len(dm.basis)), dtype=complex)
-        k[rows, kept] = 1.0
-        out[np.ix_(cells, cells)] = k @ dm.data @ k.conj().T + 0.0
+    out[np.ix_(cells, cells)] = k @ dm.data @ k.conj().T + 0.0
     return out

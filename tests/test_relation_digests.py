@@ -5,6 +5,14 @@ The benchmark's digest table (`benchmarks/cli_digests.json`) has no
 kinds at n = 1-3, in JSON and CSV, the exit code is 0 and the SHA-256 of
 stdout is the one recorded before the pair measurements were shared across
 equal pair matrices.  Every field counts, `residual` round-off included.
+
+`residual` passes through LAPACK (svd, det) and BLAS products, whose last
+bits can depend on the numpy build and on the OpenBLAS kernel picked for the
+CPU.  The digests were recorded with CPython 3.11.7, numpy 2.4.6 and its
+bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on an x86-64 Intel Xeon.  A mismatch
+under another build or CPU may be an environment difference rather than a
+code change: run the same argv at the parent commit in that environment
+before reading it as a regression.
 """
 
 import contextlib

@@ -367,7 +367,7 @@ def test_inputs_outside_the_dense_branch_take_the_kernel(monkeypatch, dm, fn,
 
 def _kernel_qubit_array(dm):
     """The qubit array as the operator-sum kernel laid it out: the layout
-    `to_qubit_array` had before it became an index scatter, kept as its
+    `to_qubit_array` had before it stopped calling the kernel, kept as its
     byte-for-byte oracle."""
     nslots = len(dm.basis[0])
     regions = sorted({k.region for kets in dm.basis for k in kets})
@@ -504,6 +504,16 @@ def _swapped_half_below_cut():
     return dm
 
 
+def _slots_out_of_order():
+    """Distinguishable particles in slots (b, a) on three of the four value
+    pairs: the layout reorders the tuples and leaves a position empty."""
+    xy = DofSpec(1, ("x", "y"))
+    terms = {(Ket("b", ((1, vb),)), Ket("a", ((1, va),))): amp
+             for vb, va, amp in (("y", "y", 0.3 + 0.4j), ("y", "x", -2j),
+                                 ("x", "y", -0.5))}
+    return to_density(normalize(SymState(DISTINGUISHABLE, terms, (xy,))))
+
+
 def _misfit(tuples):
     """Equal superposition of boson `tuples` that no qubit array can hold."""
     xyz = DofSpec(1, ("x", "y", "z"))
@@ -534,6 +544,7 @@ def _li_pair():
     (_swapped_slots(3), None),
     (_swapped_half_below_cut(), None),
     (_with_negative_zeros(_swapped_slots(2)), None),
+    (_with_negative_zeros(_slots_out_of_order()), None),
     (_misfit([(Ket("a", ((1, "x"),)), Ket("a", ((1, "y"),)))]),
      "subsystem count does not match remaining slots"),
     (_misfit([(Ket("a", ((1, "x"), (2, "0"))), Ket("b", ((1, "y"),)))]),
@@ -542,7 +553,8 @@ def _li_pair():
      "region 'a' is not a qubit here"),
 ], ids=["row-below-cut", "li-circuit-pair", "li-circuit-pair-negative-zeros",
         "swapped-2", "swapped-3", "swapped-half-below-cut",
-        "swapped-2-negative-zeros", "slot-count", "several-dofs", "not-a-qubit"])
+        "swapped-2-negative-zeros", "slots-out-of-order-negative-zeros",
+        "slot-count", "several-dofs", "not-a-qubit"])
 def test_qubit_layout_edge_cases_match_the_kernel(dm, message):
     _assert_same_layout(dm)
     if message is not None:
