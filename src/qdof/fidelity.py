@@ -9,15 +9,31 @@ kind.  Each distinct pair matrix of a grid is measured once: on the noise
 family the n^2 pairs share at most two matrices, and equal matrices (equal
 bytes) give equal values.
 
+`generalized_teleportation_fidelity` and `generalized_singlet_fraction` read
+their n x n grid of pair matrices through a one-entry memo holding the last
+grid built, so a caller that needs both for one state reduces it once.  The
+memo is keyed on the layout, the identity of `dm.basis`, `dm.eta`,
+`dm.dof_specs`, `dm.n_dofs_orig` and the dtype, shape and bytes of
+`dm.data`: input equal in all of these gets the very grid a fresh reduction
+would build, and a matrix changed in place or set on another basis object is
+reduced again.  The memo's matrices are read-only.  `relation_check` reduces
+each of its states itself, past the memo.
+
 Teleportation is simulated with the standard Bell-measurement-and-correction
 protocol; fidelities are input-output overlaps averaged over the six Pauli
-axis states.  Channels between DoFs of indistinguishable particles are scaled
-onto a configurable ceiling below one, reflecting that unit-fidelity transfer
-is unavailable to them.
+axis states.  `average_teleport_fidelity` normalizes the channel once and
+forms the six joint states as one broadcast product, with the axis states,
+Bell matrices and correction adjoints worked out at import; every
+floating-point operation is the one a separate `teleport_fidelity` run per
+axis state makes, so the value is that of the six runs bit for bit.
+Channels between DoFs of indistinguishable particles are scaled onto a
+configurable ceiling below one, reflecting that unit-fidelity transfer is
+unavailable to them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,6 +170,25 @@ def _pair_matrices(dm, layout, pairs=None):
     return grid
 
 
+_last_grid = None  # (basis, key, grid) of the last full grid built (module doc)
+
+
+def _full_grid(dm, layout):
+    """All n^2 pair matrices of `dm`, read-only; a call on input equal to
+    the last call's returns the grid built then."""
+    global _last_grid
+    data = dm.data
+    key = (layout, dm.eta, dm.dof_specs, dm.n_dofs_orig, data.dtype, data.shape,
+           data.tobytes())
+    last = _last_grid
+    if last is None or last[0] is not dm.basis or last[1] != key:
+        grid = _pair_matrices(dm, layout)
+        for matrix in grid.values():
+            matrix.setflags(write=False)
+        last = _last_grid = (dm.basis, key, grid)
+    return last[2]
+
+
 def _pair_matrix(dm, layout, i, j):
     """4x4 matrix of the (i-th DoF of party 1, j-th DoF of party 2) pair."""
     return _pair_matrices(dm, layout, [(i, j)])[i, j]
@@ -188,7 +223,7 @@ def _singlet_fraction_of(grid, n):
 
 def generalized_singlet_fraction(dm, layout):
     """Max over one fixed DoF of either party of the summed pairwise fractions."""
-    return _singlet_fraction_of(_pair_matrices(dm, layout), layout.n)
+    return _singlet_fraction_of(_full_grid(dm, layout), layout.n)
 
 
 # -- teleportation -------------------------------------------------------------
@@ -200,34 +235,67 @@ _BELL = [np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
 
 _CORRECTION = [_PAULI[0], _PAULI[1], _PAULI[3], _PAULI[1] @ _PAULI[3]]
 
+# per Bell outcome: its vector as a 2x2 matrix, conjugated and as is, and
+# its correction with the correction's adjoint
+_OUTCOMES = [(b.reshape(2, 2).conj(), b.reshape(2, 2), c, c.conj().T)
+             for b, c in zip(_BELL, _CORRECTION)]
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+# the axis states normalized as teleport_fidelity normalizes its input, and
+# their density matrices from that vector normalized once more, as
+# teleport_output does
+_AXIS_INPUTS = [_unit(v) for v in AXIS_STATES]
+_AXIS_RHOS = np.array([np.outer(u, u.conj())
+                       for u in (_unit(v) for v in _AXIS_INPUTS)])
+
+
+def _normalized_channel(channel):
+    channel = np.asarray(channel, dtype=complex)
+    return channel / np.trace(channel).real
+
+
+def _corrected_output(t):
+    """Sum over Bell outcomes of the corrected output of the joint state `t`,
+    axes (c a b | c' a' b')."""
+    out = np.zeros((2, 2), dtype=complex)
+    for m_conj, m, corr, corr_adj in _OUTCOMES:
+        rho_b = np.einsum("ca,cabxyz,xy->bz", m_conj, t, m)
+        out += corr @ rho_b @ corr_adj
+    return out
+
 
 def teleport_output(channel, psi_in):
     """Output state of the Bell-measurement protocol through a two-qubit channel."""
-    channel = np.asarray(channel, dtype=complex)
-    channel = channel / np.trace(channel).real
-    psi_in = np.asarray(psi_in, dtype=complex)
-    psi_in = psi_in / np.linalg.norm(psi_in)
+    channel = _normalized_channel(channel)
+    psi_in = _unit(psi_in)
     joint = np.kron(np.outer(psi_in, psi_in.conj()), channel)  # C x A x B
-    out = np.zeros((2, 2), dtype=complex)
-    t = joint.reshape(2, 2, 2, 2, 2, 2)  # (c a b | c' a' b')
-    for bell, corr in zip(_BELL, _CORRECTION):
-        m = bell.reshape(2, 2)
-        rho_b = np.einsum("ca,cabxyz,xy->bz", m.conj(), t, m)
-        out += corr @ rho_b @ corr.conj().T
-    return out
+    return _corrected_output(joint.reshape(2, 2, 2, 2, 2, 2))
 
 
 def teleport_fidelity(channel, psi_in):
     """Input-output overlap of one teleportation run (pure input)."""
-    psi_in = np.asarray(psi_in, dtype=complex)
-    psi_in = psi_in / np.linalg.norm(psi_in)
+    psi_in = _unit(psi_in)
     out = teleport_output(channel, psi_in)
     return float((psi_in.conj() @ out @ psi_in).real)
 
 
 def average_teleport_fidelity(channel):
-    """Mean input-output overlap over the six Pauli axis states."""
-    return float(np.mean([teleport_fidelity(channel, v) for v in AXIS_STATES]))
+    """Mean input-output overlap over the six Pauli axis states.
+
+    Each run's arithmetic is `teleport_fidelity`'s on the same input; the
+    joint states of all six are one broadcast product, entry for entry the
+    `np.kron` of each.
+    """
+    channel = _normalized_channel(channel)
+    joints = (_AXIS_RHOS[:, :, None, :, None] * channel[None, None, :, None, :])
+    joints = joints.reshape((-1,) + (2,) * 6)
+    return float(np.mean([(u.conj() @ _corrected_output(t) @ u).real
+                          for u, t in zip(_AXIS_INPUTS, joints)]))
 
 
 def _rescale_to_ceiling(raw, d, f_max):
@@ -240,8 +308,7 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
     """Max over DoF pairs of the simulated average teleportation fidelity."""
     if params is None:
         params = FidelityParams.for_layout(layout)
-    return _teleportation_fidelity_of(_pair_matrices(dm, layout), layout,
-                                      params)
+    return _teleportation_fidelity_of(_full_grid(dm, layout), layout, params)
 
 
 def _teleportation_fidelity_of(grid, layout, params):
@@ -258,6 +325,7 @@ def _teleportation_fidelity_of(grid, layout, params):
 # -- the two-parameter family and the relation ----------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def _dist_specs(n):
     return tuple(DofSpec(i, ("0", "1")) for i in range(1, n + 1))
 
@@ -269,18 +337,12 @@ def _dist_basis(n, first="A", second="B"):
     return _product_basis(((first, dofs), (second, dofs)))
 
 
-def max_entangled_resource(layout):
-    """The reference state with a maximally entangled pair for every DoF.
-
-    Distinguishable particles can only afford one Bell pair (first DoF of each
-    side; every other DoF maximally mixed).  Indistinguishable regions support
-    the inter-DoF correlated two-mode state whose every pairwise reduction is
-    a Bell state.
-    """
+@functools.lru_cache(maxsize=8)
+def _resource(layout):
+    """(basis, data, eta) of `max_entangled_resource(layout)`, `data` read-only."""
     n = layout.n
     dim = 4 ** n
     if layout.kind == "distinguishable":
-        basis = _dist_basis(n)
         bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
         rest = np.eye(4 ** (n - 1), dtype=complex) / (4 ** (n - 1))
         data = np.kron(bell, rest)  # axes (a1 b1 | a2..an b2..bn)
@@ -289,27 +351,38 @@ def max_entangled_resource(layout):
         perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
         perm = perm + [2 * n + p for p in perm]
         data = t.transpose(perm).reshape(dim, dim)
-        return DensityMatrix(basis, data, DISTINGUISHABLE, _dist_specs(n), n)
-    basis = _dist_basis(n, "s1", "s2")
-    v = np.zeros(dim, dtype=complex)
-    lo = tuple("0" for _ in range(n))
-    hi = tuple("1" for _ in range(n))
-    vals = list(itertools.product("01", repeat=n))
-    idx = {p: k for k, p in enumerate(itertools.product(vals, vals))}
-    v[idx[(lo, lo)]] = 1 / math.sqrt(2)
-    v[idx[(hi, hi)]] = 1 / math.sqrt(2)
-    return DensityMatrix(basis, np.outer(v, v.conj()), BOSON, _dist_specs(n), n)
+        basis, eta = _dist_basis(n), DISTINGUISHABLE
+    else:
+        # |0..0, 0..0> and |1..1, 1..1>, the first and last product tuples
+        v = np.zeros(dim, dtype=complex)
+        v[0] = v[dim - 1] = 1 / math.sqrt(2)
+        data = np.outer(v, v.conj())
+        basis, eta = _dist_basis(n, "s1", "s2"), BOSON
+    data.setflags(write=False)
+    return basis, data, eta
+
+
+def max_entangled_resource(layout):
+    """The reference state with a maximally entangled pair for every DoF.
+
+    Distinguishable particles can only afford one Bell pair (first DoF of each
+    side; every other DoF maximally mixed).  Indistinguishable regions support
+    the inter-DoF correlated two-mode state whose every pairwise reduction is
+    a Bell state.
+    """
+    basis, data, eta = _resource(layout)
+    return DensityMatrix(basis, data.copy(), eta, _dist_specs(layout.n),
+                         layout.n)
 
 
 def two_param_state(p, layout):
     """p * resource + (1-p) * white noise over the 4^n-dimensional pair space."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    resource = max_entangled_resource(layout)
-    dim = len(resource.basis)
-    data = p * resource.data + (1.0 - p) * np.eye(dim) / dim
-    return DensityMatrix(resource.basis, data, resource.eta,
-                         resource.dof_specs, resource.n_dofs_orig)
+    basis, resource, eta = _resource(layout)
+    dim = len(basis)
+    data = p * resource + (1.0 - p) * np.eye(dim) / dim
+    return DensityMatrix(basis, data, eta, _dist_specs(layout.n), layout.n)
 
 
 def relation_check(layout, p_grid=None, params=None):

@@ -56,6 +56,7 @@ class DofSpec:
     values: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) < 2:
             raise ValueError("a DoF needs at least two eigenvalues")
         if len(set(self.values)) != len(self.values):
@@ -256,12 +257,7 @@ class DensityMatrix:
         return self
 
     def value_order(self, dof_index):
-        spec = {d.index: d for d in self.dof_specs}.get(dof_index)
-        if spec is not None:
-            return list(spec.values)
-        vals = sorted({k.value(dof_index) for kets in self.basis for k in kets
-                       if k.value(dof_index) is not None})
-        return vals
+        return value_order(self.basis, self.dof_specs, dof_index)
 
     def to_json(self):
         def enc(kets):
@@ -275,6 +271,16 @@ class DensityMatrix:
     def to_csv(self):
         """Row-major CSV with re/im interleaved."""
         return matrix_csv(self.data)
+
+
+def value_order(basis, dof_specs, dof_index):
+    """Eigenvalue labels of DoF `dof_index`: declared in `dof_specs`, else
+    the sorted values the basis carries."""
+    spec = {d.index: d for d in dof_specs}.get(dof_index)
+    if spec is not None:
+        return list(spec.values)
+    return sorted({k.value(dof_index) for kets in basis for k in kets
+                   if k.value(dof_index) is not None})
 
 
 def matrix_csv(matrix):

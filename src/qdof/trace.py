@@ -44,6 +44,16 @@ and forms the kernel's one product ``k rho k^dagger``, where ``k`` has a 1 at
 one position thus add.  A matrix whose tuples are all kept and already in
 qubit order is returned as a copy.
 
+Facts that depend only on the basis are worked out once per basis, never
+per call: ``to_qubit_array`` takes each tuple's position (and the array's
+size and whether the basis is already in qubit order) from a bounded cache
+keyed on ``(basis, dof_specs)``, and the DoF traces take a basis's product
+slots (below) from a bounded memo keyed on the basis object.  Neither binds
+what depends on the data: which tuples the 1e-16 cut keeps, and so which
+positions are filled or which tuple fails to embed, is worked out on every
+call, as are the dense branch's diagonal test and its region-order test,
+which depends on the particle kind.
+
 The two DoF traces take a dense branch when the basis is the sorted full
 product of two-valued DoFs with one ket per distinct region (in canonical
 order for the symmetrized kinds) and every diagonal entry is above the cut,
@@ -69,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
-                     Ket, ShapeError, canonical, tuple_overlap)
+                     Ket, ShapeError, canonical, tuple_overlap, value_order)
 
 
 @dataclass(frozen=True)
@@ -143,24 +153,47 @@ def _product_basis(slots):
     return tuple(itertools.product(*per_slot))
 
 
-def _product_slots(dm):
-    """The slots of `dm` when the dense branch applies (module doc), else None."""
-    if not dm.basis or not (np.abs(dm.data.diagonal()) > 1e-16).all():
+_SLOTS_MEMO_SIZE = 256
+_slots_memo = {}  # id(basis) -> (basis, slots); holding the basis keeps its id unique
+
+
+def _basis_slots(basis):
+    """The slots of `basis` if it is the sorted full product of two-valued
+    DoFs with one ket per distinct region, else None; worked out once per
+    basis object while it is among the last 256 seen."""
+    hit = _slots_memo.get(id(basis))
+    if hit is None:
+        hit = _slots_memo[id(basis)] = (basis, _full_product_slots(basis))
+        if len(_slots_memo) > _SLOTS_MEMO_SIZE:
+            _slots_memo.pop(next(iter(_slots_memo)), None)
+    return hit[1]
+
+
+def _full_product_slots(basis):
+    if not basis:
         return None
     slots = []
-    for lo, hi in zip(dm.basis[0], dm.basis[-1]):
+    for lo, hi in zip(basis[0], basis[-1]):
         pairs = list(zip(lo.dofs, hi.dofs))
         if (lo.region != hi.region or len(lo.dofs) != len(hi.dofs)
                 or not all(i == j and a < b for (i, a), (j, b) in pairs)):
             return None
         slots.append((lo.region, tuple((i, (a, b)) for (i, a), (_, b) in pairs)))
-    regions = [region for region, _ in slots]
-    if len(set(regions)) < len(regions) or (
-            dm.eta != DISTINGUISHABLE and regions != sorted(regions)):
-        return None
     slots = tuple(slots)
-    if (len(dm.basis) != 2 ** sum(len(dofs) for _, dofs in slots)
-            or dm.basis != _product_basis(slots)):
+    if (len({region for region, _ in slots}) < len(slots)
+            or len(basis) != 2 ** sum(len(dofs) for _, dofs in slots)
+            or basis != _product_basis(slots)):
+        return None
+    return slots
+
+
+def _product_slots(dm):
+    """The slots of `dm` when the dense branch applies (module doc), else None."""
+    slots = _basis_slots(dm.basis)
+    if slots is None or not (np.abs(dm.data.diagonal()) > 1e-16).all():
+        return None
+    regions = [region for region, _ in slots]
+    if dm.eta != DISTINGUISHABLE and regions != sorted(regions):
         return None
     return slots
 
@@ -297,28 +330,28 @@ def trace_dof_dist(dm, particle, dof_index):
     return _reduce(dm, images_of, "DoF trace left nothing")
 
 
-def to_qubit_array(dm):
-    """Densify a reduced matrix into a standard tensor-ordered numpy array.
+@functools.lru_cache(maxsize=256)
+def _qubit_layout(basis, dof_specs):
+    """(dim, positions, in_order, embed) of `basis` in the qubit array.
 
-    Every remaining slot must carry at most a single DoF with at most two
-    values.  Slots are ordered by region label; within a slot the DoF's
-    declared eigenvalue order fixes |0>,|1>.  Tuples the reductions' 1e-16
-    basis cut would leave out stay zero.
+    `positions[c]` is the array position of basis tuple `c`, or -1 when
+    `embed` raises for it; the error is raised only if that tuple is kept.
+    `in_order` says that the basis fills the array in its own order.
     """
-    nslots = len(dm.basis[0])
-    regions = sorted({k.region for kets in dm.basis for k in kets})
+    nslots = len(basis[0])
+    regions = sorted({k.region for kets in basis for k in kets})
     if len(regions) != nslots:
         raise ShapeError("subsystem count does not match remaining slots")
 
     orders = []
     for r in regions:
-        slot_kets = sorted({k for kets in dm.basis for k in kets if k.region == r})
+        slot_kets = sorted({k for kets in basis for k in kets if k.region == r})
         idxs = {i for k in slot_kets for i, _ in k.dofs}
         if len(idxs) > 1:
             raise ShapeError(f"region {r!r} still carries several DoFs")
         if idxs:
             di = next(iter(idxs))
-            declared = dm.value_order(di)
+            declared = value_order(basis, dof_specs, di)
             if len(declared) == 2:
                 use = declared  # embed into the full qubit space
             else:
@@ -329,7 +362,6 @@ def to_qubit_array(dm):
         else:
             orders.append([Ket(r)])
     dims = [len(o) for o in orders]
-    dim = int(np.prod(dims))
 
     def embed(kets):
         by_region = {k.region: k for k in kets}
@@ -338,11 +370,36 @@ def to_qubit_array(dm):
             pos = pos * d + o.index(by_region[o[0].region])
         return pos
 
+    def position(kets):
+        try:
+            return embed(kets)
+        except (KeyError, ValueError):
+            return -1
+
+    positions = np.array([position(kets) for kets in basis], dtype=np.intp)
+    positions.setflags(write=False)
+    dim = int(np.prod(dims))
+    in_order = len(basis) == dim and (positions == np.arange(dim)).all()
+    return dim, positions, in_order, embed
+
+
+def to_qubit_array(dm):
+    """Densify a reduced matrix into a standard tensor-ordered numpy array.
+
+    Every remaining slot must carry at most a single DoF with at most two
+    values.  Slots are ordered by region label; within a slot the DoF's
+    declared eigenvalue order fixes |0>,|1>.  Tuples the reductions' 1e-16
+    basis cut would leave out stay zero.
+    """
+    dim, positions, in_order, embed = _qubit_layout(tuple(dm.basis),
+                                                    tuple(dm.dof_specs))
     kept = np.flatnonzero(_linked(dm).any(axis=1))
-    pos = [embed(dm.basis[c]) for c in kept]
     # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
-    if len(dm.basis) == dim and pos == list(range(dim)):
+    if in_order and len(kept) == dim:
         return dm.data + 0.0  # every tuple kept, already in qubit order
+    pos = positions[kept]
+    if (pos < 0).any():
+        embed(dm.basis[kept[pos < 0][0]])  # raises what the layout raised
     # the operator sum's own k: one row per distinct position, so the
     # amplitudes of distinguishable particles in swapped slots add
     cells, rows = np.unique(pos, return_inverse=True)

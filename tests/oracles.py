@@ -7,6 +7,11 @@ it in closed form; two routines here maximize the overlap directly over a
 3-angle parameterization of U, by multi-start local optimization and by a
 refined grid, so the tests can check the closed form against them.
 
+`six_run_teleport_fidelity` is `qdof.fidelity.average_teleport_fidelity` as
+it was first written: six separate runs of the protocol, each normalizing
+the channel and the input again and building its own `np.kron`.  The
+library's single-pass version must give its bytes.
+
 `qdof.states.tuple_overlap` gives the overlap of canonical ket tuples as a
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
 determinant (fermions) of the single-ket overlap matrix instead, and
@@ -19,7 +24,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from qdof.fidelity import PHI_PLUS, _fef_closed
+from qdof.fidelity import (_BELL, _CORRECTION, AXIS_STATES, PHI_PLUS,
+                           _fef_closed)
 from qdof.states import DISTINGUISHABLE, FERMION
 
 
@@ -146,3 +152,30 @@ def singlet_fraction_grid(rho, points_per_axis=22, refine=2):
         lo = best_x - 2 * span
         hi = best_x + 2 * span
     return best
+
+
+def _six_run_output(channel, psi_in):
+    channel = np.asarray(channel, dtype=complex)
+    channel = channel / np.trace(channel).real
+    psi_in = np.asarray(psi_in, dtype=complex)
+    psi_in = psi_in / np.linalg.norm(psi_in)
+    joint = np.kron(np.outer(psi_in, psi_in.conj()), channel)  # C x A x B
+    out = np.zeros((2, 2), dtype=complex)
+    t = joint.reshape(2, 2, 2, 2, 2, 2)  # (c a b | c' a' b')
+    for bell, corr in zip(_BELL, _CORRECTION):
+        m = bell.reshape(2, 2)
+        rho_b = np.einsum("ca,cabxyz,xy->bz", m.conj(), t, m)
+        out += corr @ rho_b @ corr.conj().T
+    return out
+
+
+def six_run_teleport_fidelity(channel):
+    """Mean input-output overlap over the six Pauli axis states, one full
+    protocol run per state."""
+    values = []
+    for v in AXIS_STATES:
+        psi_in = np.asarray(v, dtype=complex)
+        psi_in = psi_in / np.linalg.norm(psi_in)
+        out = _six_run_output(channel, psi_in)
+        values.append(float((psi_in.conj() @ out @ psi_in).real))
+    return float(np.mean(values))

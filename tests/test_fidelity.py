@@ -16,7 +16,8 @@ from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
                          to_density)
 from qdof.trace import project_one_per_region
 
-from oracles import optimized_singlet_fraction, singlet_fraction_grid
+from oracles import (optimized_singlet_fraction, singlet_fraction_grid,
+                     six_run_teleport_fidelity)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -117,6 +118,29 @@ def test_teleport_noisy_singlet_linear_fidelity():
     for p in (0.0, 0.25, 0.7, 1.0):
         ch = p * BELL + (1 - p) * np.eye(4) / 4
         assert average_teleport_fidelity(ch) == pytest.approx(p + (1 - p) / 2)
+
+
+def _noise_pair_matrices():
+    for kind in ("distinguishable", "indistinguishable"):
+        for n in (1, 2, 3):
+            layout = ChannelLayout(kind, n)
+            for p in (0.0, 0.37, 0.9, 1.0):
+                grid = fidelity._pair_matrices(two_param_state(p, layout),
+                                               layout)
+                yield from grid.values()
+
+
+def test_average_teleport_fidelity_matches_six_runs_byte_for_byte():
+    rng = np.random.default_rng(4)
+    channels = [_random_rho(rng) for _ in range(100)]
+    channels += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                 for _ in range(50)]
+    channels += [1e-7 * _random_rho(rng) for _ in range(50)]
+    channels += list(_noise_pair_matrices())
+    for channel in channels:
+        got = np.float64(average_teleport_fidelity(channel))
+        want = np.float64(six_run_teleport_fidelity(channel))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_two_param_state_endpoints():
@@ -232,3 +256,70 @@ def test_each_distinct_pair_matrix_is_measured_once(monkeypatch, layout, dm,
     assert counts == {"average_teleport_fidelity": calls,
                       "singlet_fraction": calls}
     assert got == want
+
+
+def _count_reductions(monkeypatch):
+    """Reset the grid memo and count `_pair_matrices` calls."""
+    monkeypatch.setattr(fidelity, "_last_grid", None)
+    calls = []
+    pair_matrices = fidelity._pair_matrices
+
+    def spy(dm, layout, pairs=None):
+        calls.append(dm)
+        return pair_matrices(dm, layout, pairs)
+
+    monkeypatch.setattr(fidelity, "_pair_matrices", spy)
+    return calls
+
+
+def _both(dm, layout, params):
+    return (generalized_teleportation_fidelity(dm, layout, params),
+            generalized_singlet_fraction(dm, layout))
+
+
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_one_state_is_reduced_once_for_both_quantities(monkeypatch, kind):
+    layout = ChannelLayout(kind, 3)
+    params = FidelityParams.for_layout(layout)
+    dm = two_param_state(0.37, layout)
+    want = _per_pair_loop(dm, layout, params)
+    calls = _count_reductions(monkeypatch)
+    measured = []
+
+    def spy(matrix, measure=fidelity.singlet_fraction):
+        measured.append(matrix)
+        return measure(matrix)
+
+    monkeypatch.setattr(fidelity, "singlet_fraction", spy)
+    assert _both(dm, layout, params) == want
+    assert len(calls) == 1
+    # the memo's matrices reach the measures read-only
+    assert measured and not any(m.flags.writeable for m in measured)
+
+
+def test_grid_is_rebuilt_after_the_data_changes_in_place(monkeypatch):
+    layout = ChannelLayout("distinguishable", 2)
+    params = FidelityParams.for_layout(layout)
+    dm = two_param_state(0.37, layout)
+    calls = _count_reductions(monkeypatch)
+    before = _both(dm, layout, params)
+    dm.data[...] = two_param_state(0.9, layout).data
+    after = _both(dm, layout, params)
+    assert len(calls) == 2
+    assert after != before
+    monkeypatch.undo()
+    assert after == _per_pair_loop(dm, layout, params)
+
+
+def test_equal_data_on_another_basis_object_is_reduced_again(monkeypatch):
+    layout = ChannelLayout("indistinguishable", 2)
+    params = FidelityParams.for_layout(layout)
+    dm = two_param_state(0.37, layout)
+    twin = DensityMatrix(tuple(list(dm.basis)), dm.data.copy(), dm.eta,
+                         dm.dof_specs, dm.n_dofs_orig)
+    assert twin.basis == dm.basis and twin.basis is not dm.basis
+    calls = _count_reductions(monkeypatch)
+    got = _both(dm, layout, params), _both(twin, layout, params)
+    assert [c is dm for c in calls] == [True, False]
+    monkeypatch.undo()
+    assert got == (_per_pair_loop(dm, layout, params),) * 2

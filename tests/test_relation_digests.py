@@ -2,9 +2,18 @@
 
 The benchmark's digest table (`benchmarks/cli_digests.json`) has no
 `fidelity-relation` argv, so the relation records are pinned here: for both
-kinds at n = 1-3, in JSON and CSV, the exit code is 0 and the SHA-256 of
+kinds at n = 1-4, in JSON and CSV, the exit code is 0 and the SHA-256 of
 stdout is the one recorded before the pair measurements were shared across
-equal pair matrices.  Every field counts, `residual` round-off included.
+equal pair matrices (n = 4: before the grid memo).  Every field counts,
+`residual` round-off included.
+
+`relation_check` reduces each state itself, so the records above bypass the
+one-entry grid memo of `generalized_teleportation_fidelity` and
+`generalized_singlet_fraction`.  `PUBLIC_DIGESTS` pins those two functions,
+called back to back on one state as the benchmark's `relation` op calls
+them: for every (kind, n) group of that op's mix, the SHA-256 of
+`repr((f_g, F_g))` at p = 0, 0.37 and 0.9, one line each, recorded before
+the memo was added.
 
 `residual` passes through LAPACK (svd, det) and BLAS products, whose last
 bits can depend on the numpy build and on the OpenBLAS kernel picked for the
@@ -21,6 +30,7 @@ import io
 
 import pytest
 
+from qdof import fidelity
 from qdof.cli import main
 
 DIGESTS = {
@@ -48,6 +58,29 @@ DIGESTS = {
         "3e04073bcfc4b85c4d9a7a2b3b70adcf530ff331d1d3fdf39266591a7d202d8b",
     "--kind indistinguishable --n 3 --format csv":
         "b7723b2766a5adb7943dacb03e260860b4b3fe690f3e565571a85476e45c87d4",
+    "--kind distinguishable --n 4 --format json":
+        "09ad0dd8b70da7809d7f82cc39ed42890e0cfe5ebe66fbc79f0a3cc227a93ad4",
+    "--kind distinguishable --n 4 --format csv":
+        "0dd75c6e37dd4403fb5cd01454d6d6f95f51b2513f33b6d5c034eb8b29987367",
+    "--kind indistinguishable --n 4 --format json":
+        "605654890b3c6ea1e29e2258e4c28b460d5f33d4581f64e60a6426c58fded550",
+    "--kind indistinguishable --n 4 --format csv":
+        "992fbf5cb7878ae1a3adca193ebdd18793070109f13561e3be230778393100a8",
+}
+
+PUBLIC_DIGESTS = {
+    ("distinguishable", 1):
+        "ba9141eea6c06b6ced14d1bb9366e038533c6321e47fa374632e8d2af2e08ee7",
+    ("distinguishable", 2):
+        "3814422f873bdbfdbf5b57dc4ae3f43577ec23fbb73bca02cce10f829cd214aa",
+    ("distinguishable", 3):
+        "40decf0d2b08cd9239d749ae01770c12c29020a6e3dfa90eb6776a9a23fb611a",
+    ("indistinguishable", 1):
+        "504e1aceef013c65522759de35a1e5e41f7c90e28345696673a679f100eaa476",
+    ("indistinguishable", 2):
+        "372b562912d71d30f582ed9e8149d6e9eedc691d4c2f28f85b0243dba7c059e7",
+    ("indistinguishable", 3):
+        "16e6efcc9c3eb9575d6e06a7e6981e5a5e2b84f40ec608ab9358d1eb723b5f52",
 }
 
 
@@ -59,3 +92,15 @@ def test_relation_record_bytes(args):
         rc = main(["fidelity-relation"] + args.split(" "))
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[args]
+
+
+@pytest.mark.parametrize("kind, n", sorted(PUBLIC_DIGESTS))
+def test_public_relation_values_bytes(kind, n):
+    layout = fidelity.ChannelLayout(kind, n)
+    lines = []
+    for p in (0.0, 0.37, 0.9):
+        dm = fidelity.two_param_state(p, layout)
+        lines.append(repr((fidelity.generalized_teleportation_fidelity(dm, layout),
+                           fidelity.generalized_singlet_fraction(dm, layout))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PUBLIC_DIGESTS[kind, n]

@@ -219,3 +219,14 @@ def test_lofranco_distinguishable_matches_region_trace():
         kernel = trace_region(to_density(s), region)
         assert red.basis == kernel.basis
         assert np.allclose(red.data, kernel.data, atol=1e-12)
+
+
+def test_qubit_layout_of_specs_given_as_lists():
+    # the layout is cached on (basis, dof_specs), so both must hash
+    spec = DofSpec(1, ["x", "y"])
+    assert spec == DofSpec(1, ("x", "y")) and hash(spec)
+    terms = {(Ket("a", ((1, "x"),)), Ket("b", ((1, v),))): 1.0 for v in "xy"}
+    dm = to_density(normalize(SymState(DISTINGUISHABLE, terms, [spec])))
+    assert isinstance(dm.dof_specs, list)
+    assert np.allclose(to_qubit_array(dm), np.kron([[1, 0], [0, 0]],
+                                                   np.full((2, 2), 0.5)))

@@ -16,7 +16,9 @@ conditions must still reach the kernel.
 
 `to_qubit_array` lays matrices out by index; its array must equal, byte for
 byte (signed zeros included), the one the operator-sum kernel laid out, and
-it must fail with the same errors.
+it must fail with the same errors.  It works out each basis's positions
+once, so a second matrix on the same basis, with other rows below the cut,
+must still be laid out (or fail) by its own rows.
 """
 
 import itertools
@@ -335,6 +337,14 @@ def _three_valued(eta):
                             rng, "mixed")
 
 
+def _regions_out_of_order(eta):
+    """A full product with slot regions (s2, s1): not canonical tuples for
+    the symmetrized kinds."""
+    rng = np.random.default_rng(10)
+    return _product_density(eta, ("s2", "s1"), [(("0", "1"),) * 2] * 2, rng,
+                            "mixed")
+
+
 def _unsorted_basis(eta):
     rng = np.random.default_rng(7)
     dm = _product_density(eta, ("s1", "s2"), [(("0", "1"),) * 2] * 2, rng,
@@ -352,10 +362,11 @@ def _unsorted_basis(eta):
     (_three_valued(DISTINGUISHABLE), "trace_dof_dist", (1, 1)),
     (_unsorted_basis(BOSON), "trace_dof_indist", (Subsystem("s2", 1),)),
     (_unsorted_basis(DISTINGUISHABLE), "trace_dof_dist", (0, 1)),
+    (_regions_out_of_order(BOSON), "trace_dof_indist", (Subsystem("s2", 1),)),
     (_li_projected(), "trace_dof_indist", (Subsystem("s1", 1),)),
 ], ids=["weight-below-cut-indist", "weight-below-cut-dist",
         "three-valued-indist", "three-valued-dist", "unsorted-basis-indist",
-        "unsorted-basis-dist", "li_circuit"])
+        "unsorted-basis-dist", "regions-out-of-order-indist", "li_circuit"])
 def test_inputs_outside_the_dense_branch_take_the_kernel(monkeypatch, dm, fn,
                                                           args):
     def refuse(*args, **kwargs):
@@ -561,3 +572,40 @@ def test_qubit_layout_edge_cases_match_the_kernel(dm, message):
         with pytest.raises(ShapeError) as exc:
             trace.to_qubit_array(dm)
         assert str(exc.value) == message
+
+
+def _cut(data, row):
+    data = data.copy()
+    data[row, :] *= 1e-18
+    data[:, row] *= 1e-18
+    return data
+
+
+def _product_pair():
+    """A full-rank two-qubit matrix, then row 1 of it below the cut."""
+    rng = np.random.default_rng(8)
+    dm = _product_density(BOSON, ("s1", "s2"), [(("0", "1"),)] * 2, rng, "mixed")
+    return dm, [dm.data, _cut(dm.data, 1)]
+
+
+def _bunched_pair():
+    """Bosons at (a, b) beside a bunched (a, a) tuple, which has no position
+    in the qubit array: first below the cut, then kept."""
+    xy = DofSpec(1, ("x", "y"))
+    bunched = (Ket("a", ((1, "x"),)), Ket("a", ((1, "y"),)))
+    terms = {(Ket("a", ((1, "x"),)), Ket("b", ((1, v),))): amp
+             for v, amp in (("x", 0.6), ("y", -0.3j))}
+    terms[bunched] = 0.2
+    dm = to_density(normalize(SymState(BOSON, terms, (xy,))))
+    return dm, [_cut(dm.data, dm.basis.index(bunched)), dm.data]
+
+
+@pytest.mark.parametrize("case", [_product_pair, _bunched_pair],
+                         ids=["row-below-cut-second", "bunched-kept-second"])
+def test_qubit_layout_takes_each_calls_rows(case):
+    """Two calls on one basis object lay out (or reject) the rows each
+    call's own data keeps."""
+    dm, datas = case()
+    for data in datas:
+        _assert_same_layout(DensityMatrix(dm.basis, data, dm.eta, dm.dof_specs,
+                                          dm.n_dofs_orig))
