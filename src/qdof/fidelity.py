@@ -17,7 +17,13 @@ memo is keyed on the layout, the identity of `dm.basis`, `dm.eta`,
 `dm.data`: input equal in all of these gets the very grid a fresh reduction
 would build, and a matrix changed in place or set on another basis object is
 reduced again.  The memo's matrices are read-only.  `relation_check` reduces
-each of its states itself, past the memo.
+each of its states itself, past the memo; a p = 1 grid point reuses the
+endpoint grid its ceilings were measured on.
+
+The noise family and the random states of `sf_upper_bound_check` take their
+basis, resource matrix and DoF specs from `_resource(layout)`, cached per
+layout.  The basis is built by `trace._product_basis`, so it carries its
+product slots and the DoF traces take their dense branch on it.
 
 Teleportation is simulated with the standard Bell-measurement-and-correction
 protocol; fidelities are input-output overlaps averaged over the six Pauli
@@ -256,7 +262,10 @@ _AXIS_RHOS = np.array([np.outer(u, u.conj())
 
 def _normalized_channel(channel):
     channel = np.asarray(channel, dtype=complex)
-    return channel / np.trace(channel).real
+    tr = np.trace(channel).real
+    if abs(tr) < 1e-12:
+        raise DegenerateStateError("teleportation through a zero-trace channel")
+    return channel / tr
 
 
 def _corrected_output(t):
@@ -325,23 +334,20 @@ def _teleportation_fidelity_of(grid, layout, params):
 # -- the two-parameter family and the relation ----------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _dist_specs(n):
-    return tuple(DofSpec(i, ("0", "1")) for i in range(1, n + 1))
-
-
-def _dist_basis(n, first="A", second="B"):
-    """Sorted product basis of two parties with `n` two-valued DoFs each; the
-    cached object, so the trace rules recognize it by identity."""
-    dofs = tuple((i, ("0", "1")) for i in range(1, n + 1))
-    return _product_basis(((first, dofs), (second, dofs)))
-
-
 @functools.lru_cache(maxsize=8)
 def _resource(layout):
-    """(basis, data, eta) of `max_entangled_resource(layout)`, `data` read-only."""
+    """(basis, data, eta, specs) of the reference state with a maximally
+    entangled pair for every DoF, `data` read-only.
+
+    Distinguishable particles can only afford one Bell pair (first DoF of each
+    side; every other DoF maximally mixed).  Indistinguishable regions support
+    the inter-DoF correlated two-mode state whose every pairwise reduction is
+    a Bell state.  The basis is the sorted product of two parties with `n`
+    two-valued DoFs each, built by `_product_basis`, so it carries its slots.
+    """
     n = layout.n
     dim = 4 ** n
+    dofs = tuple((i, ("0", "1")) for i in range(1, n + 1))
     if layout.kind == "distinguishable":
         bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
         rest = np.eye(4 ** (n - 1), dtype=complex) / (4 ** (n - 1))
@@ -351,38 +357,27 @@ def _resource(layout):
         perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
         perm = perm + [2 * n + p for p in perm]
         data = t.transpose(perm).reshape(dim, dim)
-        basis, eta = _dist_basis(n), DISTINGUISHABLE
+        regions, eta = ("A", "B"), DISTINGUISHABLE
     else:
         # |0..0, 0..0> and |1..1, 1..1>, the first and last product tuples
         v = np.zeros(dim, dtype=complex)
         v[0] = v[dim - 1] = 1 / math.sqrt(2)
         data = np.outer(v, v.conj())
-        basis, eta = _dist_basis(n, "s1", "s2"), BOSON
+        regions, eta = ("s1", "s2"), BOSON
     data.setflags(write=False)
-    return basis, data, eta
-
-
-def max_entangled_resource(layout):
-    """The reference state with a maximally entangled pair for every DoF.
-
-    Distinguishable particles can only afford one Bell pair (first DoF of each
-    side; every other DoF maximally mixed).  Indistinguishable regions support
-    the inter-DoF correlated two-mode state whose every pairwise reduction is
-    a Bell state.
-    """
-    basis, data, eta = _resource(layout)
-    return DensityMatrix(basis, data.copy(), eta, _dist_specs(layout.n),
-                         layout.n)
+    basis = _product_basis(tuple((region, dofs) for region in regions))
+    specs = tuple(DofSpec(i, values) for i, values in dofs)
+    return basis, data, eta, specs
 
 
 def two_param_state(p, layout):
     """p * resource + (1-p) * white noise over the 4^n-dimensional pair space."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    basis, resource, eta = _resource(layout)
+    basis, resource, eta, specs = _resource(layout)
     dim = len(basis)
     data = p * resource + (1.0 - p) * np.eye(dim) / dim
-    return DensityMatrix(basis, data, eta, _dist_specs(layout.n), layout.n)
+    return DensityMatrix(basis, data, eta, specs, layout.n)
 
 
 def relation_check(layout, p_grid=None, params=None):
@@ -397,15 +392,19 @@ def relation_check(layout, p_grid=None, params=None):
     if len(p_grid) == 0:
         raise ValueError("p_grid needs at least one point")
     n = layout.n
+    endpoint = None
     if params is None:
-        grid = _pair_matrices(two_param_state(1.0, layout), layout)
+        endpoint = _pair_matrices(two_param_state(1.0, layout), layout)
         params = FidelityParams(
-            _teleportation_fidelity_of(grid, layout,
+            _teleportation_fidelity_of(endpoint, layout,
                                        FidelityParams.for_layout(layout)),
-            _singlet_fraction_of(grid, n))
+            _singlet_fraction_of(endpoint, n))
     records = []
     for p in p_grid:
-        grid = _pair_matrices(two_param_state(float(p), layout), layout)
+        if endpoint is not None and float(p) == 1.0:
+            grid = endpoint  # the p = 1 state, already reduced
+        else:
+            grid = _pair_matrices(two_param_state(float(p), layout), layout)
         f_g = _teleportation_fidelity_of(grid, layout, params)
         big_f = _singlet_fraction_of(grid, n)
         predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
@@ -425,14 +424,14 @@ def sf_upper_bound_check(layout, samples=200, seed=0):
     rng = np.random.default_rng(seed)
     n = layout.n
     dim = 4 ** n
-    basis = _dist_basis(n)
+    basis, _, _, specs = _resource(layout)
     bound = 1.0 + (n - 1) / D
     worst = -1.0
     for _ in range(samples):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
         dm = DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE,
-                           _dist_specs(n), n)
+                           specs, n)
         val = generalized_singlet_fraction(dm, layout)
         worst = max(worst, val)
     return {"bound": bound, "max_observed": worst,

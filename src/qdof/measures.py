@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import BOSON, DofSpec, Ket, SymState, normalize, to_density
+from .states import (BOSON, DegenerateStateError, DofSpec, Ket, SymState,
+                     normalize, to_density)
 from .trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist, trace_region
 
 _SY = np.array([[0, -1j], [1j, 0]])
@@ -37,7 +38,10 @@ def _check_density(rho, dim, atol=1e-7):
         raise ValueError("matrix is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -1e-7:
         raise ValueError("matrix is not positive semidefinite")
-    return rho / np.trace(rho).real
+    tr = np.trace(rho).real
+    if abs(tr) < 1e-12:
+        raise DegenerateStateError("zero-trace matrix")
+    return rho / tr
 
 
 def _sqrtm_psd(rho):

@@ -47,18 +47,20 @@ qubit order is returned as a copy.
 Facts that depend only on the basis are worked out once per basis, never
 per call: ``to_qubit_array`` takes each tuple's position (and the array's
 size and whether the basis is already in qubit order) from a bounded cache
-keyed on ``(basis, dof_specs)``, and the DoF traces take a basis's product
-slots (below) from a bounded memo keyed on the basis object.  Neither binds
-what depends on the data: which tuples the 1e-16 cut keeps, and so which
-positions are filled or which tuple fails to embed, is worked out on every
-call, as are the dense branch's diagonal test and its region-order test,
-which depends on the particle kind.
+keyed on ``(basis, dof_specs)``.  It does not bind what depends on the data:
+which tuples the 1e-16 cut keeps, and so which positions are filled or which
+tuple fails to embed, is worked out on every call.
 
-The two DoF traces take a dense branch when the basis is the sorted full
-product of two-valued DoFs with one ket per distinct region (in canonical
-order for the symmetrized kinds) and every diagonal entry is above the cut,
-as for the noise family and random states of ``fidelity``.  There the
-kernel keeps the whole reduced product, every coefficient is +-1 (one sign
+The two DoF traces take a dense branch on a ``ProductBasis``: the sorted
+full product of two-valued DoFs with one ket per distinct region, built by
+``_product_basis`` (cached), which is its only constructor and stores its
+slots on it.  The bases of ``fidelity``'s noise family and random states are
+built so, as is every basis the branch returns.  Two tests stay per call:
+every diagonal entry must be above the cut, and for the symmetrized kinds
+the regions must be in canonical order.  A full product built any other way
+(a hand-built tuple, or a kernel output that happens to be one) carries no
+slots and takes the kernel, which gives the same bytes.  On a product basis
+the kernel keeps the whole reduced product, every coefficient is +-1 (one sign
 per slot, so it cancels between ket and bra) and each output entry is the
 sum of two input entries, so the branch views the matrix as a ``(2,) * 2m``
 array and adds two slices.  It adds them in the kernel's order -- over the
@@ -117,7 +119,7 @@ def _operator_sum(dm, images_of):
     for key, images in by_key.items():
         reach = linked[:, [col for col, _, _ in images]].any(axis=1)
         by_key[key] = [im for im in images if reach[im[0]]]
-    basis = sorted({r for images in by_key.values() for _, _, r in images})
+    basis = tuple(sorted({r for images in by_key.values() for _, _, r in images}))
     index = {b: i for i, b in enumerate(basis)}
     data = np.zeros((len(basis), len(basis)), dtype=complex)
     for images in by_key.values():
@@ -137,59 +139,38 @@ def _renormalized(dm, basis, data, empty, n_dofs=None):
     """The reduced matrix on `basis`, renormalized to unit trace."""
     if not basis:
         raise EmptySubspaceError(empty)
-    red = DensityMatrix(tuple(basis), data, dm.eta, dm.dof_specs,
+    red = DensityMatrix(basis, data, dm.eta, dm.dof_specs,
                         n_dofs or dm.n_dofs_orig)
     if red.trace <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
     return red.renormalized()
 
 
+class ProductBasis(tuple):
+    """The sorted full product of two-valued DoFs with one ket per distinct
+    region, carrying its `slots`, ((region, ((dof, (a, b)), ...)), ...)
+    with a < b; made only by `_product_basis`."""
+
+
 @functools.lru_cache(maxsize=256)
 def _product_basis(slots):
-    """Sorted full product basis of `slots`, ((region, ((dof, values), ...)), ...)."""
+    """The `ProductBasis` of `slots`."""
+    if len({region for region, _ in slots}) < len(slots):
+        raise ValueError("a product basis has one ket per distinct region")
+    if not all(len(values) == 2 and values[0] < values[1]
+               for _, dofs in slots for _, values in dofs):
+        raise ValueError("a product basis DoF takes two values, in sorted order")
     per_slot = [[Ket(region, tuple(zip([i for i, _ in dofs], combo)))
                  for combo in itertools.product(*[v for _, v in dofs])]
                 for region, dofs in slots]
-    return tuple(itertools.product(*per_slot))
-
-
-_SLOTS_MEMO_SIZE = 256
-_slots_memo = {}  # id(basis) -> (basis, slots); holding the basis keeps its id unique
-
-
-def _basis_slots(basis):
-    """The slots of `basis` if it is the sorted full product of two-valued
-    DoFs with one ket per distinct region, else None; worked out once per
-    basis object while it is among the last 256 seen."""
-    hit = _slots_memo.get(id(basis))
-    if hit is None:
-        hit = _slots_memo[id(basis)] = (basis, _full_product_slots(basis))
-        if len(_slots_memo) > _SLOTS_MEMO_SIZE:
-            _slots_memo.pop(next(iter(_slots_memo)), None)
-    return hit[1]
-
-
-def _full_product_slots(basis):
-    if not basis:
-        return None
-    slots = []
-    for lo, hi in zip(basis[0], basis[-1]):
-        pairs = list(zip(lo.dofs, hi.dofs))
-        if (lo.region != hi.region or len(lo.dofs) != len(hi.dofs)
-                or not all(i == j and a < b for (i, a), (j, b) in pairs)):
-            return None
-        slots.append((lo.region, tuple((i, (a, b)) for (i, a), (_, b) in pairs)))
-    slots = tuple(slots)
-    if (len({region for region, _ in slots}) < len(slots)
-            or len(basis) != 2 ** sum(len(dofs) for _, dofs in slots)
-            or basis != _product_basis(slots)):
-        return None
-    return slots
+    basis = ProductBasis(itertools.product(*per_slot))
+    basis.slots = slots
+    return basis
 
 
 def _product_slots(dm):
     """The slots of `dm` when the dense branch applies (module doc), else None."""
-    slots = _basis_slots(dm.basis)
+    slots = getattr(dm.basis, "slots", None)
     if slots is None or not (np.abs(dm.data.diagonal()) > 1e-16).all():
         return None
     regions = [region for region, _ in slots]

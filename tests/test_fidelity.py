@@ -228,8 +228,8 @@ def _random_pure(layout, seed):
     dim = 4 ** layout.n
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    return DensityMatrix(fidelity._dist_basis(layout.n), np.outer(v, v.conj()),
-                         DISTINGUISHABLE, fidelity._dist_specs(layout.n),
+    basis, _, _, specs = fidelity._resource(layout)
+    return DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE, specs,
                          layout.n)
 
 
@@ -323,3 +323,11 @@ def test_equal_data_on_another_basis_object_is_reduced_again(monkeypatch):
     assert [c is dm for c in calls] == [True, False]
     monkeypatch.undo()
     assert got == (_per_pair_loop(dm, layout, params),) * 2
+
+
+def test_relation_check_reduces_the_endpoint_once(monkeypatch):
+    """The default grid's p = 1 point reuses the grid the ceilings were
+    measured on: 21 reductions for 21 points."""
+    calls = _count_reductions(monkeypatch)
+    relation_check(ChannelLayout("indistinguishable", 3))
+    assert len(calls) == 21

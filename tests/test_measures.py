@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from qdof.circuits import PhaseConfig, li_circuit
+from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
+                           teleport_output)
 from qdof.measures import (CASE_PATTERNS, MonogamyReport, ThreeParticleCase,
                            concurrence, log_negativity, mixed_monogamy_check,
                            monogamy_report, monogamy_report_qubits, negativity,
                            random_case, spin_flip_spectrum,
                            three_particle_case, tangle_one_vs_rest, vn_entropy,
                            z_form_pair, z_form_tangle)
-from qdof.states import to_density
+from qdof.states import DegenerateStateError, to_density
 from qdof.trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist
 
 BELL = np.zeros((4, 4))
@@ -21,6 +23,18 @@ def _haar_unitary(rng, d=2):
     z = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("measure, dim", [
+    (concurrence, 4), (negativity, 4), (spin_flip_spectrum, 4),
+    (tangle_one_vs_rest, 2), (average_teleport_fidelity, 4),
+    (lambda rho: teleport_fidelity(rho, [1, 0]), 4),
+    (lambda rho: teleport_output(rho, [1, 0]), 4),
+], ids=["concurrence", "negativity", "spin_flip_spectrum", "tangle_one_vs_rest",
+        "average_teleport_fidelity", "teleport_fidelity", "teleport_output"])
+def test_zero_trace_matrices_raise_degenerate_state_error(measure, dim):
+    with pytest.raises(DegenerateStateError):
+        measure(np.zeros((dim, dim)))
 
 
 def test_concurrence_bell_and_product():

@@ -1,11 +1,14 @@
-"""`fidelity-relation` prints its recorded bytes.
+"""`fidelity-relation` and `sf-bound` print their recorded bytes.
 
 The benchmark's digest table (`benchmarks/cli_digests.json`) has no
-`fidelity-relation` argv, so the relation records are pinned here: for both
-kinds at n = 1-4, in JSON and CSV, the exit code is 0 and the SHA-256 of
-stdout is the one recorded before the pair measurements were shared across
-equal pair matrices (n = 4: before the grid memo).  Every field counts,
-`residual` round-off included.
+`fidelity-relation` or `sf-bound` argv, so their records are pinned here,
+keyed by full argv (test ids drop the leading `fidelity-relation`): for
+`fidelity-relation` of both kinds at n = 1-4, in JSON and CSV, and at n = 5
+with `--points 2`, and for `sf-bound --n 1/2/3`, the exit code is 0 and the
+SHA-256 of stdout is the one recorded before the pair measurements were
+shared across equal pair matrices (n = 4: before the grid memo; n = 5 and
+`sf-bound`: before a product basis carried its own slots).  Every field
+counts, `residual` round-off included.
 
 `relation_check` reduces each state itself, so the records above bypass the
 one-entry grid memo of `generalized_teleportation_fidelity` and
@@ -34,38 +37,52 @@ from qdof import fidelity
 from qdof.cli import main
 
 DIGESTS = {
-    "--kind distinguishable --n 1 --format json":
+    "fidelity-relation --kind distinguishable --n 1 --format json":
         "c2fc33f658c3be2a163b49651471cd5161654fd2f60baba4ab9117adc32e68bd",
-    "--kind distinguishable --n 1 --format csv":
+    "fidelity-relation --kind distinguishable --n 1 --format csv":
         "9dea977180970dfd6cce184f88e3235bde9e2e48c17680e2c3849f73ec69899f",
-    "--kind distinguishable --n 2 --format json":
+    "fidelity-relation --kind distinguishable --n 2 --format json":
         "3b1d173f66e0c93d3e7a8f164aa7025848201a70f8fcc3c138b14ce748ea68b5",
-    "--kind distinguishable --n 2 --format csv":
+    "fidelity-relation --kind distinguishable --n 2 --format csv":
         "2efc013f4ce233efdd480d71d61fe3b87c6e3f6a4b7ab8b95f813a376a09091c",
-    "--kind distinguishable --n 3 --format json":
+    "fidelity-relation --kind distinguishable --n 3 --format json":
         "0e133d52c85522404aafd89f396cab473239a7bb856fb50711f2e4fb05728d10",
-    "--kind distinguishable --n 3 --format csv":
+    "fidelity-relation --kind distinguishable --n 3 --format csv":
         "8dbfa16675301e6e5ca457fe408d7305db5a43f65f47941ced7f0103b781131f",
-    "--kind indistinguishable --n 1 --format json":
+    "fidelity-relation --kind indistinguishable --n 1 --format json":
         "6b132068a354085e55d0aedd9d63e4047f25a529b9c52da70778d353eb56ac6c",
-    "--kind indistinguishable --n 1 --format csv":
+    "fidelity-relation --kind indistinguishable --n 1 --format csv":
         "9e1e5d64d45fc4ee2bf91eca72695c16bf137a3c89daa0045e0e77a24839abf8",
-    "--kind indistinguishable --n 2 --format json":
+    "fidelity-relation --kind indistinguishable --n 2 --format json":
         "f068739ee586fc930b47253af7e62601e101c52dd8fdd9473f705eba5205f932",
-    "--kind indistinguishable --n 2 --format csv":
+    "fidelity-relation --kind indistinguishable --n 2 --format csv":
         "438a8366dabd37321fb18e5c8649ef4bf51bff8d31a14f9cacbd8e7c8a8830fc",
-    "--kind indistinguishable --n 3 --format json":
+    "fidelity-relation --kind indistinguishable --n 3 --format json":
         "3e04073bcfc4b85c4d9a7a2b3b70adcf530ff331d1d3fdf39266591a7d202d8b",
-    "--kind indistinguishable --n 3 --format csv":
+    "fidelity-relation --kind indistinguishable --n 3 --format csv":
         "b7723b2766a5adb7943dacb03e260860b4b3fe690f3e565571a85476e45c87d4",
-    "--kind distinguishable --n 4 --format json":
+    "fidelity-relation --kind distinguishable --n 4 --format json":
         "09ad0dd8b70da7809d7f82cc39ed42890e0cfe5ebe66fbc79f0a3cc227a93ad4",
-    "--kind distinguishable --n 4 --format csv":
+    "fidelity-relation --kind distinguishable --n 4 --format csv":
         "0dd75c6e37dd4403fb5cd01454d6d6f95f51b2513f33b6d5c034eb8b29987367",
-    "--kind indistinguishable --n 4 --format json":
+    "fidelity-relation --kind indistinguishable --n 4 --format json":
         "605654890b3c6ea1e29e2258e4c28b460d5f33d4581f64e60a6426c58fded550",
-    "--kind indistinguishable --n 4 --format csv":
+    "fidelity-relation --kind indistinguishable --n 4 --format csv":
         "992fbf5cb7878ae1a3adca193ebdd18793070109f13561e3be230778393100a8",
+    "fidelity-relation --kind distinguishable --n 5 --points 2 --format json":
+        "4a5d3af71da6ed6df1375c1597624c87de10baaa8e8e954e9d9045e9f6816f12",
+    "fidelity-relation --kind distinguishable --n 5 --points 2 --format csv":
+        "9e49535a344ed64bf769f46bb5ae85264e8ed93bea9c9a1ed8c5a7295ebc6214",
+    "fidelity-relation --kind indistinguishable --n 5 --points 2 --format json":
+        "da9d53bffb7aaf6481323eed2d07d0e60343d58ae71ac1d715c0bad3fba1efcd",
+    "fidelity-relation --kind indistinguishable --n 5 --points 2 --format csv":
+        "1510a72935294db8b90f77ef7e552aca67a13bbd8fb8445766a1d0ba5bcb71e1",
+    "sf-bound --n 1":
+        "cdee5769d82bec22e975ae6fd21ff01739977df1fdf483767e2b3acd8e2da3a9",
+    "sf-bound --n 2":
+        "bef47d92f7a9ee8575fde39ae5657fa3aedaf3a185d232b021be64df30347b8f",
+    "sf-bound --n 3":
+        "84c42e824272b73cc7387b5bf4b3db9f458730cac97c108d8b568ad47abf5239",
 }
 
 PUBLIC_DIGESTS = {
@@ -84,14 +101,15 @@ PUBLIC_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("args", sorted(DIGESTS))
-def test_relation_record_bytes(args):
+@pytest.mark.parametrize("argv", sorted(DIGESTS),
+                         ids=lambda argv: argv.removeprefix("fidelity-relation "))
+def test_relation_record_bytes(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        rc = main(["fidelity-relation"] + args.split(" "))
+        rc = main(argv.split(" "))
     assert rc == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[args]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[argv]
 
 
 @pytest.mark.parametrize("kind, n", sorted(PUBLIC_DIGESTS))

@@ -10,9 +10,10 @@ sector of terms whose entries straddle the 1e-16 weight cut, and, on states
 whose amplitudes stay well above that cut, for traces over two different
 subsystems, which must also commute.
 
-On full-product states the two DoF traces take their dense branch, which
-must give the kernel's result bit for bit; inputs just outside its
-conditions must still reach the kernel.
+On full-product states built by `trace._product_basis` the two DoF traces
+take their dense branch, which must give the kernel's result bit for bit;
+inputs just outside its conditions, a plain-tuple copy of such a basis
+among them, must still reach the kernel.
 
 `to_qubit_array` lays matrices out by index; its array must equal, byte for
 byte (signed zeros included), the one the operator-sum kernel laid out, and
@@ -244,11 +245,19 @@ def test_reductions_are_density_matrices_and_commute(state, data):
 
 def _product_density(eta, regions, values, rng, mixture):
     """Random matrix on the sorted full product; `values[r]` lists the value
-    tuple of each DoF of region r."""
+    tuple of each DoF of region r.  A product of two-valued DoFs is built by
+    `trace._product_basis`, so it carries its slots; any other stays a plain
+    tuple."""
     per_slot = [[Ket(region, tuple(enumerate(combo, start=1)))
                  for combo in itertools.product(*map(sorted, vals))]
                 for region, vals in zip(regions, values)]
     basis = tuple(itertools.product(*per_slot))
+    if all(len(v) == 2 for vals in values for v in vals):
+        product = trace._product_basis(tuple(
+            (region, tuple(enumerate(map(tuple, map(sorted, vals)), start=1)))
+            for region, vals in zip(regions, values)))
+        assert product == basis
+        basis = product
     dim = len(basis)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     data = np.outer(v, v.conj())
@@ -311,9 +320,11 @@ def test_dense_branch_matches_the_kernel_bit_for_bit(dm, data):
         assert reduced.basis == kernel.basis
         assert reduced.n_dofs_orig == kernel.n_dofs_orig
         assert np.array_equal(reduced.data, kernel.data)
-        # single-DoF layouts trace the region (on the kernel) instead
-        if fn is trace.trace_dof_dist or dm.n_dofs_orig > 1:
-            assert dense_calls[-1] == dof
+        # single-DoF layouts trace the region (on the kernel) instead, which
+        # leaves a plain tuple: the chain ends there
+        if fn is not trace.trace_dof_dist and dm.n_dofs_orig <= 1:
+            return
+        assert dense_calls[-1] == dof
         dm = reduced
 
 
@@ -355,6 +366,10 @@ def _unsorted_basis(eta):
                          dm.n_dofs_orig)
 
 
+def _refuse_dense(*args, **kwargs):
+    raise AssertionError("dense branch taken")
+
+
 @pytest.mark.parametrize("dm, fn, args", [
     (_weight_below_cut(BOSON), "trace_dof_indist", (Subsystem("s1", 2),)),
     (_weight_below_cut(DISTINGUISHABLE), "trace_dof_dist", (0, 2)),
@@ -369,11 +384,42 @@ def _unsorted_basis(eta):
         "unsorted-basis-dist", "regions-out-of-order-indist", "li_circuit"])
 def test_inputs_outside_the_dense_branch_take_the_kernel(monkeypatch, dm, fn,
                                                           args):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense branch taken")
-
-    monkeypatch.setattr(trace, "_dense_trace", refuse)
+    monkeypatch.setattr(trace, "_dense_trace", _refuse_dense)
     _assert_same(getattr(trace, fn)(dm, *args), getattr(ref, fn)(dm, *args))
+
+
+@pytest.mark.parametrize("eta, fn, args", [
+    (BOSON, "trace_dof_indist", (Subsystem("A", 2),)),
+    (DISTINGUISHABLE, "trace_dof_dist", (1, 1)),
+], ids=["indist", "dist"])
+def test_plain_tuple_copy_of_a_product_basis_takes_the_kernel(eta, fn, args):
+    """A full product not built by `_product_basis` carries no slots: it
+    takes the kernel, which gives the dense branch's bytes."""
+    rng = np.random.default_rng(11)
+    dm = _product_density(eta, ("A", "B"), [(("0", "1"),) * 2] * 2, rng,
+                          "mixed")
+    assert trace._product_slots(dm) is not None
+    dense = getattr(trace, fn)(dm, *args)
+    copy = DensityMatrix(tuple(dm.basis), dm.data, eta, dm.dof_specs,
+                         dm.n_dofs_orig)
+    assert type(copy.basis) is tuple and copy.basis == dm.basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_dense_trace", _refuse_dense)
+        kernel = getattr(trace, fn)(copy, *args)
+    assert kernel.basis == dense.basis
+    assert kernel.data.tobytes() == dense.data.tobytes()
+
+
+@pytest.mark.parametrize("slots, message", [
+    ((("s1", ((1, ("x", "y", "z")),)), ("s2", ((1, ("x", "y")),))),
+     "two values"),
+    ((("s1", ((1, ("y", "x")),)), ("s2", ((1, ("x", "y")),))), "sorted order"),
+    ((("s1", ((1, ("x", "y")),)), ("s1", ((1, ("x", "y")),))), "distinct region"),
+], ids=["three-valued", "unsorted-values", "repeated-region"])
+def test_product_basis_rejects_what_the_dense_branch_cannot_take(slots,
+                                                                 message):
+    with pytest.raises(ValueError, match=message):
+        trace._product_basis(slots)
 
 
 def _kernel_qubit_array(dm):
