@@ -110,6 +110,11 @@ def _cmd_trace(args):
     ph = _phases(args.phases)
     dm = project_one_per_region(to_density(circuits.li_circuit(args.kind, ph)),
                                 ["s1", "s2"])
+    dofs_at = {}
+    for kets in dm.basis:
+        for k in kets:
+            dofs_at.setdefault(k.region, set()).update(i for i, _ in k.dofs)
+    subs = []
     for item in args.drop.split(","):
         region, _, idx = item.partition(":")
         try:
@@ -117,6 +122,18 @@ def _cmd_trace(args):
         except ValueError:
             raise ValueError("--drop expects region:dof_index items, "
                              f"got {item!r}") from None
+        if region not in dofs_at:
+            raise ValueError(f"--drop: no region {region!r}; the regions are "
+                             f"{', '.join(sorted(dofs_at))}")
+        if sub.dof_index not in dofs_at[region]:
+            raise ValueError(f"--drop: region {region!r} has no DoF "
+                             f"{sub.dof_index}; it carries DoFs "
+                             f"{', '.join(map(str, sorted(dofs_at[region])))}")
+        if sub in subs:
+            raise ValueError(f"--drop names DoF {sub.dof_index} of region "
+                             f"{region!r} twice")
+        subs.append(sub)
+    for sub in subs:
         dm = trace_dof_indist(dm, sub)
     arr = to_qubit_array(dm)
     return _emit(args, {"kind": args.kind, "phases_deg": args.phases,

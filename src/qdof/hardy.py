@@ -1,10 +1,11 @@
 """Paradox-of-nonlocality statistics for two qubits.
 
 Ideal joint probabilities and the nonzero witness probability q of the
-two-parameter test state; the location and value of max q; a synthetic
-depolarizing-plus-readout noise model with binomial shot noise; and the
-two-phase estimator that bounds q from below using Student-t confidence
-intervals calibrated on known zero-q states.
+two-parameter test state; the location and value of max q, found on a
+coarse grid of a real closed form of q and refined by direct evaluation; a
+synthetic depolarizing-plus-readout noise model with binomial shot noise;
+and the two-phase estimator that bounds q from below using Student-t
+confidence intervals calibrated on known zero-q states.
 
 The t-distribution quantiles come from scipy's inverse Student-t CDF.
 """
@@ -87,15 +88,30 @@ Q_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 _QMAX_STEP_DEG = 0.25  # spacing of the coarse grid, before the refine
 
 
+def _q_grid(thetas, phis):
+    """hardy_q over the grid thetas x phis, as a real closed form.
+
+    |z|^2 = cos^2(theta) cos^2(chi) sin^2(phi) with cot(chi) = tan(theta)
+    cos(phi) gives q = sin^2(theta) sin^2(phi) cos^2(phi) /
+    (1 + tan^2(theta) cos^2(phi)), built from 1-D sin, cos and tan vectors by
+    broadcasting; angles must avoid theta = 90 degrees.
+    """
+    tc = np.tan(thetas)[:, None] * np.cos(phis)[None, :]
+    sc = np.sin(phis) * np.cos(phis)
+    return np.sin(thetas)[:, None] ** 2 * (sc ** 2)[None, :] / (1 + tc ** 2)
+
+
 def qmax_solve():
-    """Grid-plus-refine maximization of q over (0, 90) x (0, 90) degrees."""
+    """Grid-plus-refine maximization of q over (0, 90) x (0, 90) degrees.
+
+    The coarse grid is `_q_grid` (real, no complex exponentials); its argmax
+    keeps the first maximum in (theta, phi) row-major order, as a
+    strict-improvement scan would.  The refine steps then compare `hardy_q`
+    values on shrinking 3 x 3 neighbourhoods.
+    """
     grid = np.deg2rad(np.arange(_QMAX_STEP_DEG, 90.0, _QMAX_STEP_DEG))
-    # hardy_q over the whole grid; argmax keeps the first maximum in (t, f)
-    # row-major order, as a strict-improvement scan would
-    ts, fs = np.meshgrid(grid, grid, indexing="ij")
-    chi = np.arctan2(1.0, np.tan(ts) * np.cos(fs))
-    z = 0.5 * np.cos(ts) * np.cos(chi) * (1 - np.exp(-2j * fs))
-    i, j = np.unravel_index(np.argmax(np.abs(z) ** 2), ts.shape)
+    qs = _q_grid(grid, grid)
+    i, j = np.unravel_index(np.argmax(qs), qs.shape)
     t, f = grid[i], grid[j]
     q = hardy_q(HardyParams(t, f))
     h = math.radians(_QMAX_STEP_DEG)

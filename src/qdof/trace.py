@@ -47,9 +47,22 @@ qubit order is returned as a copy.
 Facts that depend only on the basis are worked out once per basis, never
 per call: ``to_qubit_array`` takes each tuple's position (and the array's
 size and whether the basis is already in qubit order) from a bounded cache
-keyed on ``(basis, dof_specs)``.  It does not bind what depends on the data:
-which tuples the 1e-16 cut keeps, and so which positions are filled or which
-tuple fails to embed, is worked out on every call.
+keyed on ``(basis, dof_specs)``.  The operator sum takes each tuple's
+images ``(key, coeff, reduced_tuple)`` from a bounded table keyed on
+``(basis, rule)``: the sorted set of every reduced tuple, and each image as
+(key id, coefficient, index in that set).  Rules come from cached factories
+keyed on their arguments (``eta`` and the DoF included), so equal arguments
+give the same rule and share a table.  A rule that raises for a tuple raises
+only when a call maps that tuple.
+
+Neither cache binds what depends on the data.  On every call
+``to_qubit_array`` works out which tuples the 1e-16 cut keeps, and so which
+positions are filled or which tuple fails to embed.  On every call the
+operator sum works out which tuples the cut maps, the order in which their
+keys first appear, which images meet a partner under their key, the reduced
+basis, the maps K and the products.  K and the order of the key sum are the
+ones images built on every call would give, so the bytes do not depend on
+the table.
 
 The two DoF traces take a dense branch on a ``ProductBasis``: the sorted
 full product of two-valued DoFs with one ket per distinct region, built by
@@ -103,6 +116,43 @@ def _linked(dm):
     return weight | weight.T
 
 
+@functools.lru_cache(maxsize=128)
+def _image_table(basis, images_of):
+    """(universe, cols, keys, where, coeffs, failed) of `images_of` on `basis`.
+
+    One entry per image, in column order: its basis column, its key id (ids
+    number the keys in order of first appearance), its index in `universe`,
+    the sorted set of every reduced tuple, and its coefficient.  Images of
+    one column with the same key and reduced tuple are merged, their
+    coefficients added in order onto 0, as the kernel adds them into K.
+    `failed` holds the columns whose rule raised; the rule runs again on
+    such a column only when a call maps it, so the error surfaces as it
+    would without the table.
+    """
+    key_ids, slots, images, failed = {}, {}, {}, []
+    for col, kets in enumerate(basis):
+        try:
+            found = images_of(kets)
+        except Exception:  # any rule error, deferred until the tuple is mapped
+            failed.append(col)
+            continue
+        for key, coeff, reduced in found:
+            image = (col, key_ids.setdefault(key, len(key_ids)),
+                     slots.setdefault(reduced, len(slots)))
+            images[image] = images.get(image, 0j) + coeff
+    reduced = list(slots)
+    order = sorted(range(len(reduced)), key=reduced.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    table = np.array(list(images), dtype=np.intp).reshape(-1, 3)
+    arrays = (table[:, 0], table[:, 1], rank[table[:, 2]],
+              np.array(list(images.values()), dtype=complex),
+              np.array(failed, dtype=np.intp))
+    for a in arrays:
+        a.setflags(write=False)  # shared by every call that hits the cache
+    return (tuple(reduced[i] for i in order), *arrays)
+
+
 def _operator_sum(dm, images_of):
     """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``.
 
@@ -110,24 +160,31 @@ def _operator_sum(dm, images_of):
     The basis is the sorted set of their images that meet such a partner
     under the same key, so an image whose amplitudes cancel keeps its place.
     The cut only selects the basis; the sum uses every entry of `dm.data`.
+    The images come from `_image_table`; the keys of the mapped tuples are
+    summed in their order of first appearance.
     """
+    universe, cols, keys, where, coeffs, failed = _image_table(
+        tuple(dm.basis), images_of)
     linked = _linked(dm)
-    by_key = {}
-    for col in np.flatnonzero(linked.any(axis=1)):
-        for key, coeff, reduced in images_of(dm.basis[col]):
-            by_key.setdefault(key, []).append((col, coeff, reduced))
-    for key, images in by_key.items():
-        reach = linked[:, [col for col, _, _ in images]].any(axis=1)
-        by_key[key] = [im for im in images if reach[im[0]]]
-    basis = tuple(sorted({r for images in by_key.values() for _, _, r in images}))
-    index = {b: i for i, b in enumerate(basis)}
-    data = np.zeros((len(basis), len(basis)), dtype=complex)
-    for images in by_key.values():
-        k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
-        for col, coeff, reduced in images:
-            k[index[reduced], col] += coeff
+    mapped = linked.any(axis=1)
+    if failed.size and mapped[failed].any():
+        images_of(dm.basis[failed[mapped[failed]][0]])  # raises the rule's error
+    live = np.flatnonzero(mapped[cols])
+    live_cols, live_keys = cols[live], keys[live]
+    meets = (linked[np.ix_(live_cols, live_cols)]
+             & (live_keys[:, None] == live_keys)).any(axis=1)
+    present = np.zeros(len(universe), dtype=bool)
+    present[where[live[meets]]] = True
+    kept = np.flatnonzero(present)
+    row = np.zeros(len(universe), dtype=np.intp)
+    row[kept] = np.arange(len(kept))
+    data = np.zeros((len(kept), len(kept)), dtype=complex)
+    for key in dict.fromkeys(live_keys.tolist()):
+        mine = live[meets & (live_keys == key)]
+        k = np.zeros((len(kept), len(dm.basis)), dtype=complex)
+        k[row[where[mine]], cols[mine]] = coeffs[mine]
         data += k @ dm.data @ k.conj().T
-    return basis, data
+    return tuple(universe[i] for i in kept), data
 
 
 def _reduce(dm, images_of, empty, n_dofs=None):
@@ -214,13 +271,22 @@ def project_one_per_region(dm, regions):
     if len(set(regions)) != len(regions):
         raise ValueError("regions must be distinct")
 
-    wanted = sorted(regions)
+    return _reduce(dm, _sector_rule(tuple(sorted(regions))),
+                   "no weight in the one-particle-per-region sector")
+
+
+# Rules come from cached factories: equal arguments give the very same rule,
+# so calls with equal rules on one basis share an `_image_table` entry.
+
+@functools.lru_cache(maxsize=256)
+def _sector_rule(wanted):
+    """One key: a tuple maps to itself when its regions are `wanted` (sorted)."""
+    wanted = list(wanted)
 
     def images_of(kets):
         return [(None, 1.0, kets)] if sorted(k.region for k in kets) == wanted else []
 
-    return _reduce(dm, images_of,
-                   "no weight in the one-particle-per-region sector")
+    return images_of
 
 
 def _norm_ratio(big, small, eta):
@@ -254,11 +320,17 @@ def _slot_images(kets, region, eta, dof_index=None):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _slot_rule(region, eta, dof_index):
+    """`_slot_images` of one `region` slot as a rule."""
+    return lambda kets: _slot_images(kets, region, eta, dof_index)
+
+
 def trace_region(dm, region):
     """Standard partial trace over one spatial region (one particle there)."""
     if not any(k.region == region for kets in dm.basis for k in kets):
         raise ValueError(f"unknown region {region!r}")
-    return _reduce(dm, lambda kets: _slot_images(kets, region, dm.eta),
+    return _reduce(dm, _slot_rule(region, dm.eta, None),
                    f"tracing region {region!r} left nothing")
 
 
@@ -283,8 +355,7 @@ def trace_dof_indist(dm, sub):
                              sub.dof_index, coherent=True)
         if dense is not None:
             return _renormalized(dm, *dense, "DoF trace left nothing", ndof)
-    return _reduce(dm, lambda kets: _slot_images(kets, sub.region, dm.eta,
-                                                 sub.dof_index),
+    return _reduce(dm, _slot_rule(sub.region, dm.eta, sub.dof_index),
                    "DoF trace left nothing", ndof)
 
 
@@ -299,6 +370,13 @@ def trace_dof_dist(dm, particle, dof_index):
         dense = _dense_trace(dm, slots, particle, dof_index, coherent=False)
         if dense is not None:
             return _renormalized(dm, *dense, "DoF trace left nothing")
+    return _reduce(dm, _dof_value_rule(particle, dof_index),
+                   "DoF trace left nothing")
+
+
+@functools.lru_cache(maxsize=256)
+def _dof_value_rule(particle, dof_index):
+    """Key = the value of DoF `dof_index` on slot `particle`, which is dropped."""
 
     def images_of(kets):
         k = kets[particle]
@@ -308,7 +386,7 @@ def trace_dof_dist(dm, particle, dof_index):
         return [(value, 1.0,
                  kets[:particle] + (k.drop(dof_index),) + kets[particle + 1:])]
 
-    return _reduce(dm, images_of, "DoF trace left nothing")
+    return images_of
 
 
 @functools.lru_cache(maxsize=256)

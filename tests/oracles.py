@@ -12,6 +12,13 @@ it was first written: six separate runs of the protocol, each normalizing
 the channel and the input again and building its own `np.kron`.  The
 library's single-pass version must give its bytes.
 
+`werner_grid` is the noise family's pair grid in closed form: every pair of
+`two_param_state(p, layout)` is a Werner state p |Phi+><Phi+| + (1 - p) I/4
+(indistinguishable layout), or only pair (1, 1) is and every other pair is
+I/4 (distinguishable layout).  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
+angle grid as the maximizer first built it, through the complex amplitude
+1/2 cos(theta) cos(chi) (1 - e^{-2i phi}).
+
 `qdof.states.tuple_overlap` gives the overlap of canonical ket tuples as a
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
 determinant (fermions) of the single-ket overlap matrix instead, and
@@ -179,3 +186,23 @@ def six_run_teleport_fidelity(channel):
         out = _six_run_output(channel, psi_in)
         values.append(float((psi_in.conj() @ out @ psi_in).real))
     return float(np.mean(values))
+
+
+def werner_grid(p, layout):
+    """{(i, j): 4x4 pair matrix} of `two_param_state(p, layout)`, closed form."""
+    werner = (p * np.outer(PHI_PLUS, PHI_PLUS.conj())
+              + (1.0 - p) * np.eye(4) / 4.0)
+    pairs = itertools.product(range(1, layout.n + 1), repeat=2)
+    return {(i, j): werner
+            if layout.kind == "indistinguishable" or (i, j) == (1, 1)
+            else np.eye(4) / 4.0
+            for i, j in pairs}
+
+
+def hardy_q_grid(thetas, phis):
+    """|1/2 cos(theta) cos(chi) (1 - e^{-2i phi})|^2 over thetas x phis, with
+    chi from cot(chi) = tan(theta) cos(phi), in complex arithmetic."""
+    ts, fs = np.meshgrid(thetas, phis, indexing="ij")
+    chi = np.arctan2(1.0, np.tan(ts) * np.cos(fs))
+    z = 0.5 * np.cos(ts) * np.cos(chi) * (1 - np.exp(-2j * fs))
+    return np.abs(z) ** 2

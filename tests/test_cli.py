@@ -106,9 +106,24 @@ def test_chsh_requires_four_settings(capsys):
     ("tables", "--kind", "boson", "--format", "csv"),
     ("trace", "--format", "text"),
     ("signaling", "--n", "21", "--trials", "100"),
+    ("trace", "--drop", "s9:1"),
+    ("trace", "--drop", "s1:1,s1:1"),
+    ("trace", "--drop", "s1:3,s2:1"),
 ])
 def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
     _exit_2_with_one_line(capsys, *argv)
+
+
+@pytest.mark.parametrize("drop, message", [
+    ("s9:1", "error: --drop: no region 's9'; the regions are s1, s2\n"),
+    ("s1:1,s1:1", "error: --drop names DoF 1 of region 's1' twice\n"),
+    ("s2:02,s1:1,s2:2", "error: --drop names DoF 2 of region 's2' twice\n"),
+    ("s1:3,s2:1",
+     "error: --drop: region 's1' has no DoF 3; it carries DoFs 1, 2\n"),
+])
+def test_trace_drop_names_the_bad_item(capsys, drop, message):
+    assert main(["trace", "--drop", drop]) == 2
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("argv", [

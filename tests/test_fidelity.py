@@ -17,7 +17,7 @@ from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
 from qdof.trace import project_one_per_region
 
 from oracles import (optimized_singlet_fraction, singlet_fraction_grid,
-                     six_run_teleport_fidelity)
+                     six_run_teleport_fidelity, werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -331,3 +331,15 @@ def test_relation_check_reduces_the_endpoint_once(monkeypatch):
     calls = _count_reductions(monkeypatch)
     relation_check(ChannelLayout("indistinguishable", 3))
     assert len(calls) == 21
+
+
+@pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_noise_family_pairs_are_werner_states(kind, n, p):
+    layout = ChannelLayout(kind, n)
+    grid = fidelity._pair_matrices(two_param_state(p, layout), layout)
+    oracle = werner_grid(p, layout)
+    assert grid.keys() == oracle.keys()
+    for pair, matrix in grid.items():
+        assert np.abs(matrix - oracle[pair]).max() <= 1e-14, pair

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qdof import hardy
 from qdof.hardy import (BoundaryError, EQUATIONS, HardyParams, NoiseModel,
                         OFFLINE_STATES_DEG, Q_MAX, SampleSet, calibrate_offline,
                         chsh_hardy_lhs, diff_lower_bound, estimate_qlb,
                         hardy_probs, hardy_q, noisy_probabilities,
                         noisy_sample, qmax_solve, t_ci, t_quantile)
+
+from oracles import hardy_q_grid
 
 deg = math.radians
 
@@ -59,6 +62,15 @@ def test_qmax_solver():
     assert math.degrees(t) == pytest.approx(51.827, abs=1e-3)
     assert math.degrees(f) == pytest.approx(51.827, abs=1e-3)
     assert math.cos(2 * t) == pytest.approx(2 - math.sqrt(5), abs=1e-8)
+
+
+def test_qmax_grid_closed_form_matches_complex_amplitude():
+    grid = np.deg2rad(np.arange(hardy._QMAX_STEP_DEG, 90.0,
+                                hardy._QMAX_STEP_DEG))
+    closed, oracle = hardy._q_grid(grid, grid), hardy_q_grid(grid, grid)
+    assert closed.shape == oracle.shape == (len(grid), len(grid))
+    assert np.abs(closed - oracle).max() <= 1e-15
+    assert np.argmax(closed) == np.argmax(oracle)
 
 
 def test_boundary_point_rejected():

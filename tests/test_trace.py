@@ -230,3 +230,66 @@ def test_qubit_layout_of_specs_given_as_lists():
     assert isinstance(dm.dof_specs, list)
     assert np.allclose(to_qubit_array(dm), np.kron([[1, 0], [0, 0]],
                                                    np.full((2, 2), 0.5)))
+
+
+def _two_dof_pair_with_bunching():
+    """Two two-DoF particles over regions a, b with bunched (a, a) tuples,
+    whose kets are distinct, so the basis is canonical for bosons and
+    fermions alike."""
+    path = DofSpec(2, ("x", "y"))
+
+    def ket(region, spin, way):
+        return Ket(region, ((1, spin), (2, way)))
+
+    terms = {(ket("a", "dn", "x"), ket("a", "up", "x")): 0.5,
+             (ket("a", "dn", "y"), ket("a", "up", "y")): -0.3j,
+             (ket("a", "up", "x"), ket("b", "dn", "y")): 0.6,
+             (ket("a", "dn", "x"), ket("b", "up", "x")): 0.4 + 0.2j,
+             (ket("a", "up", "y"), ket("b", "up", "y")): -0.25}
+    return to_density(normalize(SymState(BOSON, terms, (SPIN, path))))
+
+
+def test_image_tables_are_kept_per_rule():
+    """One basis reduced under rules that differ only in eta or in the DoF:
+    each call matches the reference engine, so no call reuses the images
+    of another rule."""
+    dm = _two_dof_pair_with_bunching()
+    reductions = [(trace_region, ref.trace_region, "a"),
+                  (trace_region, ref.trace_region, "b"),
+                  (trace_dof_indist, ref.trace_dof_indist, Subsystem("a", 1)),
+                  (trace_dof_indist, ref.trace_dof_indist, Subsystem("a", 2))]
+    results = {}
+    for eta in (BOSON, FERMION):
+        same_basis = type(dm)(dm.basis, dm.data, eta, dm.dof_specs,
+                              dm.n_dofs_orig)
+        for new_rule, ref_rule, arg in reductions:
+            new, old = new_rule(same_basis, arg), ref_rule(same_basis, arg)
+            assert new.basis == old.basis
+            assert np.allclose(new.data, old.data, rtol=0.0, atol=1e-12)
+            results[eta, new_rule, arg] = new
+    # the kinds differ on this basis, so a table shared across eta would show
+    assert any(not np.allclose(results[BOSON, rule, arg].data,
+                               results[FERMION, rule, arg].data)
+               for rule, _, arg in reductions)
+
+
+def test_rule_errors_surface_only_for_mapped_tuples():
+    """A tuple whose particle lacks the traced DoF fails the rule; on one
+    basis the trace succeeds while that tuple carries no weight and raises
+    once it does."""
+    path = DofSpec(2, ("x", "y"))
+    full = (Ket("p", ((1, "dn"), (2, "x"))), Ket("q", ((1, "up"),)))
+    short = (Ket("p", ((1, "up"),)), Ket("q", ((1, "dn"),)))
+    dm = to_density(normalize(SymState(DISTINGUISHABLE,
+                                       {full: 1.0, short: 0.5}, (SPIN, path))))
+    weightless = dm.data.copy()
+    short_at = dm.basis.index(short)
+    weightless[short_at, :] = weightless[:, short_at] = 0.0
+    for data, fails in ((weightless, False), (dm.data, True), (weightless, False)):
+        call = type(dm)(dm.basis, data, dm.eta, dm.dof_specs, dm.n_dofs_orig)
+        if fails:
+            with pytest.raises(ValueError, match="dof index 2 not present"):
+                trace_dof_dist(call, 0, 2)
+        else:
+            assert trace_dof_dist(call, 0, 2).basis == ((Ket("p", ((1, "dn"),)),
+                                                         full[1]),)

@@ -15,6 +15,12 @@ take their dense branch, which must give the kernel's result bit for bit;
 inputs just outside its conditions, a plain-tuple copy of such a basis
 among them, must still reach the kernel.
 
+The kernel takes each basis's images from a table built once per basis and
+rule; `_per_call_operator_sum`, the kernel as it was when it mapped every
+tuple afresh on each call, is its byte-for-byte oracle, on the random and
+named states and on states where many keys add into one entry, which is
+where the order of the key sum shows in the last bits.
+
 `to_qubit_array` lays matrices out by index; its array must equal, byte for
 byte (signed zeros included), the one the operator-sum kernel laid out, and
 it must fail with the same errors.  It works out each basis's positions
@@ -241,6 +247,91 @@ def test_reductions_are_density_matrices_and_commute(state, data):
     assume(exc is None)
     _commute(lambda m: trace.trace_dof_indist(m, Subsystem(r1, d1)),
              lambda m: trace.trace_dof_indist(m, Subsystem(r2, d2)), projected)
+
+
+def _per_call_operator_sum(dm, images_of):
+    """`trace._operator_sum` before it tabled the images: every call maps
+    each mapped tuple afresh; kept as its byte-for-byte oracle."""
+    linked = trace._linked(dm)
+    by_key = {}
+    for col in np.flatnonzero(linked.any(axis=1)):
+        for key, coeff, reduced in images_of(dm.basis[col]):
+            by_key.setdefault(key, []).append((col, coeff, reduced))
+    for key, images in by_key.items():
+        reach = linked[:, [col for col, _, _ in images]].any(axis=1)
+        by_key[key] = [im for im in images if reach[im[0]]]
+    basis = tuple(sorted({r for images in by_key.values() for _, _, r in images}))
+    index = {b: i for i, b in enumerate(basis)}
+    data = np.zeros((len(basis), len(basis)), dtype=complex)
+    for images in by_key.values():
+        k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
+        for col, coeff, reduced in images:
+            k[index[reduced], col] += coeff
+        data += k @ dm.data @ k.conj().T
+    return basis, data
+
+
+def _assert_same_operator_sum(dm, rule):
+    new, new_exc = _run(trace._operator_sum, dm, rule)
+    old, old_exc = _run(_per_call_operator_sum, dm, rule)
+    assert type(new_exc) is type(old_exc), (new_exc, old_exc)
+    if old_exc is not None:
+        assert str(new_exc) == str(old_exc)
+        return
+    assert new[0] == old[0]
+    assert new[1].tobytes() == old[1].tobytes()
+
+
+def _draw_rule(data, dm):
+    """One of the trace rules' image maps, drawn against the basis."""
+    regions = sorted({k.region for kets in dm.basis for k in kets})
+    dofs = sorted({i for kets in dm.basis for k in kets for i, _ in k.dofs})
+    region = data.draw(st.sampled_from(regions))
+    dof = data.draw(st.sampled_from(dofs + [9]))
+    return data.draw(st.sampled_from([
+        trace._slot_rule(region, dm.eta, None),
+        trace._slot_rule(region, dm.eta, dof),
+        trace._dof_value_rule(
+            data.draw(st.integers(0, len(dm.basis[0]) - 1)), dof),
+        trace._sector_rule(tuple(sorted(
+            data.draw(st.lists(st.sampled_from(regions), min_size=1,
+                               unique=True))))),
+    ]))
+
+
+@PROPERTY_SETTINGS
+@given(state=st.one_of(random_states(tiny_amplitudes=True), straddling_states(),
+                       named_states()),
+       data=st.data())
+def test_tabled_operator_sum_matches_the_per_call_kernel_byte_for_byte(state,
+                                                                      data):
+    dm = to_density(state)
+    for _ in range(data.draw(st.integers(1, 3))):
+        rule = _draw_rule(data, dm)
+        _assert_same_operator_sum(dm, rule)
+        # and again on the same basis with other data, from the warm table
+        rows = data.draw(st.lists(st.integers(0, len(dm.basis) - 1),
+                                  max_size=2))
+        other = dm.data.copy()
+        other[rows, :] = other[:, rows] = 0.0
+        _assert_same_operator_sum(
+            DensityMatrix(dm.basis, other, dm.eta, dm.dof_specs, dm.n_dofs_orig),
+            rule)
+
+
+@pytest.mark.parametrize("eta", [BOSON, FERMION, DISTINGUISHABLE])
+def test_many_keys_into_one_entry_sum_in_the_per_call_order(eta):
+    """Nine kets at region a beside two at b: tracing a adds nine keys into
+    each entry of b, and tracing DoF 1 of slot 0 adds three."""
+    rng = np.random.default_rng(5)
+    specs = (DofSpec(1, ("x", "y", "z")), DofSpec(2, ("u", "v", "w")))
+    terms = {(Ket("a", ((1, s), (2, t))), Ket("b", ((1, q), (2, "u")))):
+             complex(*rng.normal(size=2))
+             for s in "xyz" for t in "uvw" for q in "xy"}
+    dm = to_density(normalize(SymState(eta, terms, specs)))
+    _assert_same_operator_sum(dm, trace._slot_rule("a", eta, None))
+    _assert_same_operator_sum(dm, trace._slot_rule("a", eta, 1))
+    _assert_same_operator_sum(dm, trace._dof_value_rule(0, 1))
 
 
 def _product_density(eta, regions, values, rng, mixture):
