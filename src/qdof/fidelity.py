@@ -5,9 +5,19 @@ maximally entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), is computed in
 closed form from the signed singular values of the correlation matrix.  The
 generalized quantities sum the pairwise values over DoF pairs of a two-party
 state, reducing each pair with the trace rules appropriate to the particle
-kind.  Each distinct pair matrix of a grid is measured once: on the noise
-family the n^2 pairs share at most two matrices, and equal matrices (equal
-bytes) give equal values.
+kind.  Each distinct pair matrix of a grid is measured once, and all of them
+in one call: `singlet_fraction` and `average_teleport_fidelity` take one 4x4
+matrix (and return a float) or a (k, 4, 4) stack (and return its k values),
+and a grid's distinct matrices, told apart by their bytes, go to each as one
+read-only stack.  On the noise family the n^2 pairs share at most two
+matrices.
+
+Stacking moves no byte: each value is the one its matrix gets alone, and
+the one the per-matrix forms first written gave (kept as oracles in
+`tests/oracles.py`).  Each `kron(P_i, P_j)` has one non-zero per column, so
+the correlation matrix is one index gather times a phase table, its four
+terms summed as `np.trace` sums a diagonal; the singular values and
+determinants are one batched call each.
 
 `generalized_teleportation_fidelity` and `generalized_singlet_fraction` read
 their n x n grid of pair matrices through a one-entry memo holding the last
@@ -27,11 +37,14 @@ product slots and the DoF traces take their dense branch on it.
 
 Teleportation is simulated with the standard Bell-measurement-and-correction
 protocol; fidelities are input-output overlaps averaged over the six Pauli
-axis states.  `average_teleport_fidelity` normalizes the channel once and
-forms the six joint states as one broadcast product, with the axis states,
-Bell matrices and correction adjoints worked out at import; every
-floating-point operation is the one a separate `teleport_fidelity` run per
-axis state makes, so the value is that of the six runs bit for bit.
+axis states.  `average_teleport_fidelity` normalizes each channel once and
+forms its six joint states as one broadcast product, with the axis states,
+Bell matrices and correction adjoints worked out at import.  The joint
+states of a whole stack meet all four Bell outcomes in one `np.einsum`, and
+the corrections and overlaps are stacked products, the path
+`teleport_output` takes for its one joint state; every floating-point
+operation is the one a separate `teleport_fidelity` run per axis state
+makes, so the value is that of the six runs bit for bit.
 Channels between DoFs of indistinguishable particles are scaled onto a
 configurable ceiling below one, reflecting that unit-fidelity transfer is
 unavailable to them.
@@ -100,36 +113,60 @@ class FidelityParams:
 # -- singlet fraction ----------------------------------------------------------
 
 
-_PAULI_PAIRS = [[np.kron(_PAULI[i + 1], _PAULI[j + 1]) for j in range(3)]
-                for i in range(3)]
+# kron(P_i, P_j) has one non-zero per column: column c of pair m = 3 (i - 1)
+# + (j - 1) holds _T_PHASES[m, c] in row _T_ROWS[m, c], so the c-th diagonal
+# entry of rho kron(P_i, P_j) is rho[c, _T_ROWS[m, c]] * _T_PHASES[m, c]
+_PAULI_PAIRS = np.array([np.kron(_PAULI[i], _PAULI[j])
+                         for i in (1, 2, 3) for j in (1, 2, 3)])
+_T_ROWS = np.abs(_PAULI_PAIRS).argmax(axis=1)
+_T_COLS = np.arange(4)
+_T_PHASES = np.take_along_axis(_PAULI_PAIRS, _T_ROWS[:, None, :], axis=1)[:, 0]
+_T_SIGNS = np.diag([1.0, -1.0, 1.0])
 
 
-def _correlation_matrix(rho):
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.trace(rho @ _PAULI_PAIRS[i][j]).real
-    return t
+def _stack(matrices, message):
+    """(k, 4, 4) complex stack of one 4x4 matrix or of a stack, and whether
+    the input was one matrix; other shapes raise ValueError(message)."""
+    matrices = np.asarray(matrices, dtype=complex)
+    if matrices.ndim not in (2, 3) or matrices.shape[-2:] != (4, 4):
+        raise ValueError(message)
+    return matrices.reshape(-1, 4, 4), matrices.ndim == 2
 
 
-def _fef_closed(rho):
-    """Analytic fully entangled fraction of a two-qubit state."""
-    t = _correlation_matrix(rho)
-    k = np.diag([1.0, -1.0, 1.0]) @ t
-    sing = np.linalg.svd(k, compute_uv=False)
-    s = sing[0] + sing[1] + (sing[2] if np.linalg.det(k) >= 0 else -sing[2])
-    return 0.25 * (1.0 + s)
+def _diagonal_sums(terms):
+    """Sums over the last axis of length 4, as `np.trace` sums a diagonal:
+    pairwise, starting from 0.0."""
+    return 0.0 + ((terms[..., 0] + terms[..., 1])
+                  + (terms[..., 2] + terms[..., 3]))
+
+
+def _unit_trace(stack, message):
+    """Each matrix of `stack` over its real trace; a trace below 1e-12 in
+    magnitude raises DegenerateStateError(message)."""
+    tr = _diagonal_sums(np.diagonal(stack, axis1=1, axis2=2).real)
+    if (np.abs(tr) < 1e-12).any():
+        raise DegenerateStateError(message)
+    return stack / tr[:, None, None]
 
 
 def singlet_fraction(rho):
-    """Maximal overlap of `rho` with a maximally entangled state (closed form)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("v1 computes singlet fractions of two-qubit states")
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise DegenerateStateError("singlet fraction of a zero-trace matrix")
-    return _fef_closed(rho / tr)
+    """Maximal overlap of `rho` with a maximally entangled state (closed form).
+
+    `rho` is one 4x4 matrix, for which a float is returned, or a (k, 4, 4)
+    stack, for which the k values are; each value is the one its matrix
+    gets alone.
+    """
+    stack, single = _stack(
+        rho, "v1 computes singlet fractions of two-qubit states")
+    stack = _unit_trace(stack, "singlet fraction of a zero-trace matrix")
+    # t[i, j] = Re tr(rho kron(P_i, P_j)) read off by one gather
+    terms = (stack[:, _T_COLS, _T_ROWS] * _T_PHASES).real
+    t = _diagonal_sums(terms).reshape(-1, 3, 3)
+    k = _T_SIGNS @ t
+    sing = np.linalg.svd(k, compute_uv=False)
+    last = np.where(np.linalg.det(k) >= 0, sing[:, 2], -sing[:, 2])
+    values = 0.25 * (1.0 + (sing[:, 0] + sing[:, 1] + last))
+    return float(values[0]) if single else values
 
 
 # -- pair reductions -----------------------------------------------------------
@@ -201,19 +238,23 @@ def _pair_matrix(dm, layout, i, j):
 
 
 def _per_distinct_matrix(measure, grid):
-    """{pair: measure(matrix)}, measuring each distinct matrix of `grid` once.
+    """{pair: value}, measuring the distinct matrices of `grid` by one call
+    of `measure` on their read-only (k, 4, 4) stack.
 
     Matrices are told apart by their bytes, so equal matrices get the very
     value a call of their own would return.
     """
-    memo = {}
-    values = {}
+    slots = {}
+    distinct = {}
     for pair, matrix in grid.items():
         key = matrix.tobytes()
-        if key not in memo:
-            memo[key] = measure(matrix)
-        values[pair] = memo[key]
-    return values
+        if key not in distinct:
+            distinct[key] = matrix
+        slots[pair] = key
+    stack = np.array(list(distinct.values()))
+    stack.setflags(write=False)
+    values = dict(zip(distinct, measure(stack)))
+    return {pair: values[key] for pair, key in slots.items()}
 
 
 def _singlet_fraction_of(grid, n):
@@ -241,10 +282,16 @@ _BELL = [np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
 
 _CORRECTION = [_PAULI[0], _PAULI[1], _PAULI[3], _PAULI[1] @ _PAULI[3]]
 
-# per Bell outcome: its vector as a 2x2 matrix, conjugated and as is, and
-# its correction with the correction's adjoint
-_OUTCOMES = [(b.reshape(2, 2).conj(), b.reshape(2, 2), c, c.conj().T)
-             for b, c in zip(_BELL, _CORRECTION)]
+# per Bell outcome: its vector as a 2x2 matrix, conjugated and as is, its
+# correction, and the correction's adjoint as the transposed view
+# `c.conj().T` of each
+_BELL_CONJ = np.array([b.reshape(2, 2).conj() for b in _BELL])
+_BELL_MATS = np.array([b.reshape(2, 2) for b in _BELL])
+_CORRECTIONS = np.array(_CORRECTION)
+_CORRECTION_ADJS = np.array([c.conj() for c in _CORRECTION]).transpose(0, 2, 1)
+
+_CHANNEL_SHAPE = "v1 teleports through two-qubit channels"
+_ZERO_CHANNEL = "teleportation through a zero-trace channel"
 
 
 def _unit(v):
@@ -255,35 +302,33 @@ def _unit(v):
 # the axis states normalized as teleport_fidelity normalizes its input, and
 # their density matrices from that vector normalized once more, as
 # teleport_output does
-_AXIS_INPUTS = [_unit(v) for v in AXIS_STATES]
+_AXIS_INPUTS = np.array([_unit(v) for v in AXIS_STATES])
 _AXIS_RHOS = np.array([np.outer(u, u.conj())
                        for u in (_unit(v) for v in _AXIS_INPUTS)])
+_AXIS_BRAS = _AXIS_INPUTS.conj()[:, None, :]
+_AXIS_KETS = _AXIS_INPUTS[:, :, None]
 
 
-def _normalized_channel(channel):
-    channel = np.asarray(channel, dtype=complex)
-    tr = np.trace(channel).real
-    if abs(tr) < 1e-12:
-        raise DegenerateStateError("teleportation through a zero-trace channel")
-    return channel / tr
-
-
-def _corrected_output(t):
-    """Sum over Bell outcomes of the corrected output of the joint state `t`,
-    axes (c a b | c' a' b')."""
-    out = np.zeros((2, 2), dtype=complex)
-    for m_conj, m, corr, corr_adj in _OUTCOMES:
-        rho_b = np.einsum("ca,cabxyz,xy->bz", m_conj, t, m)
-        out += corr @ rho_b @ corr_adj
+def _bell_outputs(joints):
+    """Corrected outputs summed over the four Bell outcomes, (N, 2, 2), of
+    the joint states `joints`, axes (N, c a b | c' a' b')."""
+    rho_b = np.einsum("oca,ncabxyz,oxy->nobz", _BELL_CONJ, joints, _BELL_MATS)
+    corrected = _CORRECTIONS @ rho_b @ _CORRECTION_ADJS
+    out = np.zeros((len(joints), 2, 2), dtype=complex)
+    for o in range(len(_BELL)):
+        out += corrected[:, o]
     return out
 
 
 def teleport_output(channel, psi_in):
     """Output state of the Bell-measurement protocol through a two-qubit channel."""
-    channel = _normalized_channel(channel)
+    channel = np.asarray(channel, dtype=complex)
+    if channel.shape != (4, 4):
+        raise ValueError(_CHANNEL_SHAPE)
+    channel = _unit_trace(channel[None], _ZERO_CHANNEL)[0]
     psi_in = _unit(psi_in)
     joint = np.kron(np.outer(psi_in, psi_in.conj()), channel)  # C x A x B
-    return _corrected_output(joint.reshape(2, 2, 2, 2, 2, 2))
+    return _bell_outputs(joint.reshape((1,) + (2,) * 6))[0]
 
 
 def teleport_fidelity(channel, psi_in):
@@ -296,15 +341,20 @@ def teleport_fidelity(channel, psi_in):
 def average_teleport_fidelity(channel):
     """Mean input-output overlap over the six Pauli axis states.
 
-    Each run's arithmetic is `teleport_fidelity`'s on the same input; the
-    joint states of all six are one broadcast product, entry for entry the
-    `np.kron` of each.
+    `channel` is one 4x4 matrix, for which a float is returned, or a
+    (k, 4, 4) stack, for which the k values are.  Each run's arithmetic is
+    `teleport_fidelity`'s on the same input: the k x 6 joint states are one
+    broadcast product, entry for entry the `np.kron` of each, and go through
+    the Bell outcomes together.
     """
-    channel = _normalized_channel(channel)
-    joints = (_AXIS_RHOS[:, :, None, :, None] * channel[None, None, :, None, :])
-    joints = joints.reshape((-1,) + (2,) * 6)
-    return float(np.mean([(u.conj() @ _corrected_output(t) @ u).real
-                          for u, t in zip(_AXIS_INPUTS, joints)]))
+    stack, single = _stack(channel, _CHANNEL_SHAPE)
+    stack = _unit_trace(stack, _ZERO_CHANNEL)
+    joints = (_AXIS_RHOS[None, :, :, None, :, None]
+              * stack[:, None, None, :, None, :])
+    outs = _bell_outputs(joints.reshape((-1,) + (2,) * 6))
+    overlaps = (_AXIS_BRAS @ outs.reshape(-1, 6, 2, 2) @ _AXIS_KETS).real
+    values = np.array([np.mean(row) for row in overlaps[..., 0, 0]])
+    return float(values[0]) if single else values
 
 
 def _rescale_to_ceiling(raw, d, f_max):

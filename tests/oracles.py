@@ -6,6 +6,9 @@ The fully entangled fraction of a two-qubit state is the maximal overlap
 it in closed form; two routines here maximize the overlap directly over a
 3-angle parameterization of U, by multi-start local optimization and by a
 refined grid, so the tests can check the closed form against them.
+`closed_form_singlet_fraction` is the closed form as it was first written,
+one 4x4 product per entry of the correlation matrix; the library's gathered,
+stacked version must give its bytes.
 
 `six_run_teleport_fidelity` is `qdof.fidelity.average_teleport_fidelity` as
 it was first written: six separate runs of the protocol, each normalizing
@@ -31,8 +34,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from qdof.fidelity import (_BELL, _CORRECTION, AXIS_STATES, PHI_PLUS,
-                           _fef_closed)
+from qdof.fidelity import _BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS
 from qdof.states import DISTINGUISHABLE, FERMION
 
 
@@ -69,6 +71,34 @@ def pairwise_inner(a, b):
             if g:
                 total += np.conj(amp_s) * amp_t * g
     return complex(total)
+
+
+_PAULI_PAIRS = [[np.kron(_PAULI[i + 1], _PAULI[j + 1]) for j in range(3)]
+                for i in range(3)]
+
+
+def _correlation_matrix(rho):
+    t = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            t[i, j] = np.trace(rho @ _PAULI_PAIRS[i][j]).real
+    return t
+
+
+def _fef_closed(rho):
+    """Analytic fully entangled fraction of a two-qubit state."""
+    t = _correlation_matrix(rho)
+    k = np.diag([1.0, -1.0, 1.0]) @ t
+    sing = np.linalg.svd(k, compute_uv=False)
+    s = sing[0] + sing[1] + (sing[2] if np.linalg.det(k) >= 0 else -sing[2])
+    return 0.25 * (1.0 + s)
+
+
+def closed_form_singlet_fraction(rho):
+    """`qdof.fidelity.singlet_fraction` as it was first written: the trace
+    taken out, then nine 4x4 products for the correlation matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    return _fef_closed(rho / np.trace(rho).real)
 
 
 def _mes_vector(angles):

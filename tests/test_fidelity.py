@@ -6,7 +6,7 @@ import pytest
 from qdof import fidelity
 from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
 from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
-                           PHI_PLUS, _fef_closed, average_teleport_fidelity,
+                           PHI_PLUS, average_teleport_fidelity,
                            generalized_singlet_fraction,
                            generalized_teleportation_fidelity, relation_check,
                            sf_upper_bound_check, singlet_fraction,
@@ -16,7 +16,8 @@ from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
                          to_density)
 from qdof.trace import project_one_per_region
 
-from oracles import (optimized_singlet_fraction, singlet_fraction_grid,
+from oracles import (_fef_closed, _six_run_output, closed_form_singlet_fraction,
+                     optimized_singlet_fraction, singlet_fraction_grid,
                      six_run_teleport_fidelity, werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -143,6 +144,93 @@ def test_average_teleport_fidelity_matches_six_runs_byte_for_byte():
         assert got.tobytes() == want.tobytes()
 
 
+def _sf_bound_pair_matrices():
+    layout = ChannelLayout("distinguishable", 3)
+    for seed in range(10):
+        dm = _random_pure(layout, seed)
+        yield from fidelity._pair_matrices(dm, layout).values()
+
+
+def _byte_test_matrices(seed):
+    rng = np.random.default_rng(seed)
+    matrices = [_random_rho(rng) for _ in range(100)]
+    matrices += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                 for _ in range(50)]
+    matrices += [1e-7 * _random_rho(rng) for _ in range(50)]
+    matrices += list(_noise_pair_matrices())
+    matrices += list(_sf_bound_pair_matrices())
+    return matrices
+
+
+def test_singlet_fraction_matches_nine_products_byte_for_byte():
+    """The gathered correlation matrix gives the bytes of the nine 4x4
+    products, I/4 (t = 0, det = +-0) included."""
+    matrices = _byte_test_matrices(5)
+    assert any(np.array_equal(m, np.eye(4) / 4) for m in matrices)
+    for matrix in matrices:
+        got = np.float64(singlet_fraction(matrix))
+        want = np.float64(closed_form_singlet_fraction(matrix))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_teleport_output_matches_one_run_byte_for_byte():
+    rng = np.random.default_rng(6)
+    channels = [_random_rho(rng) for _ in range(50)]
+    channels += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                 for _ in range(30)]
+    for channel in channels:
+        psi = 3.7 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        got = teleport_output(channel, psi)
+        assert got.tobytes() == _six_run_output(channel, psi).tobytes()
+
+
+@pytest.mark.parametrize("measure", [singlet_fraction,
+                                     average_teleport_fidelity])
+def test_stacked_values_are_each_matrix_alone(measure):
+    """Stacks of 1-9 matrices, with repeats, in shuffled order: each value is
+    the one its matrix gets in a call of its own, bit for bit."""
+    rng = np.random.default_rng(8)
+    pool = _byte_test_matrices(9)
+    alone = {i: np.float64(measure(m)).tobytes() for i, m in enumerate(pool)}
+    for size in range(1, 10):
+        for _ in range(20):
+            picks = rng.integers(len(pool), size=size)
+            if size > 1:
+                picks[-1] = picks[0]  # one repeat at least
+            rng.shuffle(picks)
+            values = measure(np.array([pool[i] for i in picks]))
+            assert values.shape == (size,)
+            assert [v.tobytes() for v in values] == [alone[i] for i in picks]
+
+
+@pytest.mark.parametrize("measure, message", [
+    (singlet_fraction, "singlet fraction of a zero-trace matrix"),
+    (average_teleport_fidelity, "teleportation through a zero-trace channel"),
+])
+def test_a_later_zero_trace_matrix_fails_the_stack(measure, message):
+    stack = np.array([BELL, np.eye(4) / 4, np.diag([0.5, -0.5, 0.0, 0.0])])
+    with pytest.raises(DegenerateStateError, match=f"^{message}$"):
+        measure(stack)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4,), (4, 8), (8, 8),
+                                   (2, 4, 3), (2, 2, 4, 4)])
+@pytest.mark.parametrize("measure", [singlet_fraction,
+                                     average_teleport_fidelity,
+                                     lambda rho: teleport_output(rho, [1, 0])],
+                         ids=["singlet_fraction", "average_teleport_fidelity",
+                              "teleport_output"])
+def test_non_two_qubit_input_raises_value_error(measure, shape):
+    matrix = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match="two-qubit"):
+        measure(matrix)
+
+
+def test_teleport_output_takes_one_channel():
+    with pytest.raises(ValueError, match="two-qubit"):
+        teleport_output(np.array([BELL]), [1, 0])
+
+
 def test_two_param_state_endpoints():
     for kind in ("distinguishable", "indistinguishable"):
         layout = ChannelLayout(kind, 2)
@@ -245,16 +333,17 @@ def test_each_distinct_pair_matrix_is_measured_once(monkeypatch, layout, dm,
                                                     calls):
     params = FidelityParams.for_layout(layout)
     want = _per_pair_loop(dm, layout, params)
-    counts = {"average_teleport_fidelity": 0, "singlet_fraction": 0}
-    for name in counts:
-        def spy(matrix, measure=getattr(fidelity, name), name=name):
-            counts[name] += 1
-            return measure(matrix)
+    received = {"average_teleport_fidelity": [], "singlet_fraction": []}
+    for name in received:
+        def spy(stack, measure=getattr(fidelity, name), name=name):
+            received[name].append(len(stack))
+            return measure(stack)
         monkeypatch.setattr(fidelity, name, spy)
     got = (generalized_teleportation_fidelity(dm, layout, params),
            generalized_singlet_fraction(dm, layout))
-    assert counts == {"average_teleport_fidelity": calls,
-                      "singlet_fraction": calls}
+    # one call per grid, on a stack of its distinct matrices
+    assert received == {"average_teleport_fidelity": [calls],
+                        "singlet_fraction": [calls]}
     assert got == want
 
 
@@ -286,15 +375,19 @@ def test_one_state_is_reduced_once_for_both_quantities(monkeypatch, kind):
     calls = _count_reductions(monkeypatch)
     measured = []
 
-    def spy(matrix, measure=fidelity.singlet_fraction):
-        measured.append(matrix)
-        return measure(matrix)
+    def spy(stack, measure=fidelity.singlet_fraction):
+        measured.append(stack)
+        return measure(stack)
 
     monkeypatch.setattr(fidelity, "singlet_fraction", spy)
     assert _both(dm, layout, params) == want
     assert len(calls) == 1
+    # one stack of the grid's distinct matrices: two on the distinguishable
+    # layout (pair (1, 1) and I/4), one on the indistinguishable layout
+    distinct = 2 if kind == "distinguishable" else 1
+    assert [len(stack) for stack in measured] == [distinct]
     # the memo's matrices reach the measures read-only
-    assert measured and not any(m.flags.writeable for m in measured)
+    assert not any(stack.flags.writeable for stack in measured)
 
 
 def test_grid_is_rebuilt_after_the_data_changes_in_place(monkeypatch):
