@@ -435,7 +435,9 @@ def relation_check(layout, p_grid=None, params=None):
 
     With `params` omitted, the ceilings are measured on the family's p = 1
     endpoint, which keeps the check self-consistent with the constructed
-    resource state.  Returns a list of records with the residuals.
+    resource state.  Returns a list of records with the residuals, each on an
+    absolute grid: below 1e-12 in magnitude it is recorded as 0.0, so the
+    record does not pin the order of floating-point sums.
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 21)
@@ -459,9 +461,11 @@ def relation_check(layout, p_grid=None, params=None):
         big_f = _singlet_fraction_of(grid, n)
         predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
                      / (params.big_f_max - n / D ** 2) + 1 / D)
+        residual = f_g - predicted
+        if abs(residual) < 1e-12:
+            residual = 0.0  # round-off (and -0.0) is recorded as 0.0
         records.append({"p": float(p), "f_g": f_g, "F_g": big_f,
-                        "predicted_f_g": predicted,
-                        "residual": f_g - predicted})
+                        "predicted_f_g": predicted, "residual": residual})
     return records
 
 

@@ -5,10 +5,16 @@ The benchmark's digest table (`benchmarks/cli_digests.json`) has no
 keyed by full argv (test ids drop the leading `fidelity-relation`): for
 `fidelity-relation` of both kinds at n = 1-4, in JSON and CSV, and at n = 5
 with `--points 2`, and for `sf-bound --n 1/2/3`, the exit code is 0 and the
-SHA-256 of stdout is the one recorded before the pair measurements were
-shared across equal pair matrices (n = 4: before the grid memo; n = 5 and
-`sf-bound`: before a product basis carried its own slots).  Every field
-counts, `residual` round-off included.
+SHA-256 of stdout is the one recorded.
+
+`relation_check` records a residual below 1e-12 in magnitude as 0.0.  The
+sixteen n = 1-4 `fidelity-relation` entries were re-recorded from the commit
+that made that change ("Record relation residuals on an absolute grid"),
+alone: only their `residual` and `max_residual` fields moved, from round-off
+such as 1.11022302463e-16 (at most 3.3e-16) to 0.  The n = 5 and `sf-bound`
+entries did not move and keep their older recordings (n = 5 and `sf-bound`:
+before a product basis carried its own slots).  So the records no longer pin
+the order of any floating-point sum.
 
 `relation_check` reduces each state itself, so the records above bypass the
 one-entry grid memo of `generalized_teleportation_fidelity` and
@@ -18,13 +24,14 @@ them: for every (kind, n) group of that op's mix, the SHA-256 of
 `repr((f_g, F_g))` at p = 0, 0.37 and 0.9, one line each, recorded before
 the memo was added.
 
-`residual` passes through LAPACK (svd, det) and BLAS products, whose last
-bits can depend on the numpy build and on the OpenBLAS kernel picked for the
-CPU.  The digests were recorded with CPython 3.11.7, numpy 2.4.6 and its
-bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on an x86-64 Intel Xeon.  A mismatch
-under another build or CPU may be an environment difference rather than a
-code change: run the same argv at the parent commit in that environment
-before reading it as a regression.
+The other fields are rounded to 12 significant digits, but still pass
+through LAPACK (svd, det) and BLAS products, whose last bits can depend on
+the numpy build and on the OpenBLAS kernel picked for the CPU; the full
+`repr` of `PUBLIC_DIGESTS` does so most.  The digests were recorded with
+CPython 3.11.7, numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on
+an x86-64 Intel Xeon.  A mismatch under another build or CPU may be an
+environment difference rather than a code change: run the same argv at the
+parent commit in that environment before reading it as a regression.
 """
 
 import contextlib
@@ -38,37 +45,37 @@ from qdof.cli import main
 
 DIGESTS = {
     "fidelity-relation --kind distinguishable --n 1 --format json":
-        "c2fc33f658c3be2a163b49651471cd5161654fd2f60baba4ab9117adc32e68bd",
+        "ecbb84ef44622cc86e4f2b56ea08b75904e16be357e2cf46a41892346601a52a",
     "fidelity-relation --kind distinguishable --n 1 --format csv":
-        "9dea977180970dfd6cce184f88e3235bde9e2e48c17680e2c3849f73ec69899f",
+        "6131d934b47f500513bb21a6af3c730c91d0bd71e634ee33d22202081ad67772",
     "fidelity-relation --kind distinguishable --n 2 --format json":
-        "3b1d173f66e0c93d3e7a8f164aa7025848201a70f8fcc3c138b14ce748ea68b5",
+        "1fa00e5e13dc40920ea6350fa10a1cd4288da98b77a498b51bf9c18540e95556",
     "fidelity-relation --kind distinguishable --n 2 --format csv":
-        "2efc013f4ce233efdd480d71d61fe3b87c6e3f6a4b7ab8b95f813a376a09091c",
+        "479e68901d8dcbf5e9c8261b7a5fbd24d713dbde6265932f11d716d9b066ffa9",
     "fidelity-relation --kind distinguishable --n 3 --format json":
-        "0e133d52c85522404aafd89f396cab473239a7bb856fb50711f2e4fb05728d10",
+        "9f371e88bf2e18765f40bca90469b76d30d37e30f03e1f26787adf1748a86324",
     "fidelity-relation --kind distinguishable --n 3 --format csv":
-        "8dbfa16675301e6e5ca457fe408d7305db5a43f65f47941ced7f0103b781131f",
+        "7d6c2b717691b4cfe490ba5d9410d1d97ad214d04d29544f17cc87eaa7d5b763",
     "fidelity-relation --kind indistinguishable --n 1 --format json":
-        "6b132068a354085e55d0aedd9d63e4047f25a529b9c52da70778d353eb56ac6c",
+        "ccee952452a01586980ecbdefc94ec8ad3b17c51437199fea934d23d30665f4b",
     "fidelity-relation --kind indistinguishable --n 1 --format csv":
-        "9e1e5d64d45fc4ee2bf91eca72695c16bf137a3c89daa0045e0e77a24839abf8",
+        "e492f3ccaefb3f5308dfa109948eb5b727e6ffc38e3be6352ffcddc5fe8df994",
     "fidelity-relation --kind indistinguishable --n 2 --format json":
-        "f068739ee586fc930b47253af7e62601e101c52dd8fdd9473f705eba5205f932",
+        "30ca89ce05e1ab1b03736cfcb68a25569fcac88371c563a697f577fb6ec3fd9c",
     "fidelity-relation --kind indistinguishable --n 2 --format csv":
-        "438a8366dabd37321fb18e5c8649ef4bf51bff8d31a14f9cacbd8e7c8a8830fc",
+        "d332a7f7a6ee8604f6fe5e8abee58e92e1f5a43a43d2ba0a901ca2846eb15cad",
     "fidelity-relation --kind indistinguishable --n 3 --format json":
-        "3e04073bcfc4b85c4d9a7a2b3b70adcf530ff331d1d3fdf39266591a7d202d8b",
+        "cd743322c6deaa76ecc5455db22afb248443fc360d6f5c3b8381d639304cd71e",
     "fidelity-relation --kind indistinguishable --n 3 --format csv":
-        "b7723b2766a5adb7943dacb03e260860b4b3fe690f3e565571a85476e45c87d4",
+        "a55a26fa34bfa27d208a0d311447c9b11472554bd3131ce0b059782764d9f90a",
     "fidelity-relation --kind distinguishable --n 4 --format json":
-        "09ad0dd8b70da7809d7f82cc39ed42890e0cfe5ebe66fbc79f0a3cc227a93ad4",
+        "6baf492f01ad621cb4600afd530bb8fb7d818f64a1268cf58a17b029fa1b1187",
     "fidelity-relation --kind distinguishable --n 4 --format csv":
-        "0dd75c6e37dd4403fb5cd01454d6d6f95f51b2513f33b6d5c034eb8b29987367",
+        "a9ba0cf844bda41b9b960c09498cc302340f7918e120be43ba639305fd8a68ac",
     "fidelity-relation --kind indistinguishable --n 4 --format json":
-        "605654890b3c6ea1e29e2258e4c28b460d5f33d4581f64e60a6426c58fded550",
+        "1f4aa8d264b70e07b69275d5f1376e17217f7e46ab509a96acc154329f1d29eb",
     "fidelity-relation --kind indistinguishable --n 4 --format csv":
-        "992fbf5cb7878ae1a3adca193ebdd18793070109f13561e3be230778393100a8",
+        "ffc3bad75353f59f5f466e04facbc5625ba49c13c77afeb25d721974f27223fa",
     "fidelity-relation --kind distinguishable --n 5 --points 2 --format json":
         "4a5d3af71da6ed6df1375c1597624c87de10baaa8e8e954e9d9045e9f6816f12",
     "fidelity-relation --kind distinguishable --n 5 --points 2 --format csv":
