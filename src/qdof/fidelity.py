@@ -2,22 +2,14 @@
 
 The singlet fraction of a two-qubit matrix, its maximal overlap with the
 maximally entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), is computed in
-closed form from the signed singular values of the correlation matrix.  The
-generalized quantities sum the pairwise values over DoF pairs of a two-party
-state, reducing each pair with the trace rules appropriate to the particle
-kind.  Each distinct pair matrix of a grid is measured once, and all of them
-in one call: `singlet_fraction` and `average_teleport_fidelity` take one 4x4
-matrix (and return a float) or a (k, 4, 4) stack (and return its k values),
-and a grid's distinct matrices, told apart by their bytes, go to each as one
-read-only stack.  On the noise family the n^2 pairs share at most two
-matrices.
-
-Stacking moves no byte: each value is the one its matrix gets alone, and
-the one the per-matrix forms first written gave (kept as oracles in
-`tests/oracles.py`).  Each `kron(P_i, P_j)` has one non-zero per column, so
-the correlation matrix is one index gather times a phase table, its four
-terms summed as `np.trace` sums a diagonal; the singular values and
-determinants are one batched call each.
+closed form from the signed singular values of the correlation matrix, read
+off by one `np.einsum` against the nine `kron(P_i, P_j)`.  The generalized
+quantities sum the pairwise values over DoF pairs of a two-party state,
+reducing each pair with the trace rules appropriate to the particle kind.
+`singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
+return a float) or a (k, 4, 4) stack (and return its k values, each the one
+its matrix gets alone); a grid's n^2 pair matrices go to each as one
+read-only stack.
 
 `generalized_teleportation_fidelity` and `generalized_singlet_fraction` read
 their n x n grid of pair matrices through a one-entry memo holding the last
@@ -35,16 +27,15 @@ basis, resource matrix and DoF specs from `_resource(layout)`, cached per
 layout.  The basis is built by `trace._product_basis`, so it carries its
 product slots and the DoF traces take their dense branch on it.
 
-Teleportation is simulated with the standard Bell-measurement-and-correction
-protocol; fidelities are input-output overlaps averaged over the six Pauli
-axis states.  `average_teleport_fidelity` normalizes each channel once and
-forms its six joint states as one broadcast product, with the axis states,
-Bell matrices and correction adjoints worked out at import.  The joint
-states of a whole stack meet all four Bell outcomes in one `np.einsum`, and
-the corrections and overlaps are stacked products, the path
-`teleport_output` takes for its one joint state; every floating-point
-operation is the one a separate `teleport_fidelity` run per axis state
-makes, so the value is that of the six runs bit for bit.
+Teleportation uses the standard Bell-measurement-and-correction protocol:
+`teleport_output` runs it on one input, outcome by outcome.  Its fidelity
+averaged over the six Pauli axis states is linear in the channel and equals
+(2 <Phi+|rho|Phi+> + 1) / 3 on the unit-trace channel rho (Horodecki,
+Horodecki & Horodecki, PRA 60, 1888, 1999), which `average_teleport_fidelity`
+computes.  The per-matrix forms first written, six protocol runs and nine
+correlation products, are kept as oracles in `tests/oracles.py`; both closed
+forms agree with them within 1e-14 relative.  `relation_check` records a
+residual below 1e-12 as 0.0, so no record pins the order of these sums.
 Channels between DoFs of indistinguishable particles are scaled onto a
 configurable ceiling below one, reflecting that unit-fidelity transfer is
 unavailable to them.
@@ -113,14 +104,9 @@ class FidelityParams:
 # -- singlet fraction ----------------------------------------------------------
 
 
-# kron(P_i, P_j) has one non-zero per column: column c of pair m = 3 (i - 1)
-# + (j - 1) holds _T_PHASES[m, c] in row _T_ROWS[m, c], so the c-th diagonal
-# entry of rho kron(P_i, P_j) is rho[c, _T_ROWS[m, c]] * _T_PHASES[m, c]
+# kron(P_i, P_j) for i, j in 1..3, row-major: entry m = 3 (i - 1) + (j - 1)
 _PAULI_PAIRS = np.array([np.kron(_PAULI[i], _PAULI[j])
                          for i in (1, 2, 3) for j in (1, 2, 3)])
-_T_ROWS = np.abs(_PAULI_PAIRS).argmax(axis=1)
-_T_COLS = np.arange(4)
-_T_PHASES = np.take_along_axis(_PAULI_PAIRS, _T_ROWS[:, None, :], axis=1)[:, 0]
 _T_SIGNS = np.diag([1.0, -1.0, 1.0])
 
 
@@ -133,17 +119,10 @@ def _stack(matrices, message):
     return matrices.reshape(-1, 4, 4), matrices.ndim == 2
 
 
-def _diagonal_sums(terms):
-    """Sums over the last axis of length 4, as `np.trace` sums a diagonal:
-    pairwise, starting from 0.0."""
-    return 0.0 + ((terms[..., 0] + terms[..., 1])
-                  + (terms[..., 2] + terms[..., 3]))
-
-
 def _unit_trace(stack, message):
     """Each matrix of `stack` over its real trace; a trace below 1e-12 in
     magnitude raises DegenerateStateError(message)."""
-    tr = _diagonal_sums(np.diagonal(stack, axis1=1, axis2=2).real)
+    tr = np.trace(stack, axis1=1, axis2=2).real
     if (np.abs(tr) < 1e-12).any():
         raise DegenerateStateError(message)
     return stack / tr[:, None, None]
@@ -159,9 +138,8 @@ def singlet_fraction(rho):
     stack, single = _stack(
         rho, "v1 computes singlet fractions of two-qubit states")
     stack = _unit_trace(stack, "singlet fraction of a zero-trace matrix")
-    # t[i, j] = Re tr(rho kron(P_i, P_j)) read off by one gather
-    terms = (stack[:, _T_COLS, _T_ROWS] * _T_PHASES).real
-    t = _diagonal_sums(terms).reshape(-1, 3, 3)
+    # t[i, j] = Re tr(rho kron(P_i, P_j))
+    t = np.einsum("nab,mba->nm", stack, _PAULI_PAIRS).real.reshape(-1, 3, 3)
     k = _T_SIGNS @ t
     sing = np.linalg.svd(k, compute_uv=False)
     last = np.where(np.linalg.det(k) >= 0, sing[:, 2], -sing[:, 2])
@@ -237,32 +215,17 @@ def _pair_matrix(dm, layout, i, j):
     return _pair_matrices(dm, layout, [(i, j)])[i, j]
 
 
-def _per_distinct_matrix(measure, grid):
-    """{pair: value}, measuring the distinct matrices of `grid` by one call
-    of `measure` on their read-only (k, 4, 4) stack.
-
-    Matrices are told apart by their bytes, so equal matrices get the very
-    value a call of their own would return.
-    """
-    slots = {}
-    distinct = {}
-    for pair, matrix in grid.items():
-        key = matrix.tobytes()
-        if key not in distinct:
-            distinct[key] = matrix
-        slots[pair] = key
-    stack = np.array(list(distinct.values()))
+def _measure_grid(measure, grid, n):
+    """n x n values of `measure` over the pairs of `grid`, by one call on
+    the read-only (n^2, 4, 4) stack of its matrices."""
+    stack = np.array([grid[pair] for pair in
+                      itertools.product(range(1, n + 1), repeat=2)])
     stack.setflags(write=False)
-    values = dict(zip(distinct, measure(stack)))
-    return {pair: values[key] for pair, key in slots.items()}
+    return measure(stack).reshape(n, n)
 
 
 def _singlet_fraction_of(grid, n):
-    values = _per_distinct_matrix(singlet_fraction, grid)
-    pair_f = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pair_f[i - 1, j - 1] = values[i, j]
+    pair_f = _measure_grid(singlet_fraction, grid, n)
     by_i = pair_f.sum(axis=1).max()
     by_j = pair_f.sum(axis=0).max()
     return float(max(by_i, by_j))
@@ -282,42 +245,20 @@ _BELL = [np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
 
 _CORRECTION = [_PAULI[0], _PAULI[1], _PAULI[3], _PAULI[1] @ _PAULI[3]]
 
-# per Bell outcome: its vector as a 2x2 matrix, conjugated and as is, its
-# correction, and the correction's adjoint as the transposed view
-# `c.conj().T` of each
-_BELL_CONJ = np.array([b.reshape(2, 2).conj() for b in _BELL])
-_BELL_MATS = np.array([b.reshape(2, 2) for b in _BELL])
-_CORRECTIONS = np.array(_CORRECTION)
-_CORRECTION_ADJS = np.array([c.conj() for c in _CORRECTION]).transpose(0, 2, 1)
-
 _CHANNEL_SHAPE = "v1 teleports through two-qubit channels"
 _ZERO_CHANNEL = "teleportation through a zero-trace channel"
 
 
-def _unit(v):
-    v = np.asarray(v, dtype=complex)
-    return v / np.linalg.norm(v)
-
-
-# the axis states normalized as teleport_fidelity normalizes its input, and
-# their density matrices from that vector normalized once more, as
-# teleport_output does
-_AXIS_INPUTS = np.array([_unit(v) for v in AXIS_STATES])
-_AXIS_RHOS = np.array([np.outer(u, u.conj())
-                       for u in (_unit(v) for v in _AXIS_INPUTS)])
-_AXIS_BRAS = _AXIS_INPUTS.conj()[:, None, :]
-_AXIS_KETS = _AXIS_INPUTS[:, :, None]
-
-
-def _bell_outputs(joints):
-    """Corrected outputs summed over the four Bell outcomes, (N, 2, 2), of
-    the joint states `joints`, axes (N, c a b | c' a' b')."""
-    rho_b = np.einsum("oca,ncabxyz,oxy->nobz", _BELL_CONJ, joints, _BELL_MATS)
-    corrected = _CORRECTIONS @ rho_b @ _CORRECTION_ADJS
-    out = np.zeros((len(joints), 2, 2), dtype=complex)
-    for o in range(len(_BELL)):
-        out += corrected[:, o]
-    return out
+def _unit(psi_in):
+    """`psi_in` as a unit complex 2-vector; any other shape, or a norm that
+    is not positive, raises ValueError."""
+    psi_in = np.asarray(psi_in, dtype=complex)
+    if psi_in.shape != (2,):
+        raise ValueError("v1 teleports one qubit: psi_in must have length 2")
+    norm = np.linalg.norm(psi_in)
+    if not norm > 0:
+        raise ValueError("cannot teleport an input vector of zero norm")
+    return psi_in / norm
 
 
 def teleport_output(channel, psi_in):
@@ -328,7 +269,13 @@ def teleport_output(channel, psi_in):
     channel = _unit_trace(channel[None], _ZERO_CHANNEL)[0]
     psi_in = _unit(psi_in)
     joint = np.kron(np.outer(psi_in, psi_in.conj()), channel)  # C x A x B
-    return _bell_outputs(joint.reshape((1,) + (2,) * 6))[0]
+    t = joint.reshape((2,) * 6)  # (c a b | c' a' b')
+    out = np.zeros((2, 2), dtype=complex)
+    for bell, corr in zip(_BELL, _CORRECTION):
+        m = bell.reshape(2, 2)
+        rho_b = np.einsum("ca,cabxyz,xy->bz", m.conj(), t, m)
+        out += corr @ rho_b @ corr.conj().T
+    return out
 
 
 def teleport_fidelity(channel, psi_in):
@@ -342,18 +289,15 @@ def average_teleport_fidelity(channel):
     """Mean input-output overlap over the six Pauli axis states.
 
     `channel` is one 4x4 matrix, for which a float is returned, or a
-    (k, 4, 4) stack, for which the k values are.  Each run's arithmetic is
-    `teleport_fidelity`'s on the same input: the k x 6 joint states are one
-    broadcast product, entry for entry the `np.kron` of each, and go through
-    the Bell outcomes together.
+    (k, 4, 4) stack, for which the k values are.  The mean is linear in the
+    channel and equals (2 <Phi+|rho|Phi+> + 1) / 3 on the unit-trace `rho`.
     """
     stack, single = _stack(channel, _CHANNEL_SHAPE)
     stack = _unit_trace(stack, _ZERO_CHANNEL)
-    joints = (_AXIS_RHOS[None, :, :, None, :, None]
-              * stack[:, None, None, :, None, :])
-    outs = _bell_outputs(joints.reshape((-1,) + (2,) * 6))
-    overlaps = (_AXIS_BRAS @ outs.reshape(-1, 6, 2, 2) @ _AXIS_KETS).real
-    values = np.array([np.mean(row) for row in overlaps[..., 0, 0]])
+    # <Phi+|rho|Phi+>, entry by entry so that each value is its matrix's alone
+    overlap = 0.5 * (stack[:, 0, 0] + stack[:, 0, 3]
+                     + stack[:, 3, 0] + stack[:, 3, 3]).real
+    values = (2.0 * overlap + 1.0) / 3.0
     return float(values[0]) if single else values
 
 
@@ -371,11 +315,7 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
 
 
 def _teleportation_fidelity_of(grid, layout, params):
-    values = _per_distinct_matrix(average_teleport_fidelity, grid)
-    best = -1.0
-    for i in range(1, layout.n + 1):
-        for j in range(1, layout.n + 1):
-            best = max(best, values[i, j])
+    best = _measure_grid(average_teleport_fidelity, grid, layout.n).max()
     if layout.kind == "indistinguishable":
         best = _rescale_to_ceiling(best, D, params.f_max)
     return float(best)

@@ -196,11 +196,11 @@ def _renormalized(dm, basis, data, empty, n_dofs=None):
     """The reduced matrix on `basis`, renormalized to unit trace."""
     if not basis:
         raise EmptySubspaceError(empty)
-    red = DensityMatrix(basis, data, dm.eta, dm.dof_specs,
-                        n_dofs or dm.n_dofs_orig)
-    if red.trace <= 1e-24:
+    tr = np.trace(data).real
+    if tr <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
-    return red.renormalized()
+    return DensityMatrix(basis, data / tr, dm.eta, dm.dof_specs,
+                         n_dofs or dm.n_dofs_orig)
 
 
 class ProductBasis(tuple):

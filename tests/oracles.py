@@ -7,13 +7,15 @@ it in closed form; two routines here maximize the overlap directly over a
 3-angle parameterization of U, by multi-start local optimization and by a
 refined grid, so the tests can check the closed form against them.
 `closed_form_singlet_fraction` is the closed form as it was first written,
-one 4x4 product per entry of the correlation matrix; the library's gathered,
-stacked version must give its bytes.
+one 4x4 product per entry of the correlation matrix; the library's one
+`np.einsum` over a stack must agree with it within 1e-14 relative.
 
 `six_run_teleport_fidelity` is `qdof.fidelity.average_teleport_fidelity` as
 it was first written: six separate runs of the protocol, each normalizing
 the channel and the input again and building its own `np.kron`.  The
-library's single-pass version must give its bytes.
+library's closed form (2 <Phi+|rho|Phi+> + 1) / 3 must agree with it within
+1e-14 relative, and `qdof.fidelity.teleport_output` must give the bytes of
+`_six_run_output`, one run.
 
 `werner_grid` is the noise family's pair grid in closed form: every pair of
 `two_param_state(p, layout)` is a Werner state p |Phi+><Phi+| + (1 - p) I/4

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from qdof import fidelity
 from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
+from qdof.cli import main
 from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
                            PHI_PLUS, average_teleport_fidelity,
                            generalized_singlet_fraction,
@@ -21,6 +24,14 @@ from oracles import (_fef_closed, _six_run_output, closed_form_singlet_fraction,
                      six_run_teleport_fidelity, werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue()
 
 
 def _random_rho(rng):
@@ -131,7 +142,9 @@ def _noise_pair_matrices():
                 yield from grid.values()
 
 
-def test_average_teleport_fidelity_matches_six_runs_byte_for_byte():
+def test_average_teleport_fidelity_matches_six_runs():
+    """The closed form (2 <Phi+|rho|Phi+> + 1) / 3 against six full protocol
+    runs, non-Hermitian and x1e-7 channels included."""
     rng = np.random.default_rng(4)
     channels = [_random_rho(rng) for _ in range(100)]
     channels += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -139,9 +152,8 @@ def test_average_teleport_fidelity_matches_six_runs_byte_for_byte():
     channels += [1e-7 * _random_rho(rng) for _ in range(50)]
     channels += list(_noise_pair_matrices())
     for channel in channels:
-        got = np.float64(average_teleport_fidelity(channel))
-        want = np.float64(six_run_teleport_fidelity(channel))
-        assert got.tobytes() == want.tobytes()
+        assert average_teleport_fidelity(channel) == \
+            pytest.approx(six_run_teleport_fidelity(channel), rel=1e-14, abs=0)
 
 
 def _sf_bound_pair_matrices():
@@ -162,15 +174,15 @@ def _byte_test_matrices(seed):
     return matrices
 
 
-def test_singlet_fraction_matches_nine_products_byte_for_byte():
-    """The gathered correlation matrix gives the bytes of the nine 4x4
-    products, I/4 (t = 0, det = +-0) included."""
+def test_singlet_fraction_matches_nine_products():
+    """The correlation matrix by one einsum against nine 4x4 products, I/4
+    (t = 0, det = +-0) included."""
     matrices = _byte_test_matrices(5)
     assert any(np.array_equal(m, np.eye(4) / 4) for m in matrices)
     for matrix in matrices:
-        got = np.float64(singlet_fraction(matrix))
-        want = np.float64(closed_form_singlet_fraction(matrix))
-        assert got.tobytes() == want.tobytes()
+        assert singlet_fraction(matrix) == \
+            pytest.approx(closed_form_singlet_fraction(matrix), rel=1e-14,
+                          abs=0)
 
 
 def test_teleport_output_matches_one_run_byte_for_byte():
@@ -229,6 +241,17 @@ def test_non_two_qubit_input_raises_value_error(measure, shape):
 def test_teleport_output_takes_one_channel():
     with pytest.raises(ValueError, match="two-qubit"):
         teleport_output(np.array([BELL]), [1, 0])
+
+
+@pytest.mark.parametrize("psi_in, message", [
+    ([0, 0], "^cannot teleport an input vector of zero norm$"),
+    ([1, 0, 0], "^v1 teleports one qubit: psi_in must have length 2$"),
+    (np.eye(2), "^v1 teleports one qubit: psi_in must have length 2$"),
+], ids=["zero", "length-3", "2x2"])
+@pytest.mark.parametrize("run", [teleport_output, teleport_fidelity])
+def test_bad_teleport_input_raises_value_error(run, psi_in, message):
+    with pytest.raises(ValueError, match=message):
+        run(BELL, psi_in)
 
 
 def test_two_param_state_endpoints():
@@ -321,16 +344,15 @@ def _random_pure(layout, seed):
                          layout.n)
 
 
-@pytest.mark.parametrize("layout, dm, calls", [
+@pytest.mark.parametrize("layout, dm", [
     (ChannelLayout("indistinguishable", 3),
-     two_param_state(0.37, ChannelLayout("indistinguishable", 3)), 1),
+     two_param_state(0.37, ChannelLayout("indistinguishable", 3))),
     (ChannelLayout("distinguishable", 3),
-     two_param_state(0.37, ChannelLayout("distinguishable", 3)), 2),
+     two_param_state(0.37, ChannelLayout("distinguishable", 3))),
     (ChannelLayout("distinguishable", 3),
-     _random_pure(ChannelLayout("distinguishable", 3), 3), 9),
+     _random_pure(ChannelLayout("distinguishable", 3), 3)),
 ], ids=["noise-indist", "noise-dist", "random-pure"])
-def test_each_distinct_pair_matrix_is_measured_once(monkeypatch, layout, dm,
-                                                    calls):
+def test_each_grid_is_measured_by_one_call(monkeypatch, layout, dm):
     params = FidelityParams.for_layout(layout)
     want = _per_pair_loop(dm, layout, params)
     received = {"average_teleport_fidelity": [], "singlet_fraction": []}
@@ -341,9 +363,9 @@ def test_each_distinct_pair_matrix_is_measured_once(monkeypatch, layout, dm,
         monkeypatch.setattr(fidelity, name, spy)
     got = (generalized_teleportation_fidelity(dm, layout, params),
            generalized_singlet_fraction(dm, layout))
-    # one call per grid, on a stack of its distinct matrices
-    assert received == {"average_teleport_fidelity": [calls],
-                        "singlet_fraction": [calls]}
+    # one call per grid, on the stack of its n^2 matrices
+    assert received == {"average_teleport_fidelity": [9],
+                        "singlet_fraction": [9]}
     assert got == want
 
 
@@ -382,10 +404,8 @@ def test_one_state_is_reduced_once_for_both_quantities(monkeypatch, kind):
     monkeypatch.setattr(fidelity, "singlet_fraction", spy)
     assert _both(dm, layout, params) == want
     assert len(calls) == 1
-    # one stack of the grid's distinct matrices: two on the distinguishable
-    # layout (pair (1, 1) and I/4), one on the indistinguishable layout
-    distinct = 2 if kind == "distinguishable" else 1
-    assert [len(stack) for stack in measured] == [distinct]
+    # one stack of the grid's n^2 matrices
+    assert [len(stack) for stack in measured] == [9]
     # the memo's matrices reach the measures read-only
     assert not any(stack.flags.writeable for stack in measured)
 
@@ -436,3 +456,32 @@ def test_noise_family_pairs_are_werner_states(kind, n, p):
     assert grid.keys() == oracle.keys()
     for pair, matrix in grid.items():
         assert np.abs(matrix - oracle[pair]).max() <= 1e-14, pair
+
+
+def _stacked(oracle):
+    return lambda stack: np.array([oracle(matrix) for matrix in stack])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_relation_records_do_not_depend_on_the_summation_order(monkeypatch,
+                                                               kind, n):
+    """Measured by the per-matrix oracles, whose sums run in another order,
+    the printed records are the same bytes."""
+    argvs = [["fidelity-relation", "--kind", kind, "--n", str(n),
+              "--format", fmt] for fmt in ("json", "csv")]
+    want = [_stdout(argv) for argv in argvs]
+    monkeypatch.setattr(fidelity, "average_teleport_fidelity",
+                        _stacked(six_run_teleport_fidelity))
+    monkeypatch.setattr(fidelity, "singlet_fraction",
+                        _stacked(closed_form_singlet_fraction))
+    assert [_stdout(argv) for argv in argvs] == want
+
+
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_relation_residuals_are_exactly_zero(kind):
+    for n in (1, 2, 3, 4, 5):
+        p_grid = None if n < 5 else [0.0, 1.0]
+        for rec in relation_check(ChannelLayout(kind, n), p_grid):
+            assert rec["residual"] == 0.0
+            assert math.copysign(1.0, rec["residual"]) == 1.0  # not -0.0

@@ -9,12 +9,12 @@ SHA-256 of stdout is the one recorded.
 
 `relation_check` records a residual below 1e-12 in magnitude as 0.0.  The
 sixteen n = 1-4 `fidelity-relation` entries were re-recorded from the commit
-that made that change ("Record relation residuals on an absolute grid"),
-alone: only their `residual` and `max_residual` fields moved, from round-off
-such as 1.11022302463e-16 (at most 3.3e-16) to 0.  The n = 5 and `sf-bound`
-entries did not move and keep their older recordings (n = 5 and `sf-bound`:
-before a product basis carried its own slots).  So the records no longer pin
-the order of any floating-point sum.
+that made that change alone (88db475, "Record relation residuals on an
+absolute grid"): only their `residual` and `max_residual` fields moved, from
+round-off such as 1.11022302463e-16 (at most 3.3e-16) to 0.  The n = 5 and
+`sf-bound` entries did not move and keep their older recordings (before a
+product basis carried its own slots).  So the records no longer pin the
+order of any floating-point sum.
 
 `relation_check` reduces each state itself, so the records above bypass the
 one-entry grid memo of `generalized_teleportation_fidelity` and
@@ -24,10 +24,10 @@ them: for every (kind, n) group of that op's mix, the SHA-256 of
 `repr((f_g, F_g))` at p = 0, 0.37 and 0.9, one line each, recorded before
 the memo was added.
 
-The other fields are rounded to 12 significant digits, but still pass
-through LAPACK (svd, det) and BLAS products, whose last bits can depend on
-the numpy build and on the OpenBLAS kernel picked for the CPU; the full
-`repr` of `PUBLIC_DIGESTS` does so most.  The digests were recorded with
+The printed fields are rounded to 12 significant digits, and
+`PUBLIC_DIGESTS` hashes full `repr`s.  Both pass through LAPACK (svd, det)
+and BLAS products, whose last bits can depend on the numpy build and on the
+OpenBLAS kernel picked for the CPU.  The digests were recorded with
 CPython 3.11.7, numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on
 an x86-64 Intel Xeon.  A mismatch under another build or CPU may be an
 environment difference rather than a code change: run the same argv at the
