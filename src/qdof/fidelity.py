@@ -4,12 +4,13 @@ The singlet fraction of a two-qubit matrix, its maximal overlap with the
 maximally entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), is computed in
 closed form from the signed singular values of the correlation matrix, read
 off by one `np.einsum` against the nine `kron(P_i, P_j)`.  The generalized
-quantities sum the pairwise values over DoF pairs of a two-party state,
-reducing each pair with the trace rules appropriate to the particle kind.
+quantities sum the pairwise values over DoF pairs of a two-party state.  The
+state's pair grid is one (n, n, 4, 4) array, built with the DoF trace rule of
+the particle kind: party 1 is reduced to each of its DoFs, sharing the traces
+of DoFs 1..i-1, then each of those to each DoF of party 2 in the same way.
 `singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
 return a float) or a (k, 4, 4) stack (and return its k values, each the one
-its matrix gets alone); a grid's n^2 pair matrices go to each as one
-read-only stack.
+its matrix gets alone); a grid goes to each as its (n^2, 4, 4) stack.
 
 `generalized_teleportation_fidelity` and `generalized_singlet_fraction` read
 their n x n grid of pair matrices through a one-entry memo holding the last
@@ -18,7 +19,7 @@ memo is keyed on the layout, the identity of `dm.basis`, `dm.eta`,
 `dm.dof_specs`, `dm.n_dofs_orig` and the dtype, shape and bytes of
 `dm.data`: input equal in all of these gets the very grid a fresh reduction
 would build, and a matrix changed in place or set on another basis object is
-reduced again.  The memo's matrices are read-only.  `relation_check` reduces
+reduced again.  The memo's grid is read-only.  `relation_check` reduces
 each of its states itself, past the memo; a p = 1 grid point reuses the
 endpoint grid its ceilings were measured on.
 
@@ -44,7 +45,6 @@ unavailable to them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,10 +120,11 @@ def _stack(matrices, message):
 
 
 def _unit_trace(stack, message):
-    """Each matrix of `stack` over its real trace; a trace below 1e-12 in
-    magnitude raises DegenerateStateError(message)."""
+    """Each matrix of `stack` over its real trace; a trace of at most 1e-12
+    times the matrix's largest |entry| in magnitude, zero for a zero matrix,
+    raises DegenerateStateError(message)."""
     tr = np.trace(stack, axis1=1, axis2=2).real
-    if (np.abs(tr) < 1e-12).any():
+    if (np.abs(tr) <= 1e-12 * np.abs(stack).max(axis=(1, 2))).any():
         raise DegenerateStateError(message)
     return stack / tr[:, None, None]
 
@@ -150,53 +151,51 @@ def singlet_fraction(rho):
 # -- pair reductions -----------------------------------------------------------
 
 
-def _pair_steps(n, i, j):
-    """The trace steps (side, DoF) that leave the (i, j) pair, in chain order."""
-    steps = []
-    for k in range(1, n + 1):
-        if k != i:
-            steps.append((0, k))
-        if k != j:
-            steps.append((1, k))
-    return steps
+def _each_dof(dm, side, trace, n):
+    """`dm` reduced to each DoF of party `side`: entry i - 1 keeps DoF i.
+
+    `trace(matrix, side, k)` traces DoF k of that party out.  DoFs 1..i-1
+    are traced once, on a prefix shared by every later i, then i+1..n for
+    each i: n(n-1)/2 + n-1 traces in all.
+    """
+    reduced = []
+    for i in range(1, n + 1):  # dm has DoFs 1..i-1 traced out
+        kept = dm
+        for k in range(i + 1, n + 1):
+            kept = trace(kept, side, k)
+        reduced.append(kept)
+        if i < n:
+            dm = trace(dm, side, i)
+    return reduced
 
 
-def _pair_matrices(dm, layout, pairs=None):
-    """{(i, j): 4x4 matrix of the (i-th DoF of party 1, j-th DoF of party 2)
-    pair} for `pairs`, all n^2 pairs by default.
+def _pair_matrices(dm, layout):
+    """(n, n, 4, 4) array whose entry [i - 1, j - 1] is the matrix of the
+    (i-th DoF of party 1, j-th DoF of party 2) pair.
 
-    Each pair is reduced by its own chain of single-DoF traces; chains that
-    begin with the same steps share those reductions through a memo kept for
-    this call only.
+    Party 1 is reduced to each of its DoFs, then each of those to each DoF
+    of party 2, by the trace rule of the layout's particle kind.
     """
     n = layout.n
-    if pairs is None:
-        pairs = itertools.product(range(1, n + 1), repeat=2)
-    if layout.kind == "indistinguishable":
+    if layout.kind == "distinguishable":
+        trace = trace_dof_dist
+    else:
         regions = sorted({k.region for kets in dm.basis for k in kets})
-    memo = {(): dm}
-    grid = {}
-    for i, j in pairs:
-        prefix = ()
-        for side, k in _pair_steps(n, i, j):
-            reduced = memo[prefix]
-            prefix += ((side, k),)
-            if prefix not in memo:
-                if layout.kind == "distinguishable":
-                    memo[prefix] = trace_dof_dist(reduced, side, k)
-                else:
-                    memo[prefix] = trace_dof_indist(
-                        reduced, Subsystem(regions[side], k))
-        grid[i, j] = to_qubit_array(memo[prefix])
-    return grid
+
+        def trace(reduced, side, k):
+            return trace_dof_indist(reduced, Subsystem(regions[side], k))
+
+    return np.array([[to_qubit_array(pair)
+                      for pair in _each_dof(row, 1, trace, n)]
+                     for row in _each_dof(dm, 0, trace, n)])
 
 
 _last_grid = None  # (basis, key, grid) of the last full grid built (module doc)
 
 
 def _full_grid(dm, layout):
-    """All n^2 pair matrices of `dm`, read-only; a call on input equal to
-    the last call's returns the grid built then."""
+    """The (n, n, 4, 4) pair grid of `dm`, read-only; a call on input equal
+    to the last call's returns the grid built then."""
     global _last_grid
     data = dm.data
     key = (layout, dm.eta, dm.dof_specs, dm.n_dofs_orig, data.dtype, data.shape,
@@ -204,28 +203,19 @@ def _full_grid(dm, layout):
     last = _last_grid
     if last is None or last[0] is not dm.basis or last[1] != key:
         grid = _pair_matrices(dm, layout)
-        for matrix in grid.values():
-            matrix.setflags(write=False)
+        grid.setflags(write=False)
         last = _last_grid = (dm.basis, key, grid)
     return last[2]
 
 
-def _pair_matrix(dm, layout, i, j):
-    """4x4 matrix of the (i-th DoF of party 1, j-th DoF of party 2) pair."""
-    return _pair_matrices(dm, layout, [(i, j)])[i, j]
+def _measure_grid(measure, grid):
+    """n x n values of `measure` over `grid`, by one call on the (n^2, 4, 4)
+    stack of its matrices."""
+    return measure(grid.reshape(-1, 4, 4)).reshape(grid.shape[:2])
 
 
-def _measure_grid(measure, grid, n):
-    """n x n values of `measure` over the pairs of `grid`, by one call on
-    the read-only (n^2, 4, 4) stack of its matrices."""
-    stack = np.array([grid[pair] for pair in
-                      itertools.product(range(1, n + 1), repeat=2)])
-    stack.setflags(write=False)
-    return measure(stack).reshape(n, n)
-
-
-def _singlet_fraction_of(grid, n):
-    pair_f = _measure_grid(singlet_fraction, grid, n)
+def _singlet_fraction_of(grid):
+    pair_f = _measure_grid(singlet_fraction, grid)
     by_i = pair_f.sum(axis=1).max()
     by_j = pair_f.sum(axis=0).max()
     return float(max(by_i, by_j))
@@ -233,7 +223,7 @@ def _singlet_fraction_of(grid, n):
 
 def generalized_singlet_fraction(dm, layout):
     """Max over one fixed DoF of either party of the summed pairwise fractions."""
-    return _singlet_fraction_of(_full_grid(dm, layout), layout.n)
+    return _singlet_fraction_of(_full_grid(dm, layout))
 
 
 # -- teleportation -------------------------------------------------------------
@@ -315,7 +305,7 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
 
 
 def _teleportation_fidelity_of(grid, layout, params):
-    best = _measure_grid(average_teleport_fidelity, grid, layout.n).max()
+    best = _measure_grid(average_teleport_fidelity, grid).max()
     if layout.kind == "indistinguishable":
         best = _rescale_to_ceiling(best, D, params.f_max)
     return float(best)
@@ -390,7 +380,7 @@ def relation_check(layout, p_grid=None, params=None):
         params = FidelityParams(
             _teleportation_fidelity_of(endpoint, layout,
                                        FidelityParams.for_layout(layout)),
-            _singlet_fraction_of(endpoint, n))
+            _singlet_fraction_of(endpoint))
     records = []
     for p in p_grid:
         if endpoint is not None and float(p) == 1.0:
@@ -398,7 +388,7 @@ def relation_check(layout, p_grid=None, params=None):
         else:
             grid = _pair_matrices(two_param_state(float(p), layout), layout)
         f_g = _teleportation_fidelity_of(grid, layout, params)
-        big_f = _singlet_fraction_of(grid, n)
+        big_f = _singlet_fraction_of(grid)
         predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
                      / (params.big_f_max - n / D ** 2) + 1 / D)
         residual = f_g - predicted

@@ -170,8 +170,11 @@ def monogamy_report(dm, sub_a, sub_b, sub_c):
     rho_a = to_qubit_array(reduce_to([sub_a]))
     c2_ab = concurrence(rho_ab) ** 2
     c2_ac = concurrence(rho_ac) ** 2
-    audit = {"flip_spectrum_ab": spin_flip_spectrum(rho_ab).tolist(),
-             "flip_spectrum_ac": spin_flip_spectrum(rho_ac).tolist(),
+    # concurrence has validated both; this is spin_flip_spectrum's arithmetic
+    audit = {"flip_spectrum_ab":
+             _flip_eigenvalues(rho_ab / np.trace(rho_ab).real).tolist(),
+             "flip_spectrum_ac":
+             _flip_eigenvalues(rho_ac / np.trace(rho_ac).real).tolist(),
              "marginal_spectrum_a": np.linalg.eigvalsh(rho_a).tolist()}
     return MonogamyReport(c2_ab, c2_ac, tangle_one_vs_rest(rho_a), audit)
 

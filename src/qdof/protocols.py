@@ -19,10 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .circuits import PhaseConfig, sorter_cascade, swap_circuit
-from .fidelity import ChannelLayout, _pair_matrix, singlet_fraction
+from .fidelity import singlet_fraction
 from .hardy import HardyParams, hardy_q
 from .measurement import ChshSettings, chsh, coincidence_table
 from .states import BOSON, DofSpec, Ket, SymState, normalize, to_density
+from .trace import Subsystem, to_qubit_array, trace_dof_indist
 
 
 @dataclass(frozen=True)
@@ -165,11 +166,12 @@ def qpq_sf(theta, ancilla="particle"):
         ka = Ket("s2", ((1, str(a1)), (2, str(a2))))
         terms[(kb, ka)] = complex(amp)
     state = normalize(SymState(BOSON, terms, (spec1, spec2)))
-    dm = to_density(state)
-    layout = ChannelLayout("indistinguishable", 2)
+    # pairs (DoF 1 of s1, DoF j of s2) for j = 1, 2; s1's DoF 2 is traced once
+    s1_dof1 = trace_dof_indist(to_density(state), Subsystem("s1", 2))
     total = 0.0
-    for j in (1, 2):
-        total += singlet_fraction(_pair_matrix(dm, layout, 1, j))
+    for traced in (2, 1):  # the s2 DoF that is not j
+        total += singlet_fraction(to_qubit_array(
+            trace_dof_indist(s1_dof1, Subsystem("s2", traced))))
     return float(total)
 
 

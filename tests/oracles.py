@@ -221,14 +221,17 @@ def six_run_teleport_fidelity(channel):
 
 
 def werner_grid(p, layout):
-    """{(i, j): 4x4 pair matrix} of `two_param_state(p, layout)`, closed form."""
+    """(n, n, 4, 4) pair grid of `two_param_state(p, layout)`, closed form:
+    entry [i - 1, j - 1] is pair (i, j)."""
     werner = (p * np.outer(PHI_PLUS, PHI_PLUS.conj())
               + (1.0 - p) * np.eye(4) / 4.0)
-    pairs = itertools.product(range(1, layout.n + 1), repeat=2)
-    return {(i, j): werner
-            if layout.kind == "indistinguishable" or (i, j) == (1, 1)
-            else np.eye(4) / 4.0
-            for i, j in pairs}
+    n = layout.n
+    if layout.kind == "indistinguishable":
+        return np.broadcast_to(werner, (n, n, 4, 4))
+    grid = np.zeros((n, n, 4, 4), dtype=complex)
+    grid[...] = np.eye(4) / 4.0
+    grid[0, 0] = werner
+    return grid
 
 
 def hardy_q_grid(thetas, phis):

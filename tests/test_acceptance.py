@@ -14,7 +14,7 @@ from qdof.circuits import (PhaseConfig, gate_hardy_state, hardy_state,
                            li_circuit, pol_oam_pair)
 from qdof.fidelity import (ChannelLayout, generalized_singlet_fraction,
                            relation_check, sf_upper_bound_check,
-                           singlet_fraction, _pair_matrix)
+                           singlet_fraction, _pair_matrices)
 from qdof.hardy import (HardyParams, NoiseModel, OFFLINE_STATES_DEG, Q_MAX,
                         hardy_q, noisy_sample, estimate_qlb, qmax_solve)
 from qdof.measures import (concurrence, log_negativity, mixed_monogamy_check,
@@ -173,8 +173,8 @@ def test_criterion_08_singlet_fraction_facts():
     t0 = time.perf_counter()
     layout2 = ChannelLayout("distinguishable", 2)
     dm = to_density(pol_oam_pair(0.67, 0.95))
-    pair_dev = max(abs(singlet_fraction(_pair_matrix(dm, layout2, i, j)) - 0.5)
-                   for i in (1, 2) for j in (1, 2))
+    pair_dev = max(abs(singlet_fraction(matrix) - 0.5)
+                   for matrix in _pair_matrices(dm, layout2).reshape(-1, 4, 4))
     fg_dev = abs(generalized_singlet_fraction(dm, layout2) - 1.0)
     hh = project_one_per_region(
         to_density(li_circuit("boson", PhaseConfig(0.3, 1.1, -0.2, 0.8))),

@@ -94,11 +94,8 @@ def test_singlet_fraction_rejects_zero_trace():
 def test_photon_pair_has_half_singlet_fraction():
     layout = ChannelLayout("distinguishable", 2)
     dm = to_density(pol_oam_pair(0.61, 0.3))
-    from qdof.fidelity import _pair_matrix
-    for i in (1, 2):
-        for j in (1, 2):
-            assert singlet_fraction(_pair_matrix(dm, layout, i, j)) == \
-                pytest.approx(0.5, abs=1e-4)
+    for matrix in fidelity._pair_matrices(dm, layout).reshape(-1, 4, 4):
+        assert singlet_fraction(matrix) == pytest.approx(0.5, abs=1e-4)
     assert generalized_singlet_fraction(dm, layout) == pytest.approx(1.0,
                                                                      abs=1e-4)
 
@@ -139,7 +136,7 @@ def _noise_pair_matrices():
             for p in (0.0, 0.37, 0.9, 1.0):
                 grid = fidelity._pair_matrices(two_param_state(p, layout),
                                                layout)
-                yield from grid.values()
+                yield from grid.reshape(-1, 4, 4)
 
 
 def test_average_teleport_fidelity_matches_six_runs():
@@ -160,7 +157,7 @@ def _sf_bound_pair_matrices():
     layout = ChannelLayout("distinguishable", 3)
     for seed in range(10):
         dm = _random_pure(layout, seed)
-        yield from fidelity._pair_matrices(dm, layout).values()
+        yield from fidelity._pair_matrices(dm, layout).reshape(-1, 4, 4)
 
 
 def _byte_test_matrices(seed):
@@ -223,6 +220,15 @@ def test_a_later_zero_trace_matrix_fails_the_stack(measure, message):
     stack = np.array([BELL, np.eye(4) / 4, np.diag([0.5, -0.5, 0.0, 0.0])])
     with pytest.raises(DegenerateStateError, match=f"^{message}$"):
         measure(stack)
+
+
+@pytest.mark.parametrize("measure", [singlet_fraction,
+                                     average_teleport_fidelity])
+def test_a_small_scale_is_not_a_zero_trace(measure):
+    """The zero-trace cut is relative to each matrix's largest entry: a Bell
+    state scaled by 1e-13 normalizes to the Bell state."""
+    assert measure(1e-13 * BELL) == 1.0
+    assert measure(np.array([BELL, 1e-13 * BELL])).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4,), (4, 8), (8, 8),
@@ -324,11 +330,11 @@ def _per_pair_loop(dm, layout, params):
     """Both generalized quantities with one measurement per pair."""
     n = layout.n
     grid = fidelity._pair_matrices(dm, layout)
-    pair_f = np.array([[singlet_fraction(grid[i, j]) for j in range(1, n + 1)]
-                       for i in range(1, n + 1)])
+    pair_f = np.array([[singlet_fraction(grid[i, j]) for j in range(n)]
+                       for i in range(n)])
     big_f = float(max(pair_f.sum(axis=1).max(), pair_f.sum(axis=0).max()))
     best = max(average_teleport_fidelity(grid[i, j])
-               for i in range(1, n + 1) for j in range(1, n + 1))
+               for i in range(n) for j in range(n))
     if layout.kind == "indistinguishable":
         best = fidelity._rescale_to_ceiling(best, fidelity.D, params.f_max)
     return float(best), big_f
@@ -375,9 +381,9 @@ def _count_reductions(monkeypatch):
     calls = []
     pair_matrices = fidelity._pair_matrices
 
-    def spy(dm, layout, pairs=None):
+    def spy(dm, layout):
         calls.append(dm)
-        return pair_matrices(dm, layout, pairs)
+        return pair_matrices(dm, layout)
 
     monkeypatch.setattr(fidelity, "_pair_matrices", spy)
     return calls
@@ -446,6 +452,26 @@ def test_relation_check_reduces_the_endpoint_once(monkeypatch):
     assert len(calls) == 21
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_pair_grid_shares_its_dof_traces(monkeypatch, kind, n):
+    """Party 1 is reduced to each of its DoFs, then each of those to each DoF
+    of party 2, sharing the traces of DoFs 1..i-1: (n + 1)(n(n - 1)/2 + n - 1)
+    calls of the kind's DoF rule, 0/6/20/45/84 at n = 1-5."""
+    layout = ChannelLayout(kind, n)
+    dm = two_param_state(0.37, layout)
+    calls = []
+    for name in ("trace_dof_dist", "trace_dof_indist"):
+        def spy(*args, rule=getattr(fidelity, name), name=name):
+            calls.append(name)
+            return rule(*args)
+        monkeypatch.setattr(fidelity, name, spy)
+    fidelity._pair_matrices(dm, layout)
+    rule = ("trace_dof_dist" if kind == "distinguishable"
+            else "trace_dof_indist")
+    assert calls == [rule] * ((n + 1) * (n * (n - 1) // 2 + n - 1))
+
+
 @pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
@@ -453,9 +479,9 @@ def test_noise_family_pairs_are_werner_states(kind, n, p):
     layout = ChannelLayout(kind, n)
     grid = fidelity._pair_matrices(two_param_state(p, layout), layout)
     oracle = werner_grid(p, layout)
-    assert grid.keys() == oracle.keys()
-    for pair, matrix in grid.items():
-        assert np.abs(matrix - oracle[pair]).max() <= 1e-14, pair
+    assert grid.shape == oracle.shape == (n, n, 4, 4)
+    for i, j in np.ndindex(n, n):
+        assert np.abs(grid[i, j] - oracle[i, j]).max() <= 1e-14, (i + 1, j + 1)
 
 
 def _stacked(oracle):
