@@ -80,6 +80,8 @@ class ChannelLayout:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("v1 supports n >= 1 two-level DoFs")
+        if self.n > 6:  # one matrix is 4.3 GB at n = 7
+            raise ValueError("v1 builds dense 4^n x 4^n matrices: n <= 6")
 
 
 @dataclass
@@ -241,11 +243,15 @@ _ZERO_CHANNEL = "teleportation through a zero-trace channel"
 
 def _unit(psi_in):
     """`psi_in` as a unit complex 2-vector; any other shape, or a norm that
-    is not positive, raises ValueError."""
+    is not positive, raises ValueError.  A non-zero vector whose squared
+    norm underflows is scaled by its largest |entry| first."""
     psi_in = np.asarray(psi_in, dtype=complex)
     if psi_in.shape != (2,):
         raise ValueError("v1 teleports one qubit: psi_in must have length 2")
     norm = np.linalg.norm(psi_in)
+    if norm == 0 and psi_in.any():
+        psi_in = psi_in / np.abs(psi_in).max()
+        norm = np.linalg.norm(psi_in)
     if not norm > 0:
         raise ValueError("cannot teleport an input vector of zero norm")
     return psi_in / norm

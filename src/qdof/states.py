@@ -74,6 +74,18 @@ class Ket:
     region: str
     dofs: tuple = ()
 
+    def __post_init__(self):
+        # the generated hash's value, worked out once: basis-keyed caches
+        # hash every ket of their basis on each lookup
+        object.__setattr__(self, "_hash", hash((self.region, self.dofs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: str hashes differ between processes
+        return Ket, (self.region, self.dofs)
+
     def value(self, index):
         for i, v in self.dofs:
             if i == index:

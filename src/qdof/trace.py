@@ -45,43 +45,36 @@ one position thus add.  A matrix whose tuples are all kept and already in
 qubit order is returned as a copy.
 
 Facts that depend only on the basis are worked out once per basis, never
-per call: ``to_qubit_array`` takes each tuple's position (and the array's
-size and whether the basis is already in qubit order) from a bounded cache
-keyed on ``(basis, dof_specs)``.  The operator sum takes each tuple's
-images ``(key, coeff, reduced_tuple)`` from a bounded table keyed on
-``(basis, rule)``: the sorted set of every reduced tuple, and each image as
-(key id, coefficient, index in that set).  Rules come from cached factories
-keyed on their arguments (``eta`` and the DoF included), so equal arguments
-give the same rule and share a table.  A rule that raises for a tuple raises
-only when a call maps that tuple.
+per call.  ``to_qubit_array`` takes each tuple's position, the array's size
+and whether the basis is in qubit order from a bounded cache keyed on
+``(basis, dof_specs)``.  The operator sum takes each tuple's images ``(key,
+coeff, reduced_tuple)`` from a bounded table keyed on ``(basis, rule)``: the
+sorted set of every reduced tuple, and each image as (key id, coefficient,
+index in that set).  Rules come from cached factories keyed on their
+arguments (``eta`` and the DoF included), so equal arguments give the same
+rule and share a table; a rule that raises for a tuple raises only when a
+call maps that tuple.  What depends on the data stays per call: the tuples
+the cut keeps or maps, the order in which their keys first appear, which
+images meet a partner under their key, the reduced basis, the maps K and the
+products, which are the ones images built on every call would give.
 
-Neither cache binds what depends on the data.  On every call
-``to_qubit_array`` works out which tuples the 1e-16 cut keeps, and so which
-positions are filled or which tuple fails to embed.  On every call the
-operator sum works out which tuples the cut maps, the order in which their
-keys first appear, which images meet a partner under their key, the reduced
-basis, the maps K and the products.  K and the order of the key sum are the
-ones images built on every call would give, so the bytes do not depend on
-the table.
-
-The two DoF traces take a dense branch on a ``ProductBasis``: the sorted
-full product of two-valued DoFs with one ket per distinct region, built by
-``_product_basis`` (cached), which is its only constructor and stores its
-slots on it.  The bases of ``fidelity``'s noise family and random states are
-built so, as is every basis the branch returns.  Two tests stay per call:
-every diagonal entry must be above the cut, and for the symmetrized kinds
-the regions must be in canonical order.  A full product built any other way
-(a hand-built tuple, or a kernel output that happens to be one) carries no
-slots and takes the kernel, which gives the same bytes.  On a product basis
-the kernel keeps the whole reduced product, every coefficient is +-1 (one sign
-per slot, so it cancels between ket and bra) and each output entry is the
-sum of two input entries, so the branch views the matrix as a ``(2,) * 2m``
-array and adds two slices.  It adds them in the kernel's order -- over the
-ket axis first for the coherent trace, key by key onto zeros for the
-distinguishable one -- and the zeros the kernel's matrix products add are
-exact, so its result is the kernel's bit for bit.  Every other input
-(sparse circuit states, bunched sectors, weights at or below the cut) stays
-on the kernel, as do ``trace_region`` and ``project_one_per_region``.
+The two DoF traces take a dense branch on a ``ProductBasis``, the sorted
+full product of two-valued DoFs with one ket per distinct region, built only
+by ``_product_basis`` (cached), as are ``fidelity``'s noise-family and random
+bases and every basis the branch returns.  Such a basis carries its slots,
+regions and DoFs, whether the regions are in canonical order (as the
+symmetrized kinds need), each DoF trace's plan and, per ``dof_specs``,
+whether it is in qubit order.  Only the diagonal test stays per call: with
+every diagonal entry above the cut every tuple is kept, so the branch applies
+and ``to_qubit_array`` copies a matrix in qubit order without a layout.  On
+a product basis each kernel coefficient is +-1 (one sign per slot, so it
+cancels between ket and bra) and each output entry is the sum of two input
+entries, so the branch adds two slices of the ``(2,) * 2m`` view in the
+kernel's order: over the ket axis first for the coherent trace, key by key
+onto exact zeros for the distinguishable one.  Its result is the kernel's bit
+for bit.  Every other input (a full product built any other way, sparse
+circuit states, bunched sectors, weights at or below the cut) takes the
+kernel, as do ``trace_region`` and ``project_one_per_region``.
 """
 
 from __future__ import annotations
@@ -204,9 +197,8 @@ def _renormalized(dm, basis, data, empty, n_dofs=None):
 
 
 class ProductBasis(tuple):
-    """The sorted full product of two-valued DoFs with one ket per distinct
-    region, carrying its `slots`, ((region, ((dof, (a, b)), ...)), ...)
-    with a < b; made only by `_product_basis`."""
+    """A full product basis (module doc), made only by `_product_basis`, with
+    its `slots`, ((region, ((dof, (a, b)), ...)), ...) with a < b."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,28 +213,27 @@ def _product_basis(slots):
                  for combo in itertools.product(*[v for _, v in dofs])]
                 for region, dofs in slots]
     basis = ProductBasis(itertools.product(*per_slot))
-    basis.slots = slots
+    basis.slots, basis.regions = slots, tuple(region for region, _ in slots)
+    basis.canonical = list(basis.regions) == sorted(basis.regions)
+    basis.dofs = frozenset(i for _, dofs in slots for i, _ in dofs)
+    basis.plans, basis.in_order = {}, {}
     return basis
 
 
 def _product_slots(dm):
-    """The slots of `dm` when the dense branch applies (module doc), else None."""
-    slots = getattr(dm.basis, "slots", None)
-    if slots is None or not (np.abs(dm.data.diagonal()) > 1e-16).all():
+    """The `ProductBasis` of `dm` if the dense branch applies, else None."""
+    basis = dm.basis
+    if (type(basis) is not ProductBasis
+            or not (basis.canonical or dm.eta == DISTINGUISHABLE)
+            or not (np.abs(dm.data.diagonal()) > 1e-16).all()):
         return None
-    regions = [region for region, _ in slots]
-    if dm.eta != DISTINGUISHABLE and regions != sorted(regions):
-        return None
-    return slots
+    return basis
 
 
-def _dense_trace(dm, slots, slot, dof_index, coherent):
-    """(basis, data) of the trace of `dof_index` at `slot` on a product basis.
-
-    Returns None when that slot does not carry the DoF.  The sums follow the
-    kernel's: the coherent trace adds over the ket axis first, as K rho does
-    before K^dagger, and the distinguishable trace adds one key at a time.
-    """
+def _dense_plan(basis, slot, dof_index):
+    """(shape, k0, k1, b0, b1, traced) of a DoF trace, None if `slot` lacks
+    the DoF: t[k0], t[k1] of the view t fix its ket value, b0, b1 its bra's."""
+    slots = basis.slots
     region, dofs = slots[slot]
     kept = tuple(d for d in dofs if d[0] != dof_index)
     if len(kept) == len(dofs):
@@ -250,19 +241,28 @@ def _dense_trace(dm, slots, slot, dof_index, coherent):
     m = sum(len(d) for _, d in slots)
     axis = (sum(len(d) for _, d in slots[:slot])
             + [i for i, _ in dofs].index(dof_index))
-    t = dm.data.reshape((2,) * (2 * m))
-    ket = (slice(None),) * axis
-    out = np.zeros((2,) * (2 * m - 2), dtype=complex)
+    ket, bra = (slice(None),) * axis, (slice(None),) * (m - 1 + axis)
+    return ((2,) * (2 * m), ket + (0,), ket + (1,), bra + (0,), bra + (1,),
+            _product_basis(slots[:slot] + ((region, kept),) + slots[slot + 1:]))
+
+
+def _dense_trace(dm, basis, slot, dof_index, coherent):
+    """(basis, data) of the trace of `dof_index` at `slot`, or None.  The
+    coherent sum adds over the ket axis first, as K rho does before K^dagger;
+    the other adds key by key onto 0, which + 0.0 stands for."""
+    if (slot, dof_index) not in basis.plans:
+        basis.plans[slot, dof_index] = _dense_plan(basis, slot, dof_index)
+    plan = basis.plans[slot, dof_index]
+    if plan is None:
+        return None
+    shape, k0, k1, b0, b1, traced = plan
+    t = dm.data.reshape(shape)
     if coherent:
-        half = t[ket + (0,)] + t[ket + (1,)]
-        bra = (slice(None),) * (m - 1 + axis)
-        out += half[bra + (0,)] + half[bra + (1,)]
+        half = t[k0] + t[k1]
+        out = half[b0] + half[b1] + 0.0
     else:
-        skip = (slice(None),) * (m - 1)
-        out += t[ket + (0,) + skip + (0,)]
-        out += t[ket + (1,) + skip + (1,)]
-    basis = _product_basis(slots[:slot] + ((region, kept),) + slots[slot + 1:])
-    return basis, out.reshape(len(basis), len(basis))
+        out = t[k0][b0] + 0.0 + t[k1][b1]
+    return traced, out.reshape(len(traced), len(traced))
 
 
 def project_one_per_region(dm, regions):
@@ -338,20 +338,17 @@ def trace_dof_indist(dm, sub):
     """Trace one DoF of one region out of an indistinguishable-particle matrix."""
     if sub.dof_index is None:
         raise ValueError("subsystem must name a dof_index")
-    slots = _product_slots(dm)
-    if slots is None:
-        present = {i for kets in dm.basis for k in kets for i, _ in k.dofs}
-    else:
-        present = {i for _, dofs in slots for i, _ in dofs}
+    product = _product_slots(dm)
+    present = (product.dofs if product is not None else
+               {i for kets in dm.basis for k in kets for i, _ in k.dofs})
     if sub.dof_index not in present:
         raise ValueError(f"dof index {sub.dof_index} not present")
     ndof = dm.n_dofs_orig or len(present)
     if ndof <= 1:
         # single-DoF systems: the rule degenerates to the localized particle trace
         return trace_region(dm, sub.region)
-    regions = [region for region, _ in slots or ()]
-    if sub.region in regions:
-        dense = _dense_trace(dm, slots, regions.index(sub.region),
+    if product is not None and sub.region in product.regions:
+        dense = _dense_trace(dm, product, product.regions.index(sub.region),
                              sub.dof_index, coherent=True)
         if dense is not None:
             return _renormalized(dm, *dense, "DoF trace left nothing", ndof)
@@ -365,9 +362,9 @@ def trace_dof_dist(dm, particle, dof_index):
         raise ShapeError("trace_dof_dist expects the distinguishable representation")
     if not 0 <= particle < len(dm.basis[0]):
         raise ValueError("particle slot out of range")
-    slots = _product_slots(dm)
-    if slots is not None:
-        dense = _dense_trace(dm, slots, particle, dof_index, coherent=False)
+    product = _product_slots(dm)
+    if product is not None:
+        dense = _dense_trace(dm, product, particle, dof_index, coherent=False)
         if dense is not None:
             return _renormalized(dm, *dense, "DoF trace left nothing")
     return _reduce(dm, _dof_value_rule(particle, dof_index),
@@ -450,11 +447,14 @@ def to_qubit_array(dm):
     declared eigenvalue order fixes |0>,|1>.  Tuples the reductions' 1e-16
     basis cut would leave out stay zero.
     """
-    dim, positions, in_order, embed = _qubit_layout(tuple(dm.basis),
-                                                    tuple(dm.dof_specs))
-    kept = np.flatnonzero(_linked(dm).any(axis=1))
+    specs = tuple(dm.dof_specs)
+    known = getattr(dm.basis, "in_order", {})  # a `ProductBasis`'s table
     # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
-    if in_order and len(kept) == dim:
+    if known.get(specs) and (np.abs(dm.data.diagonal()) > 1e-16).all():
+        return dm.data + 0.0  # every tuple kept (module doc)
+    dim, positions, known[specs], embed = _qubit_layout(tuple(dm.basis), specs)
+    kept = np.flatnonzero(_linked(dm).any(axis=1))
+    if known[specs] and len(kept) == dim:
         return dm.data + 0.0  # every tuple kept, already in qubit order
     pos = positions[kept]
     if (pos < 0).any():

@@ -168,7 +168,25 @@ def test_memory_error_exits_2(monkeypatch, capsys):
         raise MemoryError("Unable to allocate 256. GiB for an array")
 
     monkeypatch.setattr(fidelity, "sf_upper_bound_check", exhausted)
-    _exit_2_with_one_line(capsys, "sf-bound", "--n", "9", "--samples", "1")
+    _exit_2_with_one_line(capsys, "sf-bound", "--n", "6", "--samples", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fidelity-relation", "--kind", "indistinguishable", "--n", "7"),
+    ("fidelity-relation", "--kind", "distinguishable", "--n", "7"),
+    ("sf-bound", "--n", "7", "--samples", "1"),
+], ids=["relation-indist", "relation-dist", "sf-bound"])
+def test_more_than_six_dofs_exit_2_before_any_state(monkeypatch, capsys, argv):
+    from qdof import fidelity
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(fidelity, "two_param_state", refuse)
+    monkeypatch.setattr(fidelity, "sf_upper_bound_check", refuse)
+    _exit_2_with_one_line(capsys, *argv)
+    assert main(list(argv)) == 2
+    assert "n <= 6" in capsys.readouterr().err
 
 
 def test_signaling_copies_mode_past_the_cascade_limit(capsys):

@@ -260,6 +260,24 @@ def test_bad_teleport_input_raises_value_error(run, psi_in, message):
         run(BELL, psi_in)
 
 
+@pytest.mark.parametrize("channel", [BELL, _random_rho(np.random.default_rng(4))],
+                         ids=["bell", "random"])
+def test_input_whose_squared_norm_underflows_is_teleported(channel):
+    for tiny, unit in (([1e-200, 0], [1, 0]), ([3e-190, -4e-190j], [3, -4j])):
+        assert teleport_fidelity(channel, tiny) == pytest.approx(
+            teleport_fidelity(channel, unit), rel=0, abs=1e-15)
+    with pytest.raises(ValueError, match="zero norm"):
+        teleport_fidelity(channel, [0, 0])
+
+
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_layouts_hold_at_most_six_dofs(kind):
+    assert ChannelLayout(kind, 6).n == 6
+    with pytest.raises(ValueError) as exc:
+        ChannelLayout(kind, 7)
+    assert str(exc.value) == "v1 builds dense 4^n x 4^n matrices: n <= 6"
+
+
 def test_two_param_state_endpoints():
     for kind in ("distinguishable", "indistinguishable"):
         layout = ChannelLayout(kind, 2)

@@ -13,7 +13,10 @@ subsystems, which must also commute.
 On full-product states built by `trace._product_basis` the two DoF traces
 take their dense branch, which must give the kernel's result bit for bit;
 inputs just outside its conditions, a plain-tuple copy of such a basis
-among them, must still reach the kernel.
+among them, must still reach the kernel.  Such a basis keeps its trace plans
+and its qubit order, so a second pair grid on it builds and lays out
+nothing, and `to_qubit_array`'s short path must give the general path's
+bytes.
 
 The kernel takes each basis's images from a table built once per basis and
 rule; `_per_call_operator_sum`, the kernel as it was when it mapped every
@@ -37,7 +40,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference_trace as ref
-from qdof import trace
+from qdof import fidelity, trace
 from qdof.circuits import KINDS, PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import case_state, random_case
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
@@ -513,6 +516,30 @@ def test_product_basis_rejects_what_the_dense_branch_cannot_take(slots,
         trace._product_basis(slots)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_a_second_grid_builds_no_plan_and_lays_out_no_basis(monkeypatch, kind,
+                                                            n):
+    layout = fidelity.ChannelLayout(kind, n)
+    fidelity._pair_matrices(fidelity.two_param_state(0.37, layout), layout)
+    called = []
+    for name in ("_dense_plan", "_qubit_layout"):
+        def spy(*args, fn=getattr(trace, name), name=name):
+            called.append(name)
+            return fn(*args)
+        monkeypatch.setattr(trace, name, spy)
+    dm = fidelity.two_param_state(0.8, layout)
+    grid = fidelity._pair_matrices(dm, layout)
+    assert called == []
+    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_product_slots", lambda dm: None)
+        kernel = fidelity._pair_matrices(
+            DensityMatrix(tuple(dm.basis), dm.data, dm.eta, dm.dof_specs,
+                          dm.n_dofs_orig), layout)
+    assert grid.tobytes() == kernel.tobytes()
+
+
 def _kernel_qubit_array(dm):
     """The qubit array as the operator-sum kernel laid it out: the layout
     `to_qubit_array` had before it stopped calling the kernel, kept as its
@@ -746,3 +773,42 @@ def test_qubit_layout_takes_each_calls_rows(case):
     for data in datas:
         _assert_same_layout(DensityMatrix(dm.basis, data, dm.eta, dm.dof_specs,
                                           dm.n_dofs_orig))
+
+
+def _qubit_pair(data=None, specs=None):
+    """A two-qubit matrix on a `ProductBasis`, with other data or specs."""
+    rng = np.random.default_rng(12)
+    dm = _product_density(BOSON, ("s1", "s2"), [(("0", "1"),)] * 2, rng, "mixed")
+    return DensityMatrix(dm.basis, dm.data if data is None else data, dm.eta,
+                         specs or dm.dof_specs, dm.n_dofs_orig)
+
+
+def _zero_diagonal_entry():
+    dm = _qubit_pair()
+    dm.data[2, 2] = 0.0
+    return dm
+
+
+@pytest.mark.parametrize("dm, short", [
+    (_qubit_pair(), True),
+    (_with_negative_zeros(_qubit_pair(_qubit_pair().data.real + 0j)), True),
+    (_zero_diagonal_entry(), False),
+    (_qubit_pair(specs=(DofSpec(1, ("1", "0")),)), False),
+], ids=["full", "negative-zeros", "zero-diagonal-entry", "reversed-values"])
+def test_qubit_layout_short_path_matches_the_general_path(monkeypatch, dm,
+                                                           short):
+    """On a `ProductBasis` in qubit order with every diagonal entry above the
+    cut, `to_qubit_array` copies the matrix without laying it out; its bytes
+    are those of a plain-tuple copy of the basis, which takes the general
+    path, and those of the kernel's layout."""
+    assert type(dm.basis) is trace.ProductBasis
+    trace.to_qubit_array(dm)  # the basis learns whether it is in qubit order
+    masks = []
+    linked = trace._linked
+    monkeypatch.setattr(trace, "_linked", lambda dm: masks.append(dm) or linked(dm))
+    got = trace.to_qubit_array(dm)
+    assert (masks == []) is short
+    plain = DensityMatrix(tuple(dm.basis), dm.data, dm.eta, dm.dof_specs,
+                          dm.n_dofs_orig)
+    assert got.tobytes() == trace.to_qubit_array(plain).tobytes()
+    assert got.tobytes() == _kernel_qubit_array(dm).tobytes()
