@@ -34,7 +34,10 @@ def _check_density(rho, dim, atol=1e-7):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    adj = rho.conj().T  # np.allclose's test on finite input, minus its wrappers
+    if not (np.abs(rho - adj) <= atol + 1e-5 * np.abs(adj)).all():
         raise ValueError("matrix is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -1e-7:
         raise ValueError("matrix is not positive semidefinite")

@@ -73,7 +73,10 @@ def signaling_exact(n):
 def signaling_mc(cfg, mode="dofs"):
     """Monte-Carlo estimate of the signaling probability with binomial stderr.
 
-    `mode='dofs'` broadcasts onto N <= 20 DoF registers of one particle;
+    `mode='dofs'` broadcasts onto N <= 20 DoF registers of one particle.  A
+    hit is a correctly decoded basis: every Z message (all registers agree)
+    and every X message whose N uniformly drawn bits are neither all 0 nor
+    all 1.  The Z register's value cannot change a hit, so it is never drawn.
     `mode='copies'` uses N separate two-DoF copies and flags the Hadamard
     basis as soon as any copy leaves the edge detectors.  The copier is an
     ideal (non-physical) broadcast; the Bell-measurement outcome is drawn
@@ -84,14 +87,10 @@ def signaling_mc(cfg, mode="dofs"):
     sent = rng.integers(0, 2, size=trials)             # 0 -> Z basis, 1 -> X
     rng.integers(0, 4, size=trials)                    # Bell outcome, corrected
     if mode == "dofs":
-        bits = rng.integers(0, 2, size=(trials, n))
-        # Z: all registers carry the same teleported basis state
-        z_value = rng.integers(0, 2, size=trials)
-        words_z = np.repeat(z_value[:, None], n, axis=1)
-        words = np.where(sent[:, None] == 0, words_z, bits)
-        all_same = (words == words[:, :1]).all(axis=1)
-        decoded = np.where(all_same, 0, 1)
-        hits = int((decoded == sent).sum())
+        bits = rng.integers(0, 2, size=(trials, n))    # X: uniform detector words
+        weight = bits @ np.ones(n, dtype=bits.dtype)   # ones in each word
+        missed = sent & ((weight == 0) | (weight == n))  # X read as Z
+        hits = trials - int(np.count_nonzero(missed))
         exact = signaling_exact(n)
     elif mode == "copies":
         # the conditional bottleneck: given a Hadamard-basis message, each

@@ -164,7 +164,7 @@ def _operator_sum(dm, images_of):
         images_of(dm.basis[failed[mapped[failed]][0]])  # raises the rule's error
     live = np.flatnonzero(mapped[cols])
     live_cols, live_keys = cols[live], keys[live]
-    meets = (linked[np.ix_(live_cols, live_cols)]
+    meets = (linked[live_cols[:, None], live_cols]
              & (live_keys[:, None] == live_keys)).any(axis=1)
     present = np.zeros(len(universe), dtype=bool)
     present[where[live[meets]]] = True
@@ -189,7 +189,7 @@ def _renormalized(dm, basis, data, empty, n_dofs=None):
     """The reduced matrix on `basis`, renormalized to unit trace."""
     if not basis:
         raise EmptySubspaceError(empty)
-    tr = np.trace(data).real
+    tr = data.trace().real
     if tr <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
     return DensityMatrix(basis, data / tr, dm.eta, dm.dof_specs,
@@ -465,5 +465,5 @@ def to_qubit_array(dm):
     k = np.zeros((len(cells), len(dm.basis)), dtype=complex)
     k[rows, kept] = 1.0
     out = np.zeros((dim, dim), dtype=complex)
-    out[np.ix_(cells, cells)] = k @ dm.data @ k.conj().T + 0.0
+    out[cells[:, None], cells] = k @ dm.data @ k.conj().T + 0.0
     return out

@@ -24,6 +24,11 @@ I/4 (distinguishable layout).  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
 angle grid as the maximizer first built it, through the complex amplitude
 1/2 cos(theta) cos(chi) (1 - e^{-2i phi}).
 
+`words_signaling_hits` is the hit count of `qdof.protocols.signaling_mc` in
+'dofs' mode as it was first written: it draws the Z register's value too and
+decodes each detector word, all-equal as the Z basis and anything else as
+the X basis.  The library counts the same hits from the X words alone.
+
 `qdof.states.tuple_overlap` gives the overlap of canonical ket tuples as a
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
 determinant (fermions) of the single-ket overlap matrix instead, and
@@ -241,3 +246,20 @@ def hardy_q_grid(thetas, phis):
     chi = np.arctan2(1.0, np.tan(ts) * np.cos(fs))
     z = 0.5 * np.cos(ts) * np.cos(chi) * (1 - np.exp(-2j * fs))
     return np.abs(z) ** 2
+
+
+def words_signaling_hits(cfg):
+    """Correctly decoded messages of `signaling_mc(cfg, mode='dofs')`, from
+    the same draws decoded word by word."""
+    rng = np.random.default_rng(cfg.seed)
+    n, trials = cfg.n_dofs, cfg.trials
+    sent = rng.integers(0, 2, size=trials)             # 0 -> Z basis, 1 -> X
+    rng.integers(0, 4, size=trials)                    # Bell outcome, corrected
+    bits = rng.integers(0, 2, size=(trials, n))
+    # Z: all registers carry the same teleported basis state
+    z_value = rng.integers(0, 2, size=trials)
+    words_z = np.repeat(z_value[:, None], n, axis=1)
+    words = np.where(sent[:, None] == 0, words_z, bits)
+    all_same = (words == words[:, :1]).all(axis=1)
+    decoded = np.where(all_same, 0, 1)
+    return int((decoded == sent).sum())

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdof.circuits import PhaseConfig, li_circuit
 from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
                            teleport_output)
 from qdof.measures import (CASE_PATTERNS, MonogamyReport, ThreeParticleCase,
-                           concurrence, log_negativity, mixed_monogamy_check,
-                           monogamy_report, monogamy_report_qubits, negativity,
+                           _check_density, concurrence, log_negativity,
+                           mixed_monogamy_check, monogamy_report,
+                           monogamy_report_qubits, negativity,
                            random_case, spin_flip_spectrum,
                            three_particle_case, tangle_one_vs_rest, vn_entropy,
                            z_form_pair, z_form_tangle)
 from qdof.states import DegenerateStateError, to_density
 from qdof.trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 BELL = np.zeros((4, 4))
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
@@ -35,6 +40,71 @@ def _haar_unitary(rng, d=2):
 def test_zero_trace_matrices_raise_degenerate_state_error(measure, dim):
     with pytest.raises(DegenerateStateError):
         measure(np.zeros((dim, dim)))
+
+
+def _mixed_with(dim, entries):
+    rho = np.eye(dim, dtype=complex) / dim
+    for (i, j), value in entries.items():
+        rho[i, j] = value
+    return rho
+
+
+@pytest.mark.parametrize("measure, rho", [
+    (concurrence, _mixed_with(4, {(0, 0): np.inf})),
+    (concurrence, _mixed_with(4, {(0, 1): np.inf, (1, 0): np.inf})),
+    (negativity, _mixed_with(4, {(3, 3): np.nan})),
+    (negativity, _mixed_with(4, {(1, 2): complex(0, np.inf),
+                                 (2, 1): complex(0, -np.inf)})),
+    (tangle_one_vs_rest, _mixed_with(2, {(1, 1): np.inf})),
+    (tangle_one_vs_rest, _mixed_with(2, {(0, 1): np.nan, (1, 0): np.nan})),
+], ids=["concurrence-inf-diagonal", "concurrence-inf-pair",
+        "negativity-nan-diagonal", "negativity-inf-pair",
+        "tangle-inf-diagonal", "tangle-nan-pair"])
+def test_non_finite_matrices_are_refused(measure, rho):
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        measure(rho)
+
+
+def _passes_hermitian_test(rho):
+    try:
+        _check_density(rho, len(rho))
+    except ValueError as err:
+        return str(err) != "matrix is not Hermitian"
+    return True
+
+
+@st.composite
+def near_hermitian(draw):
+    dim = draw(st.sampled_from((2, 4)))
+    entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                               allow_infinity=False)
+    a = np.array(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)),
+                 dtype=complex).reshape(dim, dim)
+    scale = draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1.0)))
+    e = np.array(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)),
+                 dtype=complex).reshape(dim, dim)
+    return (a + a.conj().T) / 2 + scale * e
+
+
+@PROPERTY_SETTINGS
+@given(rho=near_hermitian())
+def test_hermitian_test_gives_the_allclose_verdict(rho):
+    assert _passes_hermitian_test(rho) == np.allclose(rho, rho.conj().T, atol=1e-7)
+
+
+@PROPERTY_SETTINGS
+@given(rho=near_hermitian(), b=st.floats(-1e3, 1e3),
+       ulps=st.sampled_from((-1, 0, 1)))
+def test_hermitian_test_at_and_one_ulp_either_side_of_the_bound(rho, b, ulps):
+    # rho[0, 1] - conj(rho[1, 0]) is exactly the real gap: the imaginary
+    # parts cancel, and the bound atol + 1e-5 |adj| is 1e-7 + 1e-5 |b|
+    rho = (rho + rho.conj().T) / 2
+    bound = 1e-7 + 1e-5 * abs(b)
+    gap = bound if ulps == 0 else np.nextafter(bound, ulps * np.inf)
+    rho[0, 1], rho[1, 0] = complex(gap, b), complex(0.0, -b)
+    expected = np.allclose(rho, rho.conj().T, atol=1e-7)
+    assert expected == (ulps <= 0)
+    assert _passes_hermitian_test(rho) == expected
 
 
 def test_concurrence_bell_and_product():

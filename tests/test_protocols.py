@@ -10,6 +10,8 @@ from qdof.protocols import (AttackConfig, SignalingConfig, hardy_attack,
                             hardy_q_swapped, qpq_sf, signaling_exact,
                             signaling_mc, signaling_multicopy, swap_verify)
 
+from oracles import words_signaling_hits
+
 deg = math.radians
 
 
@@ -51,6 +53,29 @@ def test_signaling_mc_deterministic_for_fixed_seed():
     a = signaling_mc(SignalingConfig(3, 50_000, 11))
     b = signaling_mc(SignalingConfig(3, 50_000, 11))
     assert a == b
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_signaling_mc_counts_the_hits_of_the_word_decoder(n):
+    for seed in range(5):
+        for trials in (1, 7, 5000):
+            cfg = SignalingConfig(n, trials, seed)
+            # the same float as hits / trials, so estimate * trials rounds to hits
+            assert signaling_mc(cfg)["estimate"] == words_signaling_hits(cfg) / trials
+
+
+@pytest.mark.parametrize("cfg, estimate, stderr, exact", [
+    ((2, 1, 0), 0.0, 1e-06, 0.75),
+    ((5, 1000, 3), 0.967, 0.005648982209212561, 0.96875),
+    ((21, 100, 1), 1.0, 1e-07, 0.9999995231628418),
+    ((30, 7, 4), 1.0, 3.779644730092272e-07, 0.9999999990686774),
+])
+def test_signaling_mc_copies_mode_record(cfg, estimate, stderr, exact):
+    # the records 'copies' mode gave before 'dofs' mode counted from bits
+    _, trials, seed = cfg
+    assert signaling_mc(SignalingConfig(*cfg), mode="copies") == {
+        "estimate": estimate, "stderr": stderr, "exact": exact,
+        "trials": trials, "seed": seed, "mode": "copies", "physical": False}
 
 
 def test_signaling_multicopy_values():
