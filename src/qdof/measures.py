@@ -14,6 +14,7 @@ concurrence pipeline on them.
 
 from __future__ import annotations
 
+import functools
 import itertools as it
 import math
 from dataclasses import dataclass, field
@@ -30,27 +31,30 @@ _SYSY = np.kron(_SY, _SY)
 _TOL = 1e-9
 
 
-def _check_density(rho, dim, atol=1e-7):
+def _check_density(rho, dim, atol=1e-7, stack=False):
+    """A finite, Hermitian, positive dim x dim `rho` over its real trace; with
+    `stack`, also each matrix of a (k, dim, dim) stack, checked alone."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim) or rho.ndim > 2 + stack:
         raise ValueError(f"expected a {dim}x{dim} matrix")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
-    adj = rho.conj().T  # np.allclose's test on finite input, minus its wrappers
+    # np.allclose's test on finite input, minus its wrappers
+    adj = rho.conj().swapaxes(-1, -2)
     if not (np.abs(rho - adj) <= atol + 1e-5 * np.abs(adj)).all():
         raise ValueError("matrix is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -1e-7:
         raise ValueError("matrix is not positive semidefinite")
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if (abs(tr) < 1e-12).any():
         raise DegenerateStateError("zero-trace matrix")
-    return rho / tr
+    return rho / tr[..., None, None]
 
 
 def _sqrtm_psd(rho):
     w, v = np.linalg.eigh(rho)
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _flip_eigenvalues(rho):
@@ -59,17 +63,24 @@ def _flip_eigenvalues(rho):
     tilde = _SYSY @ rho.conj() @ _SYSY
     root = _sqrtm_psd(rho)
     lams = np.linalg.eigvalsh(root @ tilde @ root)
-    return np.sort(lams)[::-1]
+    return np.sort(lams)[..., ::-1]
 
 
 def concurrence(rho):
-    """Wootters concurrence of a two-qubit density matrix."""
-    rho = _check_density(rho, 4)
+    """Wootters concurrence of a two-qubit density matrix.
+
+    `rho` is one 4x4 matrix, for which a float is returned, or a (k, 4, 4)
+    stack, for which the k values are; each value is the one its matrix
+    gets alone.
+    """
+    rho = _check_density(rho, 4, stack=True)
     lams = np.clip(_flip_eigenvalues(rho), -1e-12, None)
     # eigensolve noise on exact zeros would cost sqrt(eps) in the result
-    lams[lams < 1e-13 * max(lams.max(), 1.0)] = 0.0
+    lams[lams < 1e-13 * np.maximum(lams.max(axis=-1, keepdims=True), 1.0)] = 0.0
     roots = np.sqrt(np.clip(lams, 0.0, None))
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    values = np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2]
+                        - roots[..., 3])
+    return float(values) if rho.ndim == 2 else values
 
 
 def spin_flip_spectrum(rho):
@@ -156,28 +167,29 @@ def monogamy_report(dm, sub_a, sub_b, sub_c):
                           if k.region == r for i, _ in k.dofs})
                for r in regions}
 
+    @functools.cache
+    def without(traced):  # `dm` with the regions `traced` traced out in order
+        return dm if not traced else trace_region(without(traced[:-1]), traced[-1])
+
     def reduce_to(subs):
         wanted = {(s.region, s.dof_index) for s in subs}
         used_regions = {s.region for s in subs}
-        reduced = dm
-        for r in sorted(regions - used_regions):
-            reduced = trace_region(reduced, r)
+        reduced = without(tuple(sorted(regions - used_regions)))
         for r in sorted(used_regions):
             for i in dofs_at[r]:
                 if (r, i) not in wanted:
                     reduced = trace_dof_indist(reduced, Subsystem(r, i))
         return reduced
 
-    rho_ab = to_qubit_array(reduce_to([sub_a, sub_b]))
-    rho_ac = to_qubit_array(reduce_to([sub_a, sub_c]))
+    pairs = np.array([to_qubit_array(reduce_to([sub_a, sub_b])),
+                      to_qubit_array(reduce_to([sub_a, sub_c]))])
     rho_a = to_qubit_array(reduce_to([sub_a]))
-    c2_ab = concurrence(rho_ab) ** 2
-    c2_ac = concurrence(rho_ac) ** 2
-    # concurrence has validated both; this is spin_flip_spectrum's arithmetic
-    audit = {"flip_spectrum_ab":
-             _flip_eigenvalues(rho_ab / np.trace(rho_ab).real).tolist(),
-             "flip_spectrum_ac":
-             _flip_eigenvalues(rho_ac / np.trace(rho_ac).real).tolist(),
+    c2_ab, c2_ac = (c ** 2 for c in concurrence(pairs).tolist())
+    # concurrence has validated both pairs; this is spin_flip_spectrum's
+    # arithmetic, run on the same (2, 4, 4) stack
+    flips = _flip_eigenvalues(
+        pairs / np.trace(pairs, axis1=1, axis2=2).real[:, None, None]).tolist()
+    audit = {"flip_spectrum_ab": flips[0], "flip_spectrum_ac": flips[1],
              "marginal_spectrum_a": np.linalg.eigvalsh(rho_a).tolist()}
     return MonogamyReport(c2_ab, c2_ac, tangle_one_vs_rest(rho_a), audit)
 

@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,7 @@ class SignalingConfig:
             raise ValueError("need at least one trial")
 
 
+@functools.lru_cache(maxsize=32)
 def signaling_exact(n):
     """Exact decoding probability 1 - 2^-N, by enumerating detector outcomes.
 
@@ -52,7 +54,7 @@ def signaling_exact(n):
     the cascade deterministically in the two edge detectors; a Hadamard-basis
     input spreads uniformly over all 2^N detector words, and only the two
     all-equal words are mistaken for the computational basis.  The sorter
-    cascade it enumerates takes at most 20 DoFs.
+    cascade it enumerates takes at most 20 DoFs; each n is enumerated once.
     """
     if n < 2:
         raise ValueError("need at least two DoFs")

@@ -44,19 +44,23 @@ and forms the kernel's one product ``k rho k^dagger``, where ``k`` has a 1 at
 one position thus add.  A matrix whose tuples are all kept and already in
 qubit order is returned as a copy.
 
-Facts that depend only on the basis are worked out once per basis, never
-per call.  ``to_qubit_array`` takes each tuple's position, the array's size
-and whether the basis is in qubit order from a bounded cache keyed on
-``(basis, dof_specs)``.  The operator sum takes each tuple's images ``(key,
-coeff, reduced_tuple)`` from a bounded table keyed on ``(basis, rule)``: the
-sorted set of every reduced tuple, and each image as (key id, coefficient,
-index in that set).  Rules come from cached factories keyed on their
-arguments (``eta`` and the DoF included), so equal arguments give the same
-rule and share a table; a rule that raises for a tuple raises only when a
-call maps that tuple.  What depends on the data stays per call: the tuples
-the cut keeps or maps, the order in which their keys first appear, which
-images meet a partner under their key, the reduced basis, the maps K and the
-products, which are the ones images built on every call would give.
+What a call depends on beyond its data is worked out once per plan, never
+per call.  A plan is keyed on the basis, what the call does with it and the
+matrix's support as a mask packed by ``np.packbits``.  The operator sum's
+plan, keyed on ``(basis, rule, mask of the entries above the cut)``, holds
+the reduced basis and, for each key of the mapped tuples in its order of
+first appearance, the (row, column, coefficient) index arrays of K_key.
+``to_qubit_array``'s plan, keyed on ``(basis, dof_specs, mask of the kept
+rows)``, holds the array's size, each kept tuple's position as ``cells``,
+``rows`` and ``kept``, and whether every tuple is kept in qubit order.
+Rules come from cached factories keyed on their arguments (``eta`` and the
+DoF included), so equal arguments give the same rule and share plans.  A
+plan maps only the tuples its mask keeps, so a rule or layout that raises
+for a tuple raises only when a call keeps it, and no error is cached.  Only
+the products stay per call: each K built from its index arrays and the
+sums ``k rho k^dagger`` in the plan's order, the ones a plan worked out on
+every call would give.  Plans hold index arrays, never a dense K or an
+unpacked mask, which would pin ``len(basis)**2`` entries per plan.
 
 The two DoF traces take a dense branch on a ``ProductBasis``, the sorted
 full product of two-valued DoFs with one ket per distinct region, built only
@@ -64,9 +68,10 @@ by ``_product_basis`` (cached), as are ``fidelity``'s noise-family and random
 bases and every basis the branch returns.  Such a basis carries its slots,
 regions and DoFs, whether the regions are in canonical order (as the
 symmetrized kinds need), each DoF trace's plan and, per ``dof_specs``,
-whether it is in qubit order.  Only the diagonal test stays per call: with
-every diagonal entry above the cut every tuple is kept, so the branch applies
-and ``to_qubit_array`` copies a matrix in qubit order without a layout.  On
+whether its last layout kept every tuple in qubit order.  Only the diagonal
+test stays per call: with every diagonal entry above the cut every tuple is
+kept, so the branch applies and ``to_qubit_array`` copies a matrix in qubit
+order without a layout.  On
 a product basis each kernel coefficient is +-1 (one sign per slot, so it
 cancels between ket and bra) and each output entry is the sum of two input
 entries, so the branch adds two slices of the ``(2,) * 2m`` view in the
@@ -109,75 +114,63 @@ def _linked(dm):
     return weight | weight.T
 
 
-@functools.lru_cache(maxsize=128)
-def _image_table(basis, images_of):
-    """(universe, cols, keys, where, coeffs, failed) of `images_of` on `basis`.
+def _unpacked(mask, shape):
+    """The bool array of `shape` whose ``np.packbits(...).tobytes()`` is `mask`."""
+    bits = np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=math.prod(shape))
+    return bits.reshape(shape).astype(bool)
 
-    One entry per image, in column order: its basis column, its key id (ids
-    number the keys in order of first appearance), its index in `universe`,
-    the sorted set of every reduced tuple, and its coefficient.  Images of
-    one column with the same key and reduced tuple are merged, their
-    coefficients added in order onto 0, as the kernel adds them into K.
-    `failed` holds the columns whose rule raised; the rule runs again on
-    such a column only when a call maps it, so the error surfaces as it
-    would without the table.
+
+@functools.lru_cache(maxsize=512)
+def _kernel_plan(basis, images_of, mask):
+    """(reduced basis, maps) of `_operator_sum` on `basis`, where `mask` is
+    the packed `_linked` mask of the matrix.
+
+    Only tuples whose row or column carries an entry above 1e-16 are mapped,
+    so a rule error on one of them is raised (and never cached).  Images of
+    one tuple with the same key and reduced tuple are merged, their
+    coefficients added in order onto 0.  The reduced basis is the sorted set
+    of the images that meet a mapped partner under the same key, so an image
+    whose amplitudes cancel keeps its place.  `maps` holds one (row, col,
+    coeff) triple of index arrays per key, in the keys' order of first
+    appearance: K_key has coeff at (row, col).
     """
-    key_ids, slots, images, failed = {}, {}, {}, []
-    for col, kets in enumerate(basis):
-        try:
-            found = images_of(kets)
-        except Exception:  # any rule error, deferred until the tuple is mapped
-            failed.append(col)
-            continue
-        for key, coeff, reduced in found:
+    linked = _unpacked(mask, (len(basis), len(basis)))
+    key_ids, slots, images = {}, {}, {}
+    for col in np.flatnonzero(linked.any(axis=1)).tolist():
+        for key, coeff, reduced in images_of(basis[col]):
             image = (col, key_ids.setdefault(key, len(key_ids)),
                      slots.setdefault(reduced, len(slots)))
             images[image] = images.get(image, 0j) + coeff
-    reduced = list(slots)
-    order = sorted(range(len(reduced)), key=reduced.__getitem__)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    table = np.array(list(images), dtype=np.intp).reshape(-1, 3)
-    arrays = (table[:, 0], table[:, 1], rank[table[:, 2]],
-              np.array(list(images.values()), dtype=complex),
-              np.array(failed, dtype=np.intp))
-    for a in arrays:
+    cols, keys, where = np.array(list(images), dtype=np.intp).reshape(-1, 3).T
+    coeffs = np.array(list(images.values()), dtype=complex)
+    meets = (linked[cols[:, None], cols] & (keys[:, None] == keys)).any(axis=1)
+    universe = list(slots)
+    reduced = sorted({universe[i] for i in where[meets].tolist()})
+    row_of = {kets: i for i, kets in enumerate(reduced)}
+    rows = np.array([row_of.get(kets, -1) for kets in universe], dtype=np.intp)[where]
+    maps = []
+    for key in dict.fromkeys(keys.tolist()):
+        mine = meets & (keys == key)
+        maps.append((rows[mine], cols[mine], coeffs[mine]))
+    for a in itertools.chain(*maps):
         a.setflags(write=False)  # shared by every call that hits the cache
-    return (tuple(reduced[i] for i in order), *arrays)
+    return tuple(reduced), tuple(maps)
 
 
 def _operator_sum(dm, images_of):
     """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``.
 
-    Only tuples whose row or column carries an entry above 1e-16 are mapped.
-    The basis is the sorted set of their images that meet such a partner
-    under the same key, so an image whose amplitudes cancel keeps its place.
-    The cut only selects the basis; the sum uses every entry of `dm.data`.
-    The images come from `_image_table`; the keys of the mapped tuples are
-    summed in their order of first appearance.
+    The basis and each K_key's entries come from `_kernel_plan`; the cut
+    only selects them, and the sum uses every entry of `dm.data`.
     """
-    universe, cols, keys, where, coeffs, failed = _image_table(
-        tuple(dm.basis), images_of)
-    linked = _linked(dm)
-    mapped = linked.any(axis=1)
-    if failed.size and mapped[failed].any():
-        images_of(dm.basis[failed[mapped[failed]][0]])  # raises the rule's error
-    live = np.flatnonzero(mapped[cols])
-    live_cols, live_keys = cols[live], keys[live]
-    meets = (linked[live_cols[:, None], live_cols]
-             & (live_keys[:, None] == live_keys)).any(axis=1)
-    present = np.zeros(len(universe), dtype=bool)
-    present[where[live[meets]]] = True
-    kept = np.flatnonzero(present)
-    row = np.zeros(len(universe), dtype=np.intp)
-    row[kept] = np.arange(len(kept))
-    data = np.zeros((len(kept), len(kept)), dtype=complex)
-    for key in dict.fromkeys(live_keys.tolist()):
-        mine = live[meets & (live_keys == key)]
-        k = np.zeros((len(kept), len(dm.basis)), dtype=complex)
-        k[row[where[mine]], cols[mine]] = coeffs[mine]
+    basis, maps = _kernel_plan(tuple(dm.basis), images_of,
+                               np.packbits(_linked(dm)).tobytes())
+    data = np.zeros((len(basis), len(basis)), dtype=complex)
+    for row, col, coeff in maps:
+        k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
+        k[row, col] = coeff
         data += k @ dm.data @ k.conj().T
-    return tuple(universe[i] for i in kept), data
+    return basis, data
 
 
 def _reduce(dm, images_of, empty, n_dofs=None):
@@ -276,7 +269,7 @@ def project_one_per_region(dm, regions):
 
 
 # Rules come from cached factories: equal arguments give the very same rule,
-# so calls with equal rules on one basis share an `_image_table` entry.
+# so equal rules on one basis and support share a `_kernel_plan` entry.
 
 @functools.lru_cache(maxsize=256)
 def _sector_rule(wanted):
@@ -386,17 +379,19 @@ def _dof_value_rule(particle, dof_index):
     return images_of
 
 
-@functools.lru_cache(maxsize=256)
-def _qubit_layout(basis, dof_specs):
-    """(dim, positions, in_order, embed) of `basis` in the qubit array.
+@functools.lru_cache(maxsize=512)
+def _layout_plan(basis, dof_specs, mask):
+    """(in_order, dim, cells, rows, kept) of `basis` in the qubit array, where
+    `mask` is the packed mask of the tuples the 1e-16 cut keeps.
 
-    `positions[c]` is the array position of basis tuple `c`, or -1 when
-    `embed` raises for it; the error is raised only if that tuple is kept.
-    `in_order` says that the basis fills the array in its own order.
+    `kept` lists those tuples and `cells` their distinct array positions:
+    kept tuple i lands on cells[rows[i]].  Only kept tuples are placed, so
+    one the layout cannot place raises only when kept (and is never cached).
+    `in_order` says that every tuple is kept and fills the array in the
+    basis's own order.
     """
-    nslots = len(basis[0])
     regions = sorted({k.region for kets in basis for k in kets})
-    if len(regions) != nslots:
+    if len(regions) != len(basis[0]):
         raise ShapeError("subsystem count does not match remaining slots")
 
     orders = []
@@ -418,25 +413,19 @@ def _qubit_layout(basis, dof_specs):
         else:
             orders.append([Ket(r)])
     dims = [len(o) for o in orders]
-
-    def embed(kets):
-        by_region = {k.region: k for k in kets}
-        pos = 0
+    kept = np.flatnonzero(_unpacked(mask, (len(basis),)))
+    pos = []
+    for c in kept.tolist():
+        by_region = {k.region: k for k in basis[c]}
+        p = 0
         for o, d in zip(orders, dims):
-            pos = pos * d + o.index(by_region[o[0].region])
-        return pos
-
-    def position(kets):
-        try:
-            return embed(kets)
-        except (KeyError, ValueError):
-            return -1
-
-    positions = np.array([position(kets) for kets in basis], dtype=np.intp)
-    positions.setflags(write=False)
-    dim = int(np.prod(dims))
-    in_order = len(basis) == dim and (positions == np.arange(dim)).all()
-    return dim, positions, in_order, embed
+            p = p * d + o.index(by_region[o[0].region])
+        pos.append(p)
+    dim = math.prod(dims)
+    cells, rows = np.unique(np.array(pos, dtype=np.intp), return_inverse=True)
+    for a in (cells, rows, kept):
+        a.setflags(write=False)  # shared by every call that hits the cache
+    return len(basis) == dim and pos == list(range(dim)), dim, cells, rows, kept
 
 
 def to_qubit_array(dm):
@@ -452,16 +441,12 @@ def to_qubit_array(dm):
     # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
     if known.get(specs) and (np.abs(dm.data.diagonal()) > 1e-16).all():
         return dm.data + 0.0  # every tuple kept (module doc)
-    dim, positions, known[specs], embed = _qubit_layout(tuple(dm.basis), specs)
-    kept = np.flatnonzero(_linked(dm).any(axis=1))
-    if known[specs] and len(kept) == dim:
+    known[specs], dim, cells, rows, kept = _layout_plan(
+        tuple(dm.basis), specs, np.packbits(_linked(dm).any(axis=1)).tobytes())
+    if known[specs]:
         return dm.data + 0.0  # every tuple kept, already in qubit order
-    pos = positions[kept]
-    if (pos < 0).any():
-        embed(dm.basis[kept[pos < 0][0]])  # raises what the layout raised
     # the operator sum's own k: one row per distinct position, so the
     # amplitudes of distinguishable particles in swapped slots add
-    cells, rows = np.unique(pos, return_inverse=True)
     k = np.zeros((len(cells), len(dm.basis)), dtype=complex)
     k[rows, kept] = 1.0
     out = np.zeros((dim, dim), dtype=complex)

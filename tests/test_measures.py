@@ -107,6 +107,50 @@ def test_hermitian_test_at_and_one_ulp_either_side_of_the_bound(rho, b, ulps):
     assert _passes_hermitian_test(rho) == expected
 
 
+@st.composite
+def density_stacks(draw):
+    """A (k, 4, 4) stack of random density matrices of every rank, each mixed
+    with some white noise, so that zero and positive concurrences both occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        rank = draw(st.integers(1, 4))
+        a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = a @ a.conj().T
+        p = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+        stack.append((1 - p) * rho / np.trace(rho).real + p * np.eye(4) / 4)
+    return np.array(stack)
+
+
+@PROPERTY_SETTINGS
+@given(stack=density_stacks())
+def test_concurrence_of_a_stack_is_each_matrixs_own_bit_for_bit(stack):
+    lone = [concurrence(rho) for rho in stack]
+    assert all(type(c) is float for c in lone)
+    values = concurrence(stack)
+    assert values.shape == (len(stack),)
+    assert values.tobytes() == np.array(lone).tobytes()
+
+
+@pytest.mark.parametrize("measure, dim, shapes", [
+    (concurrence, 4, [(4,), (3, 3), (2, 4, 4, 4)]),
+    (negativity, 4, [(4,), (3, 3), (1, 4, 4), (3, 4, 4)]),
+    (tangle_one_vs_rest, 2, [(2,), (4, 4), (1, 2, 2), (3, 2, 2)]),
+], ids=["concurrence", "negativity", "tangle_one_vs_rest"])
+def test_only_concurrence_takes_a_stack(measure, dim, shapes):
+    for shape in shapes:
+        with pytest.raises(ValueError, match=f"^expected a {dim}x{dim} matrix$"):
+            measure(np.ones(shape, dtype=complex))
+
+
+def test_a_stack_is_refused_when_any_matrix_is():
+    bad = _mixed_with(4, {(0, 1): 0.5, (1, 0): -0.5})
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        concurrence(np.array([BELL, bad]))
+    with pytest.raises(DegenerateStateError):
+        concurrence(np.array([BELL, np.zeros((4, 4))]))
+
+
 def test_concurrence_bell_and_product():
     assert concurrence(BELL) == pytest.approx(1.0)
     product = np.zeros((4, 4))

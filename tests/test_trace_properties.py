@@ -18,17 +18,21 @@ and its qubit order, so a second pair grid on it builds and lays out
 nothing, and `to_qubit_array`'s short path must give the general path's
 bytes.
 
-The kernel takes each basis's images from a table built once per basis and
-rule; `_per_call_operator_sum`, the kernel as it was when it mapped every
-tuple afresh on each call, is its byte-for-byte oracle, on the random and
-named states and on states where many keys add into one entry, which is
-where the order of the key sum shows in the last bits.
+The kernel replays a plan cached per basis, rule and support;
+`_per_call_operator_sum`, the kernel as it was when it mapped every tuple
+afresh on each call, is its byte-for-byte oracle, on the random and named
+states and on states where many keys add into one entry, which is where the
+order of the key sum shows in the last bits.
 
 `to_qubit_array` lays matrices out by index; its array must equal, byte for
 byte (signed zeros included), the one the operator-sum kernel laid out, and
-it must fail with the same errors.  It works out each basis's positions
-once, so a second matrix on the same basis, with other rows below the cut,
-must still be laid out (or fail) by its own rows.
+it must fail with the same errors.  It replays a layout plan cached per
+basis, specs and support, so a second matrix on the same basis, with other
+rows below the cut, must still be laid out (or fail) by its own rows.
+
+A call that replays a cached plan must give the basis, bytes or error of a
+call made with the plan caches cleared, and no plan may hold an array of
+len(basis)**2 entries, such as a dense K or an unpacked mask.
 """
 
 import itertools
@@ -523,7 +527,7 @@ def test_a_second_grid_builds_no_plan_and_lays_out_no_basis(monkeypatch, kind,
     layout = fidelity.ChannelLayout(kind, n)
     fidelity._pair_matrices(fidelity.two_param_state(0.37, layout), layout)
     called = []
-    for name in ("_dense_plan", "_qubit_layout"):
+    for name in ("_dense_plan", "_layout_plan"):
         def spy(*args, fn=getattr(trace, name), name=name):
             called.append(name)
             return fn(*args)
@@ -812,3 +816,84 @@ def test_qubit_layout_short_path_matches_the_general_path(monkeypatch, dm,
                           dm.n_dofs_orig)
     assert got.tobytes() == trace.to_qubit_array(plain).tobytes()
     assert got.tobytes() == _kernel_qubit_array(dm).tobytes()
+
+
+def _clear_plans():
+    trace._kernel_plan.cache_clear()
+    trace._layout_plan.cache_clear()
+
+
+def _assert_same_bytes(got, want):
+    """Two `_run` results: the same error, or the same basis and bytes."""
+    (new, new_exc), (old, old_exc) = got, want
+    assert type(new_exc) is type(old_exc), (new_exc, old_exc)
+    assert str(new_exc) == str(old_exc)
+    if old is not None:
+        if not isinstance(old, np.ndarray):
+            assert new.basis == old.basis
+            new, old = new.data, old.data
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(state=st.one_of(random_states(tiny_amplitudes=True), straddling_states(),
+                       named_states(), qubit_states()),
+       data=st.data())
+def test_warm_plans_give_a_cold_calls_basis_and_bytes(state, data):
+    """Each reduction and the qubit layout, on a matrix and on a copy with
+    one mapped row and column zeroed (another support on the same basis):
+    a call that replays a cached plan gives the basis, bytes or error of a
+    call made just after the plan caches were cleared."""
+    dm = to_density(state)
+    mapped = np.flatnonzero(trace._linked(dm).any(axis=1))
+    assume(mapped.size)
+    other = dm.data.copy()
+    row = data.draw(st.sampled_from(mapped.tolist()))
+    other[row, :] = other[:, row] = 0.0
+    matrices = (dm, DensityMatrix(dm.basis, other, dm.eta, dm.dof_specs,
+                                  dm.n_dofs_orig))
+    for _ in range(data.draw(st.integers(1, 3))):
+        name, args = _draw_reduction(data, dm)
+        fn = getattr(trace, name)
+        cold = []
+        for m in matrices:
+            _clear_plans()
+            cold.append(_run(fn, m, *args))
+        # the first round fills the caches with both supports' plans, the
+        # second replays them
+        for _ in range(2):
+            for m, want in zip(matrices, cold):
+                _assert_same_bytes(_run(fn, m, *args), want)
+
+
+def _arrays(plan):
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, tuple):
+        for part in plan:
+            yield from _arrays(part)
+
+
+@pytest.mark.parametrize("kind, n", [("distinguishable", 5),
+                                     ("indistinguishable", 5)])
+def test_plans_hold_no_dense_map(monkeypatch, kind, n):
+    """The p = 1 endpoint of a five-DoF pair grid runs on the kernel and the
+    layout plans.  No array a plan holds has len(basis)**2 or more entries,
+    nor more than one per tuple and slot of its basis, so no plan pins a
+    dense K or an unpacked mask."""
+    held = {}
+    for name in ("_kernel_plan", "_layout_plan"):
+        def spy(basis, *args, fn=getattr(trace, name), name=name):
+            plan = fn(basis, *args)
+            held.setdefault(name, []).append((basis, plan))
+            return plan
+        monkeypatch.setattr(trace, name, spy)
+    layout = fidelity.ChannelLayout(kind, n)
+    fidelity._pair_matrices(fidelity.two_param_state(1.0, layout), layout)
+    assert sorted(held) == ["_kernel_plan", "_layout_plan"]
+    assert max(len(basis) for basis, _ in held["_kernel_plan"]) >= 256
+    for basis, plan in held["_kernel_plan"] + held["_layout_plan"]:
+        for a in _arrays(plan):
+            assert a.size < len(basis) ** 2
+            assert a.size <= len(basis) * len(basis[0])
