@@ -154,12 +154,10 @@ def _cmd_monogamy(args):
 
 def _cmd_cases(args):
     rng = np.random.default_rng(args.seed)
-    out = {}
     ids = [int(x) for x in args.case.split(",")] if args.case else range(1, 14)
-    for cid in ids:
-        case = measures.random_case(cid, rng)
-        rep, pattern = measures.three_particle_case(case)
-        out[str(cid)] = {**rep.to_dict(), "pattern": list(pattern)}
+    cases = [measures.random_case(cid, rng) for cid in ids]
+    out = {str(cid): {**rep.to_dict(), "pattern": list(pattern)}
+           for cid, (rep, pattern) in zip(ids, measures.three_particle_cases(cases))}
     return _emit(args, {"case": args.case or "all", "seed": args.seed},
                  out, "three_particle_cases")
 

@@ -98,6 +98,9 @@ class FidelityParams:
 
     @staticmethod
     def for_layout(layout, f_max_indist=5.0 / 6.0):
+        """Default ceilings.  The coherent DoF trace gives every pair of a pure
+        indistinguishable state rank one, so F_g <= n, a sum of n pair
+        singlet fractions of at most 1 each, cannot fail there."""
         if layout.kind == "distinguishable":
             return FidelityParams(1.0, 1.0 + (layout.n - 1) / D)
         return FidelityParams(f_max_indist, float(layout.n))

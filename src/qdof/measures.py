@@ -115,11 +115,15 @@ def vn_entropy(rho):
     return float(-(lams * np.log(lams)).sum())
 
 
+def _tangle(rho_a):  # 4 det(rho_A) of checked 2x2s, floored as max(0.0, t)
+    t = 4.0 * np.linalg.det(rho_a).real
+    return np.where(t > 0.0, t, 0.0)
+
+
 def tangle_one_vs_rest(rho_a):
     """4 det(rho_A): the squared concurrence of a qubit against everything else,
     valid when the global state is pure."""
-    rho_a = _check_density(rho_a, 2)
-    return float(max(0.0, 4.0 * np.linalg.det(rho_a).real))
+    return float(_tangle(_check_density(rho_a, 2)))
 
 
 @dataclass
@@ -155,13 +159,8 @@ class MonogamyReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def monogamy_report(dm, sub_a, sub_b, sub_c):
-    """Monogamy report for three single-DoF subsystems of a pure global state.
-
-    `dm` must be the density matrix of a pure state, already projected onto the
-    one-particle-per-region sector.  Each subsystem names a region and a DoF;
-    two subsystems may share a region (inter-DoF splitting).
-    """
+def _reduced_triple(dm, sub_a, sub_b, sub_c):
+    """(rho_ab, rho_ac, rho_a) of `dm` as qubit arrays."""
     regions = {k.region for kets in dm.basis for k in kets}
     dofs_at = {r: sorted({i for kets in dm.basis for k in kets
                           if k.region == r for i, _ in k.dofs})
@@ -179,19 +178,39 @@ def monogamy_report(dm, sub_a, sub_b, sub_c):
             for i in dofs_at[r]:
                 if (r, i) not in wanted:
                     reduced = trace_dof_indist(reduced, Subsystem(r, i))
-        return reduced
+        return to_qubit_array(reduced)
 
-    pairs = np.array([to_qubit_array(reduce_to([sub_a, sub_b])),
-                      to_qubit_array(reduce_to([sub_a, sub_c]))])
-    rho_a = to_qubit_array(reduce_to([sub_a]))
-    c2_ab, c2_ac = (c ** 2 for c in concurrence(pairs).tolist())
-    # concurrence has validated both pairs; this is spin_flip_spectrum's
-    # arithmetic, run on the same (2, 4, 4) stack
+    return reduce_to([sub_a, sub_b]), reduce_to([sub_a, sub_c]), reduce_to([sub_a])
+
+
+def _monogamy_reports(triples):
+    """One MonogamyReport per (rho_ab, rho_ac, rho_a) triple, all measured as
+    one stack; numpy's stacked routines solve each matrix on its own, so every
+    value is the bits its triple gets alone."""
+    pairs = np.array([rho for ab, ac, _ in triples for rho in (ab, ac)])
+    rho_a = np.array([a for _, _, a in triples])
+    c2 = [c ** 2 for c in concurrence(pairs).tolist()]
+    # concurrence has validated every pair; this is spin_flip_spectrum's
+    # arithmetic, run on the same (2k, 4, 4) stack
     flips = _flip_eigenvalues(
         pairs / np.trace(pairs, axis1=1, axis2=2).real[:, None, None]).tolist()
-    audit = {"flip_spectrum_ab": flips[0], "flip_spectrum_ac": flips[1],
-             "marginal_spectrum_a": np.linalg.eigvalsh(rho_a).tolist()}
-    return MonogamyReport(c2_ab, c2_ac, tangle_one_vs_rest(rho_a), audit)
+    tangles = _tangle(_check_density(rho_a, 2, stack=True)).tolist()
+    return [MonogamyReport(ab, ac, tangle, {"flip_spectrum_ab": f_ab,
+                                            "flip_spectrum_ac": f_ac,
+                                            "marginal_spectrum_a": spectrum})
+            for ab, ac, f_ab, f_ac, tangle, spectrum in zip(
+                c2[::2], c2[1::2], flips[::2], flips[1::2], tangles,
+                np.linalg.eigvalsh(rho_a).tolist())]
+
+
+def monogamy_report(dm, sub_a, sub_b, sub_c):
+    """Monogamy report for three single-DoF subsystems of a pure global state.
+
+    `dm` must be the density matrix of a pure state, already projected onto the
+    one-particle-per-region sector.  Each subsystem names a region and a DoF;
+    two subsystems may share a region (inter-DoF splitting).
+    """
+    return _monogamy_reports([_reduced_triple(dm, sub_a, sub_b, sub_c)])[0]
 
 
 def monogamy_report_qubits(psi):
@@ -345,19 +364,24 @@ def case_state(case):
     return normalize(SymState(BOSON, terms, specs))
 
 
-def three_particle_case(case):
-    """Run a catalogue case through the projection/trace/concurrence pipeline.
+def three_particle_cases(cases):
+    """Run catalogue cases through the projection/trace/concurrence pipeline:
+    each case is reduced on its own, then all are measured as one stack.
+    Returns one (MonogamyReport, pattern) per case; the pattern marks each of
+    the three squared concurrences as 'zero' or 'nonneg'."""
+    triples = []
+    for case in cases:
+        dm = project_one_per_region(to_density(case_state(case)), _REGIONS)
+        triples.append(_reduced_triple(
+            dm, *(Subsystem(r, m) for r, m in zip(_REGIONS, case.measured))))
+    return [(rep, tuple("zero" if v <= 1e-9 else "nonneg"
+                        for v in (rep.c2_ab, rep.c2_ac, rep.c2_a_bc)))
+            for rep in _monogamy_reports(triples)]
 
-    Returns (MonogamyReport, pattern) where the pattern marks each of the three
-    squared concurrences as 'zero' or 'nonneg'.
-    """
-    state = case_state(case)
-    dm = project_one_per_region(to_density(state), _REGIONS)
-    subs = [Subsystem(r, m) for r, m in zip(_REGIONS, case.measured)]
-    report = monogamy_report(dm, *subs)
-    pattern = tuple("zero" if v <= 1e-9 else "nonneg"
-                    for v in (report.c2_ab, report.c2_ac, report.c2_a_bc))
-    return report, pattern
+
+def three_particle_case(case):
+    """`three_particle_cases` for one case: its (MonogamyReport, pattern)."""
+    return three_particle_cases([case])[0]
 
 
 def _phased(rng):

@@ -29,6 +29,14 @@ angle grid as the maximizer first built it, through the complex amplitude
 decodes each detector word, all-equal as the Z basis and anything else as
 the X basis.  The library counts the same hits from the X words alone.
 
+`per_case_monogamy_report` is `qdof.measures.monogamy_report` as it was
+before the catalogue was measured as one stack: it reduces one state and
+measures that one row, with one `concurrence` call on its two pairs, its own
+audit spin-flip spectra, marginal spectrum and tangle.
+`per_case_three_particle` runs one catalogue case through it.  The library's
+stacked `three_particle_cases` must give every field of every record the
+same `repr`.
+
 `qdof.states.tuple_overlap` gives the overlap of canonical ket tuples as a
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
 determinant (fermions) of the single-ket overlap matrix instead, and
@@ -42,7 +50,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from qdof.fidelity import _BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS
-from qdof.states import DISTINGUISHABLE, FERMION
+from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
+                           _flip_eigenvalues, case_state, concurrence)
+from qdof.states import DISTINGUISHABLE, FERMION, to_density
+from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
+                        trace_dof_indist, trace_region)
 
 
 def _overlap_matrix(s, t):
@@ -263,3 +275,44 @@ def words_signaling_hits(cfg):
     all_same = (words == words[:, :1]).all(axis=1)
     decoded = np.where(all_same, 0, 1)
     return int((decoded == sent).sum())
+
+
+def per_case_monogamy_report(dm, sub_a, sub_b, sub_c):
+    """CKW report of one projected pure state: reduce it, then measure its
+    one row."""
+    regions = {k.region for kets in dm.basis for k in kets}
+    dofs_at = {r: sorted({i for kets in dm.basis for k in kets
+                          if k.region == r for i, _ in k.dofs})
+               for r in regions}
+
+    def reduce_to(subs):
+        wanted = {(s.region, s.dof_index) for s in subs}
+        used_regions = {s.region for s in subs}
+        reduced = dm
+        for r in sorted(regions - used_regions):
+            reduced = trace_region(reduced, r)
+        for r in sorted(used_regions):
+            for i in dofs_at[r]:
+                if (r, i) not in wanted:
+                    reduced = trace_dof_indist(reduced, Subsystem(r, i))
+        return to_qubit_array(reduced)
+
+    pairs = np.array([reduce_to([sub_a, sub_b]), reduce_to([sub_a, sub_c])])
+    rho_a = reduce_to([sub_a])
+    c2_ab, c2_ac = (c ** 2 for c in concurrence(pairs).tolist())
+    flips = _flip_eigenvalues(
+        pairs / np.trace(pairs, axis1=1, axis2=2).real[:, None, None]).tolist()
+    audit = {"flip_spectrum_ab": flips[0], "flip_spectrum_ac": flips[1],
+             "marginal_spectrum_a": np.linalg.eigvalsh(rho_a).tolist()}
+    tangle = float(max(0.0, 4.0 * np.linalg.det(_check_density(rho_a, 2)).real))
+    return MonogamyReport(c2_ab, c2_ac, tangle, audit)
+
+
+def per_case_three_particle(case):
+    """(MonogamyReport, pattern) of one catalogue case, measured alone."""
+    dm = project_one_per_region(to_density(case_state(case)), _REGIONS)
+    report = per_case_monogamy_report(
+        dm, *(Subsystem(r, m) for r, m in zip(_REGIONS, case.measured)))
+    pattern = tuple("zero" if v <= 1e-9 else "nonneg"
+                    for v in (report.c2_ab, report.c2_ac, report.c2_a_bc))
+    return report, pattern

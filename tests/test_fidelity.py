@@ -339,6 +339,52 @@ def test_distinguishable_bound_never_exceeded():
         assert rep["bound"] == pytest.approx(1.0 + (n - 1) / 2)
 
 
+def _random_rank(rng, rank):
+    a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_teleport_fidelity_never_beats_its_singlet_fraction_bound(rank):
+    # Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999): the standard
+    # protocol's f is at most (2 F + 1) / 3, F the fully entangled fraction
+    rng = np.random.default_rng(40 + rank)
+    stack = np.array([_random_rank(rng, rank) for _ in range(500)])
+    bound = (2.0 * singlet_fraction(stack) + 1.0) / 3.0
+    assert (average_teleport_fidelity(stack) - bound).max() <= 1e-12
+
+
+def test_singlet_fraction_bound_is_met_when_phi_plus_leads():
+    # on a Bell-diagonal state F is the largest Bell weight, so the bound
+    # is met exactly when that weight is Phi+'s
+    rng = np.random.default_rng(45)
+    bells = [np.outer(b, b.conj()) for b in fidelity._BELL]
+    weights = [np.array([1.0, 0, 0, 0]), np.full(4, 0.25)]
+    for _ in range(200):
+        w = np.sort(rng.dirichlet(np.ones(4)))[::-1]
+        weights.append(np.concatenate([w[:1], rng.permutation(w[1:])]))
+    for w in weights:
+        rho = sum(wk * bell for wk, bell in zip(w, bells))
+        assert abs(average_teleport_fidelity(rho)
+                   - (2.0 * singlet_fraction(rho) + 1.0) / 3.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairs_of_a_pure_indistinguishable_state_are_rank_one(n):
+    # why the indistinguishable ceiling F_g <= n cannot fail on pure states
+    layout = ChannelLayout("indistinguishable", n)
+    basis, _, eta, specs = fidelity._resource(layout)
+    rng = np.random.default_rng(50 + n)
+    for _ in range(20):
+        v = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
+        v /= np.linalg.norm(v)
+        dm = DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, n)
+        grid = fidelity._pair_matrices(dm, layout)
+        grid = grid / np.trace(grid, axis1=2, axis2=3).real[..., None, None]
+        assert np.abs(np.linalg.eigvalsh(grid)[..., :3]).max() <= 1e-12
+
+
 def test_bound_check_rejects_indistinguishable_layout():
     with pytest.raises(ValueError):
         sf_upper_bound_check(ChannelLayout("indistinguishable", 2))

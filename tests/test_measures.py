@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from qdof.circuits import PhaseConfig, li_circuit
 from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
                            teleport_output)
 from qdof.measures import (CASE_PATTERNS, MonogamyReport, ThreeParticleCase,
-                           _check_density, concurrence, log_negativity,
-                           mixed_monogamy_check, monogamy_report,
-                           monogamy_report_qubits, negativity,
+                           _check_density, _monogamy_reports, concurrence,
+                           log_negativity, mixed_monogamy_check,
+                           monogamy_report, monogamy_report_qubits, negativity,
                            random_case, spin_flip_spectrum,
-                           three_particle_case, tangle_one_vs_rest, vn_entropy,
-                           z_form_pair, z_form_tangle)
+                           three_particle_case, three_particle_cases,
+                           tangle_one_vs_rest, vn_entropy, z_form_pair,
+                           z_form_tangle)
 from qdof.states import DegenerateStateError, to_density
 from qdof.trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist
+
+from oracles import per_case_monogamy_report, per_case_three_particle
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -239,6 +243,52 @@ def test_case_equality_and_patterns():
             for got, expect in zip(pattern, want):
                 if expect == "zero":
                     assert got == "zero", (cid, pattern)
+
+
+def _fields(report):
+    return {key: repr(value) for key, value in report.to_dict().items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_catalogue_equals_the_per_case_oracle(seed):
+    rng = np.random.default_rng(seed)
+    some = rng.choice(np.arange(1, 14), size=int(rng.integers(2, 13)),
+                      replace=False)
+    for ids in ([int(rng.integers(1, 14))], some.tolist(), list(range(1, 14))):
+        cases = [random_case(cid, rng) for cid in ids]
+        got = three_particle_cases(cases)
+        assert len(got) == len(cases)
+        for case, (rep, pattern) in zip(cases, got):
+            want, want_pattern = per_case_three_particle(case)
+            assert pattern == want_pattern
+            assert _fields(rep) == _fields(want), case.case_id
+        assert _fields(three_particle_case(cases[-1])[0]) == _fields(got[-1][0])
+
+
+@pytest.mark.parametrize("kind", ["boson", "fermion"])
+def test_interferometer_report_equals_the_per_case_oracle(kind):
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        ph = PhaseConfig(*rng.uniform(-math.pi, math.pi, size=4))
+        dm = project_one_per_region(to_density(li_circuit(kind, ph)),
+                                    ["s1", "s2"])
+        subs = (Subsystem("s1", 2), Subsystem("s2", 2), Subsystem("s2", 1))
+        assert _fields(monogamy_report(dm, *subs)) == \
+            _fields(per_case_monogamy_report(dm, *subs))
+
+
+@pytest.mark.parametrize("bad", [
+    _mixed_with(4, {(0, 1): 0.5, (1, 0): -0.5}), np.zeros((4, 4))],
+    ids=["non-hermitian", "zero-trace"])
+@pytest.mark.parametrize("slot", range(6))
+def test_stacked_measure_raises_what_a_lone_concurrence_raises(bad, slot):
+    triples = [[BELL, np.eye(4) / 4, np.eye(2) / 2] for _ in range(3)]
+    triples[slot // 2][slot % 2] = bad
+    with pytest.raises((ValueError, DegenerateStateError)) as lone:
+        concurrence(bad)
+    with pytest.raises(type(lone.value),
+                       match=f"^{re.escape(str(lone.value))}$"):
+        _monogamy_reports(triples)
 
 
 def test_case_two_matches_closed_forms():
