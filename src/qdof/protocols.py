@@ -161,8 +161,6 @@ def qpq_sf(theta, ancilla="particle"):
     spec2 = DofSpec(2, ("0", "1"))
     terms = {}
     for (b, a1, a2), amp in np.ndenumerate(v):
-        if abs(amp) < 1e-15:
-            continue
         kb = Ket("s1", ((1, str(b)), (2, "0")))
         ka = Ket("s2", ((1, str(a1)), (2, str(a2))))
         terms[(kb, ka)] = complex(amp)

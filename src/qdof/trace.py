@@ -30,24 +30,23 @@ apart:
     Ordinary partial trace over one DoF factor of a labelled distinguishable
     particle; the key is the traced value.
 
-``project_one_per_region`` is a one-key map (sector selection).  Entries of
-magnitude at most 1e-16 only choose the basis: a tuple whose row and column
-carry no larger entry is left out, but the sum itself uses every entry of the
-matrix, so a kept tuple keeps its diagonal entry beside its cross terms and
-the result stays positive.  Every reduction renormalizes to unit trace, so
-downstream entanglement measures can assume proper density matrices.
+``project_one_per_region`` is a one-key map (sector selection).  The
+support alone chooses the basis: a tuple is left out when its row and column
+are all zero, and mapped otherwise, however small its entries.  Every
+reduction renormalizes to unit trace, so downstream entanglement measures can
+assume proper density matrices.
 
-``to_qubit_array`` does not run the kernel.  It keeps the tuples the same
-1e-16 cut keeps, finds each one's position in the tensor-ordered qubit array
-and forms the kernel's one product ``k rho k^dagger``, where ``k`` has a 1 at
-(position, tuple); distinguishable particles in swapped slots that land on
-one position thus add.  A matrix whose tuples are all kept and already in
-qubit order is returned as a copy.
+``to_qubit_array`` does not run the kernel.  It keeps the same tuples, finds
+each one's position in the tensor-ordered qubit array and forms the kernel's
+one product ``k rho k^dagger``, where ``k`` has a 1 at (position, tuple);
+distinguishable particles in swapped slots that land on one position thus
+add.  A matrix whose tuples are all kept and already in qubit order is
+returned as a copy.
 
 What a call depends on beyond its data is worked out once per plan, never
 per call.  A plan is keyed on the basis, what the call does with it and the
 matrix's support as a mask packed by ``np.packbits``.  The operator sum's
-plan, keyed on ``(basis, rule, mask of the entries above the cut)``, holds
+plan, keyed on ``(basis, rule, mask of the non-zero entries)``, holds
 the reduced basis and, for each key of the mapped tuples in its order of
 first appearance, the (row, column, coefficient) index arrays of K_key.
 ``to_qubit_array``'s plan, keyed on ``(basis, dof_specs, mask of the kept
@@ -69,17 +68,16 @@ bases and every basis the branch returns.  Such a basis carries its slots,
 regions and DoFs, whether the regions are in canonical order (as the
 symmetrized kinds need), each DoF trace's plan and, per ``dof_specs``,
 whether its last layout kept every tuple in qubit order.  Only the diagonal
-test stays per call: with every diagonal entry above the cut every tuple is
-kept, so the branch applies and ``to_qubit_array`` copies a matrix in qubit
-order without a layout.  On
-a product basis each kernel coefficient is +-1 (one sign per slot, so it
-cancels between ket and bra) and each output entry is the sum of two input
-entries, so the branch adds two slices of the ``(2,) * 2m`` view in the
-kernel's order: over the ket axis first for the coherent trace, key by key
-onto exact zeros for the distinguishable one.  Its result is the kernel's bit
-for bit.  Every other input (a full product built any other way, sparse
-circuit states, bunched sectors, weights at or below the cut) takes the
-kernel, as do ``trace_region`` and ``project_one_per_region``.
+test stays per call: with every diagonal entry non-zero every tuple is kept,
+so the branch applies and ``to_qubit_array`` copies a matrix in qubit order
+without a layout.  On a product basis each kernel coefficient is +-1 (one
+sign per slot, so it cancels between ket and bra) and each output entry is
+the sum of two input entries, so the branch adds two slices of the
+``(2,) * 2m`` view in the kernel's order: over the ket axis first for the
+coherent trace, key by key onto exact zeros for the distinguishable one.  Its
+result is the kernel's bit for bit.  Every other input (a full product built
+any other way, sparse circuit states, bunched sectors, a zero diagonal entry)
+takes the kernel, as do ``trace_region`` and ``project_one_per_region``.
 """
 
 from __future__ import annotations
@@ -108,10 +106,15 @@ class EmptySubspaceError(DegenerateStateError):
 
 
 def _linked(dm):
-    """Mask of the entries above the 1e-16 basis cut, mirrored: a tuple is
-    kept when its row has one."""
-    weight = np.abs(dm.data) > 1e-16
+    """Mask of the non-zero entries, mirrored: a tuple is kept when its row
+    has one."""
+    weight = dm.data != 0
     return weight | weight.T
+
+
+def _keeps_every_tuple(dm):
+    """Whether every diagonal entry is non-zero, so `_linked` keeps every tuple."""
+    return dm.data.diagonal().all()
 
 
 def _unpacked(mask, shape):
@@ -125,8 +128,8 @@ def _kernel_plan(basis, images_of, mask):
     """(reduced basis, maps) of `_operator_sum` on `basis`, where `mask` is
     the packed `_linked` mask of the matrix.
 
-    Only tuples whose row or column carries an entry above 1e-16 are mapped,
-    so a rule error on one of them is raised (and never cached).  Images of
+    Only tuples whose row or column carries a non-zero entry are mapped, so
+    a rule error on one of them is raised (and never cached).  Images of
     one tuple with the same key and reduced tuple are merged, their
     coefficients added in order onto 0.  The reduced basis is the sorted set
     of the images that meet a mapped partner under the same key, so an image
@@ -158,11 +161,8 @@ def _kernel_plan(basis, images_of, mask):
 
 
 def _operator_sum(dm, images_of):
-    """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``.
-
-    The basis and each K_key's entries come from `_kernel_plan`; the cut
-    only selects them, and the sum uses every entry of `dm.data`.
-    """
+    """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``,
+    the basis and each K_key's entries from the `_kernel_plan` of its support."""
     basis, maps = _kernel_plan(tuple(dm.basis), images_of,
                                np.packbits(_linked(dm)).tobytes())
     data = np.zeros((len(basis), len(basis)), dtype=complex)
@@ -218,7 +218,7 @@ def _product_slots(dm):
     basis = dm.basis
     if (type(basis) is not ProductBasis
             or not (basis.canonical or dm.eta == DISTINGUISHABLE)
-            or not (np.abs(dm.data.diagonal()) > 1e-16).all()):
+            or not _keeps_every_tuple(dm)):
         return None
     return basis
 
@@ -382,7 +382,7 @@ def _dof_value_rule(particle, dof_index):
 @functools.lru_cache(maxsize=512)
 def _layout_plan(basis, dof_specs, mask):
     """(in_order, dim, cells, rows, kept) of `basis` in the qubit array, where
-    `mask` is the packed mask of the tuples the 1e-16 cut keeps.
+    `mask` is the packed mask of the tuples `_linked` keeps.
 
     `kept` lists those tuples and `cells` their distinct array positions:
     kept tuple i lands on cells[rows[i]].  Only kept tuples are placed, so
@@ -433,13 +433,13 @@ def to_qubit_array(dm):
 
     Every remaining slot must carry at most a single DoF with at most two
     values.  Slots are ordered by region label; within a slot the DoF's
-    declared eigenvalue order fixes |0>,|1>.  Tuples the reductions' 1e-16
-    basis cut would leave out stay zero.
+    declared eigenvalue order fixes |0>,|1>.  Tuples whose row and column
+    are all zero are left out.
     """
     specs = tuple(dm.dof_specs)
     known = getattr(dm.basis, "in_order", {})  # a `ProductBasis`'s table
     # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
-    if known.get(specs) and (np.abs(dm.data.diagonal()) > 1e-16).all():
+    if known.get(specs) and _keeps_every_tuple(dm):
         return dm.data + 0.0  # every tuple kept (module doc)
     known[specs], dim, cells, rows, kept = _layout_plan(
         tuple(dm.basis), specs, np.packbits(_linked(dm).any(axis=1)).tobytes())

@@ -24,6 +24,13 @@ I/4 (distinguishable layout).  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
 angle grid as the maximizer first built it, through the complex amplitude
 1/2 cos(theta) cos(chi) (1 - e^{-2i phi}).
 
+`pure_vector_grid` is the pair grid of a pure distinguishable vector read off
+its amplitudes, without the trace rules: pair (i, j) is M M^dagger, M the
+vector with the axes of A_i and B_j moved to the front.
+`singlet_fraction_ascent` maximizes F_g on that grid over pure vectors by
+L-BFGS-B from seeded starts, so that the tests can check that the
+distinguishable ceiling 1 + (n - 1)/2 is reached and never exceeded.
+
 `words_signaling_hits` is the hit count of `qdof.protocols.signaling_mc` in
 'dofs' mode as it was first written: it draws the Z register's value too and
 decodes each detector word, all-equal as the Z basis and anything else as
@@ -49,7 +56,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from qdof.fidelity import _BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS
+from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS,
+                           singlet_fraction)
 from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
                            _flip_eigenvalues, case_state, concurrence)
 from qdof.states import DISTINGUISHABLE, FERMION, to_density
@@ -249,6 +257,47 @@ def werner_grid(p, layout):
     grid[...] = np.eye(4) / 4.0
     grid[0, 0] = werner
     return grid
+
+
+def pure_vector_grid(v, n):
+    """(n, n, 4, 4) pair grid of the unit vector `v` of two parties A, B with
+    `n` two-valued DoFs each, axes (A_1..A_n, B_1..B_n) as in the sorted
+    product basis: entry [i - 1, j - 1] is the (A_i, B_j) matrix."""
+    t = np.asarray(v).reshape((2,) * (2 * n))
+    grid = np.empty((n, n, 4, 4), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            m = np.moveaxis(t, (i, n + j), (0, 1)).reshape(4, -1)
+            grid[i, j] = m @ m.conj().T
+    return grid
+
+
+def singlet_fraction_ascent(n, starts=4, seed=0):
+    """Maximize F_g, the largest row or column sum of the pair singlet
+    fractions, over unit vectors of `pure_vector_grid` at `n` DoFs.
+
+    L-BFGS-B with finite-difference gradients runs from `starts` normal
+    starts drawn with `seed`, over the real and imaginary parts.  Returns
+    (the best unit vector, its F_g, the largest F_g of any vector tried).
+    """
+    dim = 4 ** n
+    rng = np.random.default_rng(seed)
+    largest = [-math.inf]
+
+    def unit(x):
+        v = x[:dim] + 1j * x[dim:]
+        return v / np.linalg.norm(v)
+
+    def objective(x):
+        f = singlet_fraction(pure_vector_grid(unit(x), n).reshape(-1, 4, 4))
+        f = f.reshape(n, n)
+        value = float(max(f.sum(axis=1).max(), f.sum(axis=0).max()))
+        largest[0] = max(largest[0], value)
+        return -value
+
+    best = min((minimize(objective, rng.normal(size=2 * dim), method="L-BFGS-B")
+                for _ in range(starts)), key=lambda res: res.fun)
+    return unit(best.x), -best.fun, largest[0]
 
 
 def hardy_q_grid(thetas, phis):

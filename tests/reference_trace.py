@@ -25,7 +25,7 @@ def _entries(dm):
     for a in range(n):
         for b in range(n):
             w = dm.data[a, b]
-            if abs(w) > 1e-16:
+            if w != 0:
                 yield dm.basis[a], dm.basis[b], w
 
 

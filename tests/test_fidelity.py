@@ -15,12 +15,14 @@ from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
                            sf_upper_bound_check, singlet_fraction,
                            teleport_fidelity, teleport_output,
                            two_param_state)
+from qdof.measures import concurrence, tangle_one_vs_rest
 from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
                          to_density)
 from qdof.trace import project_one_per_region
 
 from oracles import (_fef_closed, _six_run_output, closed_form_singlet_fraction,
-                     optimized_singlet_fraction, singlet_fraction_grid,
+                     optimized_singlet_fraction, pure_vector_grid,
+                     singlet_fraction_ascent, singlet_fraction_grid,
                      six_run_teleport_fidelity, werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -370,19 +372,87 @@ def test_singlet_fraction_bound_is_met_when_phi_plus_leads():
                    - (2.0 * singlet_fraction(rho) + 1.0) / 3.0) <= 1e-14
 
 
+def _pure_state(v, layout):
+    """|v><v| on the layout's product basis."""
+    basis, _, eta, specs = fidelity._resource(layout)
+    return DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, layout.n)
+
+
+def _random_unit_vectors(rng, n, count):
+    for _ in range(count):
+        v = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
+        yield v / np.linalg.norm(v)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pairs_of_a_pure_indistinguishable_state_are_rank_one(n):
     # why the indistinguishable ceiling F_g <= n cannot fail on pure states
     layout = ChannelLayout("indistinguishable", n)
-    basis, _, eta, specs = fidelity._resource(layout)
-    rng = np.random.default_rng(50 + n)
-    for _ in range(20):
-        v = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
-        v /= np.linalg.norm(v)
-        dm = DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, n)
-        grid = fidelity._pair_matrices(dm, layout)
+    for v in _random_unit_vectors(np.random.default_rng(50 + n), n, 20):
+        grid = fidelity._pair_matrices(_pure_state(v, layout), layout)
         grid = grid / np.trace(grid, axis1=2, axis2=3).real[..., None, None]
         assert np.abs(np.linalg.eigvalsh(grid)[..., :3]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pure_vector_grid_matches_the_trace_rules(n):
+    layout = ChannelLayout("distinguishable", n)
+    for v in _random_unit_vectors(np.random.default_rng(60 + n), n, 10):
+        grid = fidelity._pair_matrices(_pure_state(v, layout), layout)
+        assert np.abs(grid - pure_vector_grid(v, n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_singlet_fraction_ascent_reaches_the_distinguishable_ceiling(n):
+    # random states stay far below the ceiling from n = 3 on, so only a
+    # maximizer can show that the ceiling is neither too low nor too high
+    layout = ChannelLayout("distinguishable", n)
+    ceiling = FidelityParams.for_layout(layout).big_f_max
+    assert sf_upper_bound_check(layout, samples=1)["bound"] == ceiling
+    v, value, largest = singlet_fraction_ascent(n, starts=4, seed=n)
+    reached = generalized_singlet_fraction(_pure_state(v, layout),
+                                           layout)
+    assert abs(reached - value) <= 1e-12
+    assert ceiling - 1e-6 <= reached <= ceiling + 1e-9
+    assert largest <= ceiling + 1e-9
+
+
+def _monogamy_sides(dm, layout):
+    """Per DoF i of party 1: sum_j C^2(A_i, B_j), from one stacked
+    `concurrence` call on the pair grid, and 4 det rho_{A_i}."""
+    n = layout.n
+    grid = fidelity._pair_matrices(dm, layout)
+    c2 = concurrence(grid.reshape(-1, 4, 4)).reshape(n, n) ** 2
+    tangles = [tangle_one_vs_rest(np.einsum("abcb->ac", pair.reshape(2, 2, 2, 2)))
+               for pair in grid[:, 0]]
+    return c2.sum(axis=1), np.array(tangles)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_grid_of_pure_distinguishable_states_is_monogamous(n):
+    # Osborne & Verstraete, PRL 96, 220503 (2006): on pure qubits
+    # sum_k C^2(q_i, q_k) <= 4 det rho_{q_i}; the A_i-B_j terms alone obey it
+    layout = ChannelLayout("distinguishable", n)
+    for v in _random_unit_vectors(np.random.default_rng(70 + n), n, 20):
+        rows, tangles = _monogamy_sides(_pure_state(v, layout), layout)
+        assert (rows <= tangles + 1e-9).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_monogamy_is_tight_on_the_distinguishable_resource(n):
+    layout = ChannelLayout("distinguishable", n)
+    rows, tangles = _monogamy_sides(two_param_state(1.0, layout), layout)
+    assert abs(rows[0] - tangles[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_indistinguishable_resource_rows_sum_to_n(n):
+    # claim (i) at n DoFs: each row holds n Bell pairs, n times what
+    # distinguishable particles' monogamy allows A_i
+    layout = ChannelLayout("indistinguishable", n)
+    rows, tangles = _monogamy_sides(two_param_state(1.0, layout), layout)
+    assert np.abs(rows - n).max() <= 1e-12
+    assert np.abs(tangles - 1.0).max() <= 1e-12
 
 
 def test_bound_check_rejects_indistinguishable_layout():

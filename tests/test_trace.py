@@ -190,8 +190,8 @@ def test_lofranco_identical_bosons_pure():
 
 
 def test_tiny_amplitude_reduction_stays_positive():
-    # the c-sector tuples have diagonal entries near 4e-17, below the 1e-16
-    # cut, while their cross terms with |b:y, c:x, c:x> are near 6e-9
+    # the c-sector tuples have diagonal entries near 4e-17 and cross terms
+    # with |b:y, c:x, c:x> near 6e-9; every non-zero entry keeps its tuple
     xy = DofSpec(1, ("x", "y"))
 
     def reduced(eps):
@@ -207,6 +207,20 @@ def test_tiny_amplitude_reduction_stays_positive():
     assert np.linalg.eigvalsh(red.data).min() > -1e-12
     assert red.purity == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(red.data, reduced(1e-8).data, atol=1e-9)
+
+
+@pytest.mark.parametrize("order", [("a", "c"), ("c", "a")])
+def test_region_traces_keep_tuples_of_tiny_weight_in_either_order(order):
+    # entries from 3e-17 to 6e-8 beside 1: each keeps its tuple, so tracing
+    # a then c leaves the same vacuum as c then a
+    xy = DofSpec(1, ("x", "y"))
+    ax, cx = Ket("a", ((1, "x"),)), Ket("c", ((1, "x"),))
+    terms = {(ax, ax): 0.707, (ax, cx): 5.5e-9, (cx, cx): 4.2e-8j}
+    dm = to_density(normalize(SymState(BOSON, terms, (xy,))))
+    for region in order:
+        dm = trace_region(dm, region)
+    assert dm.basis == ((),)
+    assert dm.data.tolist() == [[1]]
 
 
 def test_lofranco_distinguishable_matches_region_trace():

@@ -4,11 +4,12 @@ The operator-sum engine in `qdof.trace` is checked against the per-entry
 reference engine in `reference_trace` on random bosonic, fermionic and
 distinguishable states (2-3 particles, bunched tuples, DoFs with 2 or 3
 values) and on the circuit and catalogue states: same basis, same data within
-1e-12 and the same exception.  Every reduced matrix must be Hermitian, of
-unit trace and positive: along chains of reductions that start from the
-sector of terms whose entries straddle the 1e-16 weight cut, and, on states
-whose amplitudes stay well above that cut, for traces over two different
-subsystems, which must also commute.
+1e-12 and the same exception.  A reduction keeps exactly the tuples whose
+row or column has a non-zero entry, so every state may carry amplitudes near
+1e-8, whose diagonal entries sit far below their cross terms.  Every reduced
+matrix must be Hermitian, of unit trace and positive: along chains of
+reductions that start from the sector of such tiny terms, and for traces
+over two different subsystems, which must also commute.
 
 On full-product states built by `trace._product_basis` the two DoF traces
 take their dense branch, which must give the kernel's result bit for bit;
@@ -28,7 +29,7 @@ order of the key sum shows in the last bits.
 byte (signed zeros included), the one the operator-sum kernel laid out, and
 it must fail with the same errors.  It replays a layout plan cached per
 basis, specs and support, so a second matrix on the same basis, with other
-rows below the cut, must still be laid out (or fail) by its own rows.
+rows zeroed, must still be laid out (or fail) by its own rows.
 
 A call that replays a cached plan must give the basis, bytes or error of a
 call made with the plan caches cleared, and no plan may hold an array of
@@ -61,7 +62,7 @@ ANGLE = st.floats(0.0, 2 * math.pi)
 
 
 @st.composite
-def random_states(draw, tiny_amplitudes):
+def random_states(draw):
     eta = draw(st.sampled_from([BOSON, FERMION, DISTINGUISHABLE]))
     n_particles = draw(st.integers(2, 3))
     sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=2))
@@ -71,12 +72,13 @@ def random_states(draw, tiny_amplitudes):
             (spec.index, v) for spec, v in zip(specs, values))),
         st.sampled_from("abc"),
         st.tuples(*[st.sampled_from(spec.values) for spec in specs]))
-    amplitude = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
-                                   allow_nan=False, allow_infinity=False)
-    if tiny_amplitudes:
-        # amplitudes near 1e-8 put diagonal entries below the 1e-16 weight
-        # cut while cross terms with O(1) amplitudes stay above it
-        amplitude = st.one_of(amplitude, st.sampled_from([1e-7, -3e-9, 1e-9j]))
+    # amplitudes of 1e-9 to 1e-7 give diagonal entries far smaller than
+    # their cross terms with O(1) amplitudes; each keeps its tuple like any
+    # other non-zero entry
+    amplitude = st.one_of(
+        st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0,
+                           allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e-7, -3e-9, 1e-9j]))
     terms = draw(st.dictionaries(
         st.lists(ket, min_size=n_particles, max_size=n_particles).map(tuple),
         amplitude, min_size=1, max_size=6))
@@ -90,9 +92,9 @@ def random_states(draw, tiny_amplitudes):
 def straddling_states(draw):
     """Large terms outside region c beside small terms that reach into c.
 
-    Small amplitudes of 3e-9 to 3e-8 put the entries among the small terms on
-    both sides of the 1e-16 weight cut, while their cross terms with the
-    large ones stay above it; tracing region c keeps only their sector.
+    Small amplitudes of 3e-9 to 3e-8 give entries among the small terms far
+    below their cross terms with the large ones; tracing region c keeps only
+    their sector.
     """
     eta = draw(st.sampled_from([BOSON, FERMION, DISTINGUISHABLE]))
     n_particles = draw(st.integers(2, 3))
@@ -130,7 +132,7 @@ def named_states(draw):
     return pol_oam_pair(draw(ANGLE), draw(ANGLE))
 
 
-STATES = st.one_of(random_states(tiny_amplitudes=False), named_states())
+STATES = st.one_of(random_states(), named_states())
 
 
 def _run(fn, *args):
@@ -178,7 +180,7 @@ def _draw_reduction(data, dm):
 
 
 @PROPERTY_SETTINGS
-@given(state=st.one_of(random_states(tiny_amplitudes=True), named_states()),
+@given(state=st.one_of(random_states(), named_states()),
        data=st.data())
 def test_operator_sums_match_the_per_entry_engine(state, data):
     dm = to_density(state)
@@ -307,7 +309,7 @@ def _draw_rule(data, dm):
 
 
 @PROPERTY_SETTINGS
-@given(state=st.one_of(random_states(tiny_amplitudes=True), straddling_states(),
+@given(state=st.one_of(random_states(), straddling_states(),
                        named_states()),
        data=st.data())
 def test_tabled_operator_sum_matches_the_per_call_kernel_byte_for_byte(state,
@@ -431,12 +433,13 @@ def _li_projected():
     return trace.project_one_per_region(to_density(state), ["s1", "s2"])
 
 
-def _weight_below_cut(eta):
+def _zero_row(eta):
+    """A pure full product with tuple 3's row and column zeroed: the kernel
+    leaves that tuple out."""
     rng = np.random.default_rng(5)
     dm = _product_density(eta, ("s1", "s2"), [(("0", "1"),) * 2] * 2, rng,
                           "pure")
-    dm.data[3, :] *= 1e-9
-    dm.data[:, 3] *= 1e-9
+    dm.data[3, :] = dm.data[:, 3] = 0.0
     return dm
 
 
@@ -469,15 +472,15 @@ def _refuse_dense(*args, **kwargs):
 
 
 @pytest.mark.parametrize("dm, fn, args", [
-    (_weight_below_cut(BOSON), "trace_dof_indist", (Subsystem("s1", 2),)),
-    (_weight_below_cut(DISTINGUISHABLE), "trace_dof_dist", (0, 2)),
+    (_zero_row(BOSON), "trace_dof_indist", (Subsystem("s1", 2),)),
+    (_zero_row(DISTINGUISHABLE), "trace_dof_dist", (0, 2)),
     (_three_valued(FERMION), "trace_dof_indist", (Subsystem("s2", 2),)),
     (_three_valued(DISTINGUISHABLE), "trace_dof_dist", (1, 1)),
     (_unsorted_basis(BOSON), "trace_dof_indist", (Subsystem("s2", 1),)),
     (_unsorted_basis(DISTINGUISHABLE), "trace_dof_dist", (0, 1)),
     (_regions_out_of_order(BOSON), "trace_dof_indist", (Subsystem("s2", 1),)),
     (_li_projected(), "trace_dof_indist", (Subsystem("s1", 1),)),
-], ids=["weight-below-cut-indist", "weight-below-cut-dist",
+], ids=["zero-row-indist", "zero-row-dist",
         "three-valued-indist", "three-valued-dist", "unsorted-basis-indist",
         "unsorted-basis-dist", "regions-out-of-order-indist", "li_circuit"])
 def test_inputs_outside_the_dense_branch_take_the_kernel(monkeypatch, dm, fn,
@@ -644,7 +647,7 @@ def _layout_after_steps(dm, negative_zeros, data):
 
 
 @PROPERTY_SETTINGS
-@given(state=st.one_of(random_states(tiny_amplitudes=True), straddling_states(),
+@given(state=st.one_of(random_states(), straddling_states(),
                        named_states()),
        negative_zeros=st.booleans(), data=st.data())
 def test_qubit_layout_matches_the_kernel_byte_for_byte(state, negative_zeros,
@@ -673,13 +676,12 @@ def _swapped_slots(n_particles):
     return to_density(normalize(SymState(DISTINGUISHABLE, terms, (xy,))))
 
 
-def _swapped_half_below_cut():
-    """`_swapped_slots(2)` with the (b, a) half weighing below the cut, so
-    only the (a, b) tuples, already in qubit order, are laid out."""
+def _swapped_half_zero():
+    """`_swapped_slots(2)` with the (b, a) half zeroed, so only the (a, b)
+    tuples, already in qubit order, are laid out."""
     dm = _swapped_slots(2)
     low = [i for i, kets in enumerate(dm.basis) if kets[0].region == "b"]
-    dm.data[low, :] *= 1e-18
-    dm.data[:, low] *= 1e-18
+    dm.data[low, :] = dm.data[:, low] = 0.0
     return dm
 
 
@@ -700,11 +702,10 @@ def _misfit(tuples):
         BOSON, {t: 1.0 for t in tuples}, (xyz, DofSpec(2, ("0", "1"))))))
 
 
-def _row_below_cut():
+def _zero_row_pair():
     rng = np.random.default_rng(8)
     dm = _product_density(BOSON, ("s1", "s2"), [(("0", "1"),)] * 2, rng, "mixed")
-    dm.data[1, :] *= 1e-18
-    dm.data[:, 1] *= 1e-18
+    dm.data[1, :] = dm.data[:, 1] = 0.0
     return dm
 
 
@@ -716,12 +717,12 @@ def _li_pair():
 
 
 @pytest.mark.parametrize("dm, message", [
-    (_row_below_cut(), None),
+    (_zero_row_pair(), None),
     (_li_pair(), None),
     (_with_negative_zeros(_li_pair()), None),
     (_swapped_slots(2), None),
     (_swapped_slots(3), None),
-    (_swapped_half_below_cut(), None),
+    (_swapped_half_zero(), None),
     (_with_negative_zeros(_swapped_slots(2)), None),
     (_with_negative_zeros(_slots_out_of_order()), None),
     (_misfit([(Ket("a", ((1, "x"),)), Ket("a", ((1, "y"),)))]),
@@ -730,8 +731,8 @@ def _li_pair():
      "region 'a' still carries several DoFs"),
     (_misfit([(Ket("a", ((1, v),)), Ket("b", ((1, "x"),))) for v in "xyz"]),
      "region 'a' is not a qubit here"),
-], ids=["row-below-cut", "li-circuit-pair", "li-circuit-pair-negative-zeros",
-        "swapped-2", "swapped-3", "swapped-half-below-cut",
+], ids=["zero-row", "li-circuit-pair", "li-circuit-pair-negative-zeros",
+        "swapped-2", "swapped-3", "swapped-half-zero",
         "swapped-2-negative-zeros", "slots-out-of-order-negative-zeros",
         "slot-count", "several-dofs", "not-a-qubit"])
 def test_qubit_layout_edge_cases_match_the_kernel(dm, message):
@@ -742,34 +743,33 @@ def test_qubit_layout_edge_cases_match_the_kernel(dm, message):
         assert str(exc.value) == message
 
 
-def _cut(data, row):
+def _zeroed(data, row):
     data = data.copy()
-    data[row, :] *= 1e-18
-    data[:, row] *= 1e-18
+    data[row, :] = data[:, row] = 0.0
     return data
 
 
 def _product_pair():
-    """A full-rank two-qubit matrix, then row 1 of it below the cut."""
+    """A full-rank two-qubit matrix, then row 1 of it zeroed."""
     rng = np.random.default_rng(8)
     dm = _product_density(BOSON, ("s1", "s2"), [(("0", "1"),)] * 2, rng, "mixed")
-    return dm, [dm.data, _cut(dm.data, 1)]
+    return dm, [dm.data, _zeroed(dm.data, 1)]
 
 
 def _bunched_pair():
     """Bosons at (a, b) beside a bunched (a, a) tuple, which has no position
-    in the qubit array: first below the cut, then kept."""
+    in the qubit array: first zeroed, then kept."""
     xy = DofSpec(1, ("x", "y"))
     bunched = (Ket("a", ((1, "x"),)), Ket("a", ((1, "y"),)))
     terms = {(Ket("a", ((1, "x"),)), Ket("b", ((1, v),))): amp
              for v, amp in (("x", 0.6), ("y", -0.3j))}
     terms[bunched] = 0.2
     dm = to_density(normalize(SymState(BOSON, terms, (xy,))))
-    return dm, [_cut(dm.data, dm.basis.index(bunched)), dm.data]
+    return dm, [_zeroed(dm.data, dm.basis.index(bunched)), dm.data]
 
 
 @pytest.mark.parametrize("case", [_product_pair, _bunched_pair],
-                         ids=["row-below-cut-second", "bunched-kept-second"])
+                         ids=["zero-row-second", "bunched-kept-second"])
 def test_qubit_layout_takes_each_calls_rows(case):
     """Two calls on one basis object lay out (or reject) the rows each
     call's own data keeps."""
@@ -801,8 +801,8 @@ def _zero_diagonal_entry():
 ], ids=["full", "negative-zeros", "zero-diagonal-entry", "reversed-values"])
 def test_qubit_layout_short_path_matches_the_general_path(monkeypatch, dm,
                                                            short):
-    """On a `ProductBasis` in qubit order with every diagonal entry above the
-    cut, `to_qubit_array` copies the matrix without laying it out; its bytes
+    """On a `ProductBasis` in qubit order with every diagonal entry non-zero,
+    `to_qubit_array` copies the matrix without laying it out; its bytes
     are those of a plain-tuple copy of the basis, which takes the general
     path, and those of the kernel's layout."""
     assert type(dm.basis) is trace.ProductBasis
@@ -837,14 +837,14 @@ def _assert_same_bytes(got, want):
 
 
 @PROPERTY_SETTINGS
-@given(state=st.one_of(random_states(tiny_amplitudes=True), straddling_states(),
+@given(state=st.one_of(random_states(), straddling_states(),
                        named_states(), qubit_states()),
        data=st.data())
 def test_warm_plans_give_a_cold_calls_basis_and_bytes(state, data):
-    """Each reduction and the qubit layout, on a matrix and on a copy with
-    one mapped row and column zeroed (another support on the same basis):
-    a call that replays a cached plan gives the basis, bytes or error of a
-    call made just after the plan caches were cleared."""
+    """Drawn reductions, then the qubit layout, on a matrix and on a copy
+    with one mapped row and column zeroed (another support on the same
+    basis): a call that replays a cached plan gives the basis, bytes or
+    error of a call made just after the plan caches were cleared."""
     dm = to_density(state)
     mapped = np.flatnonzero(trace._linked(dm).any(axis=1))
     assume(mapped.size)
@@ -853,8 +853,9 @@ def test_warm_plans_give_a_cold_calls_basis_and_bytes(state, data):
     other[row, :] = other[:, row] = 0.0
     matrices = (dm, DensityMatrix(dm.basis, other, dm.eta, dm.dof_specs,
                                   dm.n_dofs_orig))
-    for _ in range(data.draw(st.integers(1, 3))):
-        name, args = _draw_reduction(data, dm)
+    steps = [_draw_reduction(data, dm)
+             for _ in range(data.draw(st.integers(1, 3)))]
+    for name, args in steps + [("to_qubit_array", ())]:
         fn = getattr(trace, name)
         cold = []
         for m in matrices:
