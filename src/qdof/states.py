@@ -2,7 +2,9 @@
 
 A state of ``p`` particles is a sparse amplitude map over tuples of single-particle
 kets.  Each ket carries a spatial-region label and one eigenvalue per degree of
-freedom (DoF).  Three particle kinds are supported:
+freedom (DoF), as the plain tuple ``(region, dofs)``: its hash, equality and
+ordering are that tuple's, so sets, dicts and sorted bases order kets as
+tuples.  Three particle kinds are supported:
 
 * bosons (``eta = +1``)  -- ket tuples are unordered, amplitudes symmetric,
 * fermions (``eta = -1``) -- ket tuples are unordered, amplitude picks up the
@@ -28,6 +30,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,24 +70,15 @@ class DofSpec:
         return len(self.values)
 
 
-@dataclass(frozen=True, order=True)
-class Ket:
-    """Single-particle basis ket: spatial region plus (dof_index, value) pairs."""
+class Ket(NamedTuple):
+    """Single-particle basis ket: spatial region plus (dof_index, value) pairs.
+
+    A tuple (``len`` 2, iterable) whose hash, equality and ordering are
+    those of ``(region, dofs)``.
+    """
 
     region: str
     dofs: tuple = ()
-
-    def __post_init__(self):
-        # the generated hash's value, worked out once: basis-keyed caches
-        # hash every ket of their basis on each lookup
-        object.__setattr__(self, "_hash", hash((self.region, self.dofs)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not restored: str hashes differ between processes
-        return Ket, (self.region, self.dofs)
 
     def value(self, index):
         for i, v in self.dofs:
@@ -107,16 +101,15 @@ def canonical(kets, eta):
     kets = tuple(kets)
     if eta == DISTINGUISHABLE:
         return kets, 1
-    order = sorted(range(len(kets)), key=lambda i: kets[i])
-    sorted_kets = tuple(kets[i] for i in order)
-    if eta == FERMION:
-        if len(set(sorted_kets)) != len(sorted_kets):
-            return sorted_kets, 0
-        # parity via explicit inversion count (tuples are tiny)
-        inv = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
-                  if order[a] > order[b])
-        return sorted_kets, -1 if inv % 2 else 1
-    return sorted_kets, 1
+    sorted_kets = tuple(sorted(kets))
+    if eta == BOSON:
+        return sorted_kets, 1
+    if len(set(kets)) != len(kets):
+        return sorted_kets, 0
+    # on distinct kets, the inversions of the sequence are those of the
+    # sorting permutation
+    inv = sum(a > b for i, a in enumerate(kets) for b in kets[i + 1:])
+    return sorted_kets, -1 if inv % 2 else 1
 
 
 def tuple_overlap(s, t, eta):
@@ -127,7 +120,7 @@ def tuple_overlap(s, t, eta):
     """
     if s != t:
         return 0.0
-    if eta != BOSON:
+    if eta != BOSON or len(set(s)) == len(s):
         return 1.0
     return float(math.prod(math.factorial(m) for m in Counter(s).values()))
 
@@ -167,8 +160,16 @@ class SymState:
         return len(idx)
 
     def scaled(self, factor):
-        return SymState(self.eta, {k: v * factor for k, v in self.terms.items()},
-                        self.dof_specs)
+        """This state with every amplitude times `factor`.
+
+        Relies on the terms being canonical, which holds by construction, so
+        the result keeps them as they are; as the constructor does, it adds
+        each amplitude to 0.0 and drops those at or below 1e-15.
+        """
+        out = SymState(self.eta, {}, self.dof_specs)
+        out.terms = {k: amp for k, v in self.terms.items()
+                     if abs(amp := 0.0 + complex(v * factor)) > 1e-15}
+        return out
 
     # -- serialization -------------------------------------------------------
 
@@ -207,7 +208,7 @@ def symmetric_inner(a, b):
     for s, amp_s in a.terms.items():
         amp_t = b.terms.get(s)
         if amp_t is not None:
-            total += np.conj(amp_s) * amp_t * tuple_overlap(s, s, a.eta)
+            total += amp_s.conjugate() * amp_t * tuple_overlap(s, s, a.eta)
     return complex(total)
 
 

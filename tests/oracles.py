@@ -48,10 +48,21 @@ same `repr`.
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
 determinant (fermions) of the single-ket overlap matrix instead, and
 `pairwise_inner` is the symmetric inner product over every pair of terms.
+`numpy_symmetric_inner` is `qdof.states.symmetric_inner` as it was first
+written, conjugating each amplitude with `np.conj`; the library's
+`complex.conjugate` must give the same `repr`.
+
+`DataclassKet` and `dataclass_canonical` are `qdof.states.Ket` and
+`canonical` as they were before a ket became a plain tuple: a frozen,
+ordered dataclass that stores the hash of ``(region, dofs)``, sorted by
+index with the fermion sign taken from the sorting permutation.  The
+library's canonical tuples, signs, hashes and sorted and set orders must be
+theirs.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -60,7 +71,7 @@ from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS,
                            singlet_fraction)
 from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
                            _flip_eigenvalues, case_state, concurrence)
-from qdof.states import DISTINGUISHABLE, FERMION, to_density
+from qdof.states import DISTINGUISHABLE, FERMION, to_density, tuple_overlap
 from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
                         trace_dof_indist, trace_region)
 
@@ -98,6 +109,46 @@ def pairwise_inner(a, b):
             if g:
                 total += np.conj(amp_s) * amp_t * g
     return complex(total)
+
+
+def numpy_symmetric_inner(a, b):
+    """<a|b> on matching canonical tuples, each amplitude conjugated by `np.conj`."""
+    total = 0.0 + 0.0j
+    for s, amp_s in a.terms.items():
+        amp_t = b.terms.get(s)
+        if amp_t is not None:
+            total += np.conj(amp_s) * amp_t * tuple_overlap(s, s, a.eta)
+    return complex(total)
+
+
+@dataclass(frozen=True, order=True)
+class DataclassKet:
+    """Single-particle ket as a frozen, ordered dataclass with a stored hash."""
+
+    region: str
+    dofs: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.region, self.dofs)))
+
+    def __hash__(self):
+        return self._hash
+
+
+def dataclass_canonical(kets, eta):
+    """(sorted tuple, sign) of `DataclassKet`s, sorted by index."""
+    kets = tuple(kets)
+    if eta == DISTINGUISHABLE:
+        return kets, 1
+    order = sorted(range(len(kets)), key=lambda i: kets[i])
+    sorted_kets = tuple(kets[i] for i in order)
+    if eta == FERMION:
+        if len(set(sorted_kets)) != len(sorted_kets):
+            return sorted_kets, 0
+        inv = sum(1 for a in range(len(order)) for b in range(a + 1, len(order))
+                  if order[a] > order[b])
+        return sorted_kets, -1 if inv % 2 else 1
+    return sorted_kets, 1
 
 
 _PAULI_PAIRS = [[np.kron(_PAULI[i + 1], _PAULI[j + 1]) for j in range(3)]

@@ -166,16 +166,16 @@ def test_density_csv_shape():
 @pytest.mark.parametrize("region, dofs", [
     ("a", ()), ("s1", ((1, "0"),)), ("idl", ((1, "V"), (2, "-l")))])
 def test_ket_hash_is_the_hash_of_its_fields(region, dofs):
-    """The hash is worked out once, with the value the dataclass gave, so set
-    and dict orders stay as they were."""
+    """A ket hashes as the tuple of its fields, the value the dataclass gave,
+    so set and dict orders stay as they were."""
     ket = Ket(region, dofs)
     assert hash(ket) == hash((region, dofs))
     assert hash(ket.drop(1)) == hash((region, tuple(p for p in dofs if p[0] != 1)))
 
 
 def test_unpickled_ket_hashes_as_a_new_one():
-    """The stored hash is worked out again on loading: str hashes differ
-    between processes, so a restored value would miss equal kets there."""
+    """An unpickled ket hashes as one built where it is loaded: str hashes
+    differ between processes, so a restored value would miss equal kets."""
     code = ("import pickle, sys; from qdof.states import Ket; "
             "k = pickle.loads(sys.stdin.buffer.read()); "
             "print(hash(k) == hash(Ket(k.region, k.dofs)))")

@@ -29,7 +29,9 @@ order of the key sum shows in the last bits.
 byte (signed zeros included), the one the operator-sum kernel laid out, and
 it must fail with the same errors.  It replays a layout plan cached per
 basis, specs and support, so a second matrix on the same basis, with other
-rows zeroed, must still be laid out (or fail) by its own rows.
+rows zeroed, must still be laid out (or fail) by its own rows.  Each chain of
+drawn reductions ends with the layout: of its last matrix with one row and
+column zeroed, then of that matrix, both against the per-entry engine.
 
 A call that replays a cached plan must give the basis, bytes or error of a
 call made with the plan caches cleared, and no plan may hold an array of
@@ -179,6 +181,19 @@ def _draw_reduction(data, dm):
     return name, ()
 
 
+def _same_result(name, dm, *args):
+    """Run `name` on both engines: the same error, or the same result, which
+    is returned (None after an error)."""
+    new, new_exc = _run(getattr(trace, name), dm, *args)
+    old, old_exc = _run(getattr(ref, name), dm, *args)
+    assert type(new_exc) is type(old_exc), (name, args, new_exc, old_exc)
+    if old_exc is not None:
+        assert str(new_exc) == str(old_exc)
+        return None
+    _assert_same(new, old)
+    return new
+
+
 @PROPERTY_SETTINGS
 @given(state=st.one_of(random_states(), named_states()),
        data=st.data())
@@ -186,16 +201,17 @@ def test_operator_sums_match_the_per_entry_engine(state, data):
     dm = to_density(state)
     for _ in range(data.draw(st.integers(1, 4))):
         name, args = _draw_reduction(data, dm)
-        new, new_exc = _run(getattr(trace, name), dm, *args)
-        old, old_exc = _run(getattr(ref, name), dm, *args)
-        assert type(new_exc) is type(old_exc), (name, args, new_exc, old_exc)
-        if old_exc is not None:
-            assert str(new_exc) == str(old_exc)
-            return
-        _assert_same(new, old)
-        if isinstance(new, np.ndarray):
-            return
+        new = _same_result(name, dm, *args)
+        if not isinstance(new, DensityMatrix):
+            break
         dm = new
+    # every chain ends with layouts, which a drawn step picks about one time
+    # in five: of a copy with one row and column zeroed (another support on
+    # the same basis), then of the matrix itself
+    row = data.draw(st.integers(0, len(dm.basis) - 1))
+    for other in (_zeroed(dm.data, row), dm.data):
+        _same_result("to_qubit_array", DensityMatrix(
+            dm.basis, other, dm.eta, dm.dof_specs, dm.n_dofs_orig))
 
 
 @PROPERTY_SETTINGS
@@ -204,7 +220,8 @@ def test_reduction_chains_stay_positive(state, data):
     # the first step keeps the sector of the small terms only
     dm = to_density(state)
     name, args = "trace_region", ("c",)
-    for _ in range(data.draw(st.integers(1, 4))):
+    steps = data.draw(st.integers(1, 4))
+    for step in range(steps + 1):
         reduced, exc = _run(getattr(trace, name), dm, *args)
         if exc is not None:
             return
@@ -213,7 +230,9 @@ def test_reduction_chains_stay_positive(state, data):
             return
         _assert_density_matrix(reduced)
         dm = reduced
-        name, args = _draw_reduction(data, dm)
+        # the chain ends with a layout, as in the test above
+        name, args = (_draw_reduction(data, dm) if step < steps - 1
+                      else ("to_qubit_array", ()))
 
 
 def _commute(first, second, dm):
