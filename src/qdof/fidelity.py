@@ -19,9 +19,11 @@ memo is keyed on the layout, the identity of `dm.basis`, `dm.eta`,
 `dm.dof_specs`, `dm.n_dofs_orig` and the dtype, shape and bytes of
 `dm.data`: input equal in all of these gets the very grid a fresh reduction
 would build, and a matrix changed in place or set on another basis object is
-reduced again.  The memo's grid is read-only.  `relation_check` reduces
-each of its states itself, past the memo; a p = 1 grid point reuses the
-endpoint grid its ceilings were measured on.
+reduced again.  The memo's grid is read-only.  `relation_check` and
+`sf_upper_bound_check` reduce each of their states themselves, past the
+memo, whose key would copy every random state's bytes for a hit that cannot
+come; a p = 1 grid point reuses the endpoint grid its ceilings were
+measured on.
 
 The noise family and the random states of `sf_upper_bound_check` take their
 basis, resource matrix and DoF specs from `_resource(layout)`, cached per
@@ -425,7 +427,6 @@ def sf_upper_bound_check(layout, samples=200, seed=0):
         v /= np.linalg.norm(v)
         dm = DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE,
                            specs, n)
-        val = generalized_singlet_fraction(dm, layout)
-        worst = max(worst, val)
+        worst = max(worst, _singlet_fraction_of(_pair_matrices(dm, layout)))
     return {"bound": bound, "max_observed": worst,
             "within": worst <= bound + 1e-6}

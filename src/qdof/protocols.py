@@ -12,14 +12,13 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .circuits import PhaseConfig, sorter_cascade, swap_circuit
+from .circuits import PhaseConfig, swap_circuit
 from .fidelity import singlet_fraction
 from .hardy import HardyParams, hardy_q
 from .measurement import ChshSettings, chsh, coincidence_table
@@ -32,7 +31,9 @@ class SignalingConfig:
     """Monte-Carlo configuration for the signaling estimate.
 
     `n_dofs` may reach 30 in 'copies' mode; 'dofs' mode stops at 20, the
-    size limit of the sorter cascade.
+    size limit of the sorter cascade.  Its exact value is a closed form, but
+    the cascade's 2^N detector words are what back it, and the tests
+    enumerate them only up to 20 DoFs.
     """
 
     n_dofs: int = 2
@@ -46,30 +47,22 @@ class SignalingConfig:
             raise ValueError("need at least one trial")
 
 
-@functools.lru_cache(maxsize=32)
 def signaling_exact(n):
-    """Exact decoding probability 1 - 2^-N, by enumerating detector outcomes.
+    """Exact decoding probability 1 - 2^-N of the broadcast onto N DoFs.
 
     The sender's basis choice is uniform.  A computational-basis input leaves
-    the cascade deterministically in the two edge detectors; a Hadamard-basis
-    input spreads uniformly over all 2^N detector words, and only the two
-    all-equal words are mistaken for the computational basis.  The sorter
-    cascade it enumerates takes at most 20 DoFs; each n is enumerated once.
+    the sorter cascade deterministically in the two edge detectors; a
+    Hadamard-basis input spreads uniformly over all 2^N detector words, and
+    only the two all-equal words are mistaken for the computational basis:
+    1/2 + 1/2 (1 - 2 / 2^N).  N stays within the cascade's 20 DoFs, the
+    largest N at which the tests enumerate its 2^N words as this value's
+    oracle, so 'dofs' mode prints no value that the cascade does not back.
     """
     if n < 2:
         raise ValueError("need at least two DoFs")
-    total = Fraction(0)
-    # basis Z: both branch states land in an edge detector with certainty
-    z_dist = sorter_cascade(n, (1.0, 0.0))
-    edge = {0, 2 ** n - 1}
-    p_correct_z = Fraction(int(round(sum(z_dist[i] for i in edge))), 1)
-    total += Fraction(1, 2) * p_correct_z
-    # basis X: uniform over detector words; a non-edge word decodes correctly
-    x_dist = sorter_cascade(n, (1.0, 1.0))
-    assert np.allclose(x_dist, 1.0 / 2 ** n)
-    p_correct_x = Fraction(2 ** n - 2, 2 ** n)
-    total += Fraction(1, 2) * p_correct_x
-    return total
+    if n > 20:
+        raise ValueError("cascade limited to 20 DoFs")
+    return 1 - Fraction(1, 2 ** n)
 
 
 def signaling_mc(cfg, mode="dofs"):
@@ -82,10 +75,17 @@ def signaling_mc(cfg, mode="dofs"):
     `mode='copies'` uses N separate two-DoF copies and flags the Hadamard
     basis as soon as any copy leaves the edge detectors.  The copier is an
     ideal (non-physical) broadcast; the Bell-measurement outcome is drawn
-    uniformly and its correction applied perfectly.
+    uniformly and its correction applied perfectly.  A bad mode or an N the
+    mode's exact value refuses raises before any draw.
     """
-    rng = np.random.default_rng(cfg.seed)
     n, trials = cfg.n_dofs, cfg.trials
+    if mode == "dofs":
+        exact = signaling_exact(n)
+    elif mode == "copies":
+        exact = signaling_multicopy(n)
+    else:
+        raise ValueError("mode must be 'dofs' or 'copies'")
+    rng = np.random.default_rng(cfg.seed)
     sent = rng.integers(0, 2, size=trials)             # 0 -> Z basis, 1 -> X
     rng.integers(0, 4, size=trials)                    # Bell outcome, corrected
     if mode == "dofs":
@@ -93,17 +93,13 @@ def signaling_mc(cfg, mode="dofs"):
         weight = bits @ np.ones(n, dtype=bits.dtype)   # ones in each word
         missed = sent & ((weight == 0) | (weight == n))  # X read as Z
         hits = trials - int(np.count_nonzero(missed))
-        exact = signaling_exact(n)
-    elif mode == "copies":
+    else:
         # the conditional bottleneck: given a Hadamard-basis message, each
         # copy stays on the edge with probability 1/2, and decoding succeeds
         # as soon as any copy leaves it (computational-basis messages always
         # decode, so they carry no information about the error rate)
         stay = rng.random(size=(trials, n)) < 0.5
         hits = int((~stay.all(axis=1)).sum())
-        exact = signaling_multicopy(n)
-    else:
-        raise ValueError("mode must be 'dofs' or 'copies'")
     estimate = hits / trials
     stderr = math.sqrt(max(estimate * (1 - estimate), 1e-12) / trials)
     return {"estimate": float(estimate), "stderr": float(stderr),
@@ -127,15 +123,11 @@ def signaling_multicopy(m):
 # -- ancilla-versus-DoF comparison ----------------------------------------------
 
 
-def _qpq_vector(theta):
-    # ordering |b a x>: amplitudes at 000, 010, 100 and 111
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([c, 0, s, 0, -s, 0, 0, c], dtype=complex) / math.sqrt(2)
-
-
 def qpq_particle_state(theta):
-    """Three-particle key-distribution state with a particle ancilla."""
-    v = _qpq_vector(theta)
+    """Three-particle key-distribution state with a particle ancilla,
+    ordered |b a x>: amplitudes at 000, 010, 100 and 111."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    v = np.array([c, 0, s, 0, -s, 0, 0, c], dtype=complex) / math.sqrt(2)
     return v / np.linalg.norm(v)
 
 

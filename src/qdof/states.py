@@ -26,9 +26,9 @@ the repeats of each ket) and 1 for fermions and distinguishable particles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,7 +122,9 @@ def tuple_overlap(s, t, eta):
         return 0.0
     if eta != BOSON or len(set(s)) == len(s):
         return 1.0
-    return float(math.prod(math.factorial(m) for m in Counter(s).values()))
+    # sorted, so the repeats of each ket are one run
+    return float(math.prod(math.factorial(len(list(run)))
+                           for _, run in itertools.groupby(s)))
 
 
 @dataclass

@@ -27,14 +27,20 @@ angle grid as the maximizer first built it, through the complex amplitude
 `pure_vector_grid` is the pair grid of a pure distinguishable vector read off
 its amplitudes, without the trace rules: pair (i, j) is M M^dagger, M the
 vector with the axes of A_i and B_j moved to the front.
-`singlet_fraction_ascent` maximizes F_g on that grid over pure vectors by
-L-BFGS-B from seeded starts, so that the tests can check that the
-distinguishable ceiling 1 + (n - 1)/2 is reached and never exceeded.
+`pure_vector_ascent` maximizes a value of that grid over pure vectors by
+L-BFGS-B from seeded starts: `singlet_fraction_ascent` F_g, so that the
+tests can check that the distinguishable ceiling 1 + (n - 1)/2 is reached
+and never exceeded, and `monogamy_ascent` the largest row of
+sum_j C^2(A_i, B_j) minus the tangle 4 det rho_{A_i}, which must stay at or
+below 0 (Osborne & Verstraete, PRL 96, 220503, 2006).
 
 `words_signaling_hits` is the hit count of `qdof.protocols.signaling_mc` in
 'dofs' mode as it was first written: it draws the Z register's value too and
 decodes each detector word, all-equal as the Z basis and anything else as
 the X basis.  The library counts the same hits from the X words alone.
+`cascade_signaling_exact` is `qdof.protocols.signaling_exact` as it was
+first written: an enumeration of the sorter cascade's detector words, where
+the library returns the closed form 1 - 2^-N.
 
 `per_case_monogamy_report` is `qdof.measures.monogamy_report` as it was
 before the catalogue was measured as one stack: it reduces one state and
@@ -48,6 +54,9 @@ same `repr`.
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
 determinant (fermions) of the single-ket overlap matrix instead, and
 `pairwise_inner` is the symmetric inner product over every pair of terms.
+`counter_tuple_overlap` is `tuple_overlap` as it was first written, with the
+repeats of each ket counted in a `Counter` where the library takes the run
+lengths of the sorted tuple; both must give `repr`-equal floats.
 `numpy_symmetric_inner` is `qdof.states.symmetric_inner` as it was first
 written, conjugating each amplitude with `np.conj`; the library's
 `complex.conjugate` must give the same `repr`.
@@ -62,16 +71,20 @@ theirs.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
 
+from qdof.circuits import sorter_cascade
 from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS,
                            singlet_fraction)
 from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
                            _flip_eigenvalues, case_state, concurrence)
-from qdof.states import DISTINGUISHABLE, FERMION, to_density, tuple_overlap
+from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, to_density,
+                         tuple_overlap)
 from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
                         trace_dof_indist, trace_region)
 
@@ -323,13 +336,13 @@ def pure_vector_grid(v, n):
     return grid
 
 
-def singlet_fraction_ascent(n, starts=4, seed=0):
-    """Maximize F_g, the largest row or column sum of the pair singlet
-    fractions, over unit vectors of `pure_vector_grid` at `n` DoFs.
+def pure_vector_ascent(value_of_grid, n, starts=4, seed=0):
+    """Maximize `value_of_grid` over the `pure_vector_grid` of unit vectors
+    at `n` DoFs.
 
     L-BFGS-B with finite-difference gradients runs from `starts` normal
     starts drawn with `seed`, over the real and imaginary parts.  Returns
-    (the best unit vector, its F_g, the largest F_g of any vector tried).
+    (the best unit vector, its value, the largest value of any vector tried).
     """
     dim = 4 ** n
     rng = np.random.default_rng(seed)
@@ -340,15 +353,40 @@ def singlet_fraction_ascent(n, starts=4, seed=0):
         return v / np.linalg.norm(v)
 
     def objective(x):
-        f = singlet_fraction(pure_vector_grid(unit(x), n).reshape(-1, 4, 4))
-        f = f.reshape(n, n)
-        value = float(max(f.sum(axis=1).max(), f.sum(axis=0).max()))
+        value = value_of_grid(pure_vector_grid(unit(x), n))
         largest[0] = max(largest[0], value)
         return -value
 
     best = min((minimize(objective, rng.normal(size=2 * dim), method="L-BFGS-B")
                 for _ in range(starts)), key=lambda res: res.fun)
     return unit(best.x), -best.fun, largest[0]
+
+
+def _grid_singlet_fraction(grid):
+    n = len(grid)
+    f = singlet_fraction(grid.reshape(-1, 4, 4)).reshape(n, n)
+    return float(max(f.sum(axis=1).max(), f.sum(axis=0).max()))
+
+
+def singlet_fraction_ascent(n, starts=4, seed=0):
+    """`pure_vector_ascent` of F_g, the largest row or column sum of the
+    pair singlet fractions."""
+    return pure_vector_ascent(_grid_singlet_fraction, n, starts, seed)
+
+
+def monogamy_gap(grid):
+    """max_i of sum_j C^2(A_i, B_j) - 4 det rho_{A_i} on a pure-vector grid,
+    rho_{A_i} read off pair (A_i, B_1)."""
+    n = len(grid)
+    c2 = concurrence(grid.reshape(-1, 4, 4)).reshape(n, n) ** 2
+    rho_a = np.einsum("iabcb->iac", grid[:, 0].reshape(n, 2, 2, 2, 2))
+    return float((c2.sum(axis=1) - 4 * np.linalg.det(rho_a).real).max())
+
+
+def monogamy_ascent(n, starts=4, seed=0):
+    """`pure_vector_ascent` of `monogamy_gap`, which the Osborne-Verstraete
+    bound keeps at or below 0 on pure distinguishable states."""
+    return pure_vector_ascent(monogamy_gap, n, starts, seed)
 
 
 def hardy_q_grid(thetas, phis):
@@ -375,6 +413,33 @@ def words_signaling_hits(cfg):
     all_same = (words == words[:, :1]).all(axis=1)
     decoded = np.where(all_same, 0, 1)
     return int((decoded == sent).sum())
+
+
+def cascade_signaling_exact(n):
+    """`qdof.protocols.signaling_exact(n)` from the detector words of
+    `qdof.circuits.sorter_cascade`: a computational-basis message decodes on
+    the two edge words, a Hadamard-basis one on every other word, each basis
+    state of the message averaged.  Every word's probability is 0 or a power
+    of two, so the float sums are exact and convert to a `Fraction` without
+    rounding."""
+    edge = [0, 2 ** n - 1]
+
+    def on_edge(amps):
+        return Fraction(float(sorter_cascade(n, amps)[edge].sum()))
+
+    p_z = (on_edge((1.0, 0.0)) + on_edge((0.0, 1.0))) / 2
+    p_x = 1 - (on_edge((1.0, 1.0)) + on_edge((1.0, -1.0))) / 2
+    return (p_z + p_x) / 2
+
+
+def counter_tuple_overlap(s, t, eta):
+    """`qdof.states.tuple_overlap` as it was first written, counting the
+    repeats of each ket of a bunched boson tuple in a `Counter`."""
+    if s != t:
+        return 0.0
+    if eta != BOSON or len(set(s)) == len(s):
+        return 1.0
+    return float(math.prod(math.factorial(m) for m in Counter(s).values()))
 
 
 def per_case_monogamy_report(dm, sub_a, sub_b, sub_c):

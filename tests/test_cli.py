@@ -338,6 +338,26 @@ def test_hardy_boundary_flag(capsys):
     assert json.loads(out)["results"]["e5"] >= 0.0
 
 
+def test_hardy_sample_noise_flag_is_the_library_model(capsys):
+    from qdof import hardy
+
+    code, out = run(capsys, "hardy", "sample", "--noise", "0.1,0.2,0.03",
+                    "--runs", "3", "--shots", "100", "--seed", "4")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["config"]["noise"] == "0.1,0.2,0.03"
+    p = hardy.HardyParams(math.radians(51.827), math.radians(51.827))
+    sets = hardy.noisy_sample(p, hardy.NoiseModel(0.1, 0.2, 0.03, 100),
+                              n_runs=3, seed=4)
+    assert rec["results"] == {
+        name: {"mean": float(f"{s.mean:.12g}"), "sd": float(f"{s.sd:.12g}"),
+               "n": 3, "values": [float(f"{v:.12g}") for v in s.values]}
+        for name, s in sets.items()}
+    default = json.loads(run(capsys, "hardy", "sample", "--runs", "3",
+                             "--shots", "100", "--seed", "4")[1])
+    assert default["results"] != rec["results"]
+
+
 def test_hardy_estimate_csv_columns(capsys):
     code, out = run(capsys, "hardy", "estimate", "--theta", "55",
                     "--phi", "55", "--format", "csv")

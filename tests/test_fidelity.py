@@ -21,9 +21,10 @@ from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
 from qdof.trace import project_one_per_region
 
 from oracles import (_fef_closed, _six_run_output, closed_form_singlet_fraction,
-                     optimized_singlet_fraction, pure_vector_grid,
-                     singlet_fraction_ascent, singlet_fraction_grid,
-                     six_run_teleport_fidelity, werner_grid)
+                     monogamy_ascent, optimized_singlet_fraction,
+                     pure_vector_grid, singlet_fraction_ascent,
+                     singlet_fraction_grid, six_run_teleport_fidelity,
+                     werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -438,6 +439,20 @@ def test_pair_grid_of_pure_distinguishable_states_is_monogamous(n):
         assert (rows <= tangles + 1e-9).all()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_monogamy_ascent_approaches_the_bound_from_below(n):
+    """The seeded ascent on sum_j C^2(A_i, B_j) - 4 det rho_{A_i} reaches
+    0 (within 1e-9 at n = 2, 1e-11 at n = 3) and never goes above it.  A row
+    whose A_i is unentangled also reads 0, and at n = 3 the ascent ends on
+    one, so a tangle scaled by 0.9 fails only the n = 2 case."""
+    layout = ChannelLayout("distinguishable", n)
+    v, gap, largest = monogamy_ascent(n, starts=4, seed=n)
+    rows, tangles = _monogamy_sides(_pure_state(v, layout), layout)
+    assert abs((rows - tangles).max() - gap) <= 1e-12
+    assert -1e-3 <= gap
+    assert largest <= 1e-9
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_monogamy_is_tight_on_the_distinguishable_resource(n):
     layout = ChannelLayout("distinguishable", n)
@@ -576,6 +591,15 @@ def test_equal_data_on_another_basis_object_is_reduced_again(monkeypatch):
     assert [c is dm for c in calls] == [True, False]
     monkeypatch.undo()
     assert got == (_per_pair_loop(dm, layout, params),) * 2
+
+
+def test_bound_check_reduces_each_sample_past_the_memo(monkeypatch):
+    """No random state repeats the last, so the memo is neither read nor
+    left holding a sample."""
+    calls = _count_reductions(monkeypatch)
+    sf_upper_bound_check(ChannelLayout("distinguishable", 2), samples=3)
+    assert len(calls) == 3
+    assert fidelity._last_grid is None
 
 
 def test_relation_check_reduces_the_endpoint_once(monkeypatch):

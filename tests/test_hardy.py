@@ -169,6 +169,8 @@ def test_diff_lower_bound_requires_matching_n():
 
 def test_single_run_bounds_rejected():
     one = SampleSet(np.array([0.1]))
+    # one run has no spread to estimate: 0.0, where ddof=1 would give nan
+    assert one.sd == 0.0
     with pytest.raises(ValueError):
         diff_lower_bound(one, one, 0.05)
     with pytest.raises(ValueError):

@@ -10,9 +10,10 @@ from qdof.circuits import PhaseConfig, li_circuit
 from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
                            teleport_output)
 from qdof.measures import (CASE_PATTERNS, MonogamyReport, ThreeParticleCase,
-                           _check_density, _monogamy_reports, concurrence,
-                           log_negativity, mixed_monogamy_check,
-                           monogamy_report, monogamy_report_qubits, negativity,
+                           _case_configs, _check_density, _monogamy_reports,
+                           case_state, concurrence, log_negativity,
+                           mixed_monogamy_check, monogamy_report,
+                           monogamy_report_qubits, negativity,
                            random_case, spin_flip_spectrum,
                            three_particle_case, three_particle_cases,
                            tangle_one_vs_rest, vn_entropy, z_form_pair,
@@ -310,6 +311,26 @@ def test_case_two_matches_closed_forms():
     assert rep.c2_a_bc == pytest.approx(8 / 9, abs=1e-9)
     assert rep.c2_ab == pytest.approx(z_form_pair(r3, r3), abs=1e-9)
     assert rep.c2_a_bc == pytest.approx(z_form_tangle(r3), abs=1e-9)
+
+
+@pytest.mark.parametrize("measured, weights, configs, c2_ab", [
+    ((1, 2, 2), (1.0,), [(0, 1, 2)], 0.0),
+    ((1, 1, 2), (0.6, 0.8), [(0, 1, 2), (1, 0, 2)], 4 * 0.36 * 0.64),
+])
+def test_distinct_same_dof_pair_exchanges_only_where_measured_alike(
+        measured, weights, configs, c2_ab):
+    """Particles 1 and 2, distinct, are both prepared in DoF 1: they exchange
+    when regions 1 and 2 both read DoF 1, else everyone stays put and the
+    state is a product.  Exchanged with weights (0.6, 0.8), A and B hold
+    0.6|01> + 0.8|10>, whose C^2 is (2 * 0.6 * 0.8)^2."""
+    particles = ((1, (1.0, 0.0)), (1, (0.0, 1.0)), (2, (1.0, 0.0)))
+    case = ThreeParticleCase(99, particles, measured, weights)
+    assert _case_configs(case) == configs
+    rep, _ = three_particle_case(case)
+    assert rep.c2_ab == pytest.approx(c2_ab, abs=1e-12)
+    assert rep.c2_ac == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match=f"expected {len(configs)} weights"):
+        case_state(ThreeParticleCase(99, particles, measured, (0.6, 0.64, 0.48)))
 
 
 def test_case_two_z_form_tangle_random_complex():

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qdof import protocols
 from qdof.circuits import PhaseConfig
 from qdof.hardy import HardyParams, hardy_q
 from qdof.protocols import (AttackConfig, SignalingConfig, hardy_attack,
                             hardy_q_swapped, qpq_sf, signaling_exact,
                             signaling_mc, signaling_multicopy, swap_verify)
 
-from oracles import words_signaling_hits
+from oracles import cascade_signaling_exact, words_signaling_hits
 
 deg = math.radians
 
@@ -28,11 +29,30 @@ def test_signaling_exact_monotone_with_unit_limit():
     assert 1 - float(values[-1]) < 1e-6
 
 
+def test_signaling_exact_is_the_cascade_enumeration():
+    for n in range(2, 21):
+        assert signaling_exact(n) == cascade_signaling_exact(n)
+
+
 def test_signaling_exact_rejects_bad_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two DoFs"):
         signaling_exact(1)
-    with pytest.raises(ValueError):
-        signaling_exact(31)
+    for n in (21, 31):
+        with pytest.raises(ValueError, match="cascade limited to 20 DoFs"):
+            signaling_exact(n)
+
+
+@pytest.mark.parametrize("n, mode, message", [
+    (21, "dofs", "cascade limited to 20 DoFs"),
+    (3, "widget", "mode must be 'dofs' or 'copies'"),
+])
+def test_signaling_mc_refuses_before_any_draw(monkeypatch, n, mode, message):
+    def no_draws(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(protocols.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        signaling_mc(SignalingConfig(n, 10_000_000, 0), mode=mode)
 
 
 def test_signaling_mc_within_four_sigma():

@@ -11,6 +11,7 @@ import pytest
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
                          DofSpec, Ket, ShapeError, SymState, mix, normalize,
                          norm_squared, symmetric_inner, to_density)
+from qdof.trace import to_qubit_array
 
 SPIN = DofSpec(1, ("dn", "up"))
 
@@ -161,6 +162,30 @@ def test_density_csv_shape():
     rows = dm.to_csv().strip().split("\n")
     assert len(rows) == len(dm.basis)
     assert len(rows[0].split(",")) == 2 * len(dm.basis)
+
+
+def test_density_json_lists_basis_and_parts():
+    up, dn = k("r1", "up"), k("r2", "dn")
+    flipped = k("r1", "dn"), k("r2", "up")
+    dm = to_density(SymState(DISTINGUISHABLE, {(up, dn): 0.6,
+                                               flipped: 0.8j}, (SPIN,)))
+    doc = json.loads(dm.to_json())
+    # the sorted basis: r1 down before r1 up
+    assert doc["basis"] == [[["r1", [[1, "dn"]]], ["r2", [[1, "up"]]]],
+                            [["r1", [[1, "up"]]], ["r2", [[1, "dn"]]]]]
+    # v = (0.8i, 0.6): |v_a|^2 on the diagonal, v_a v_b^* = 0.48i off it
+    assert np.allclose(doc["re"], [[0.64, 0.0], [0.0, 0.36]], rtol=0, atol=1e-15)
+    assert np.allclose(doc["im"], [[0.0, 0.48], [-0.48, 0.0]], rtol=0, atol=1e-15)
+
+
+def test_undeclared_dof_is_laid_out_in_sorted_value_order():
+    # no DofSpec: |0>, |1> of each region are its values sorted, "dn", "up"
+    terms = {(k("r1", "up"), k("r2", "dn")): 0.6,
+             (k("r1", "dn"), k("r2", "up")): 0.8}
+    dm = to_density(SymState(DISTINGUISHABLE, terms))
+    assert dm.value_order(1) == ["dn", "up"]
+    v = np.array([0.0, 0.8, 0.6, 0.0])  # |01> = (dn, up), |10> = (up, dn)
+    assert np.allclose(to_qubit_array(dm), np.outer(v, v), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("region, dofs", [

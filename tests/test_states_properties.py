@@ -2,7 +2,8 @@
 
 `tuple_overlap` must equal the permanent / determinant oracle on canonical
 tuples of bosons, fermions and distinguishable particles (2-4 particles,
-bosons bunched up to four times, equal and unequal pairs), and the one-pass
+bosons bunched up to four times, equal and unequal pairs) and give the
+`repr` of its `Counter` form (1-4 particles), and the one-pass
 `symmetric_inner` must equal the sum over every pair of terms, with the
 `repr` of its `np.conj` form.
 
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (DataclassKet, dataclass_canonical, numpy_symmetric_inner,
-                     pairwise_inner, permutation_overlap)
+from oracles import (DataclassKet, counter_tuple_overlap, dataclass_canonical,
+                     numpy_symmetric_inner, pairwise_inner, permutation_overlap)
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
                          DofSpec, Ket, SymState, canonical, norm_squared,
                          normalize, symmetric_inner, tuple_overlap)
@@ -51,6 +52,16 @@ def test_tuple_overlap_matches_the_permutation_sum(eta, s, t):
     s = _canonical_tuple(s, eta)
     t = s if t is None else _canonical_tuple(t, eta)
     assert tuple_overlap(s, t, eta) == permutation_overlap(s, t, eta)
+
+
+@PROPERTY_SETTINGS
+@given(eta=ETAS, s=st.lists(KETS, min_size=1, max_size=4),
+       t=st.none() | st.lists(KETS, min_size=1, max_size=4))
+@example(eta=BOSON, s=list(BUNCHED[:3]) + [Ket("b", ((1, "dn"),))], t=None)
+def test_tuple_overlap_run_lengths_match_the_counter(eta, s, t):
+    s = _canonical_tuple(s, eta)
+    t = s if t is None else _canonical_tuple(t, eta)
+    assert repr(tuple_overlap(s, t, eta)) == repr(counter_tuple_overlap(s, t, eta))
 
 
 @PROPERTY_SETTINGS

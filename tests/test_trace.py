@@ -6,11 +6,11 @@ import pytest
 import reference_trace as ref
 from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import concurrence, vn_entropy
-from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DofSpec, Ket,
-                         SymState, normalize, to_density)
-from qdof.trace import (EmptySubspaceError, Subsystem, project_one_per_region,
-                        to_qubit_array, trace_dof_dist, trace_dof_indist,
-                        trace_region)
+from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DensityMatrix,
+                         DofSpec, Ket, SymState, normalize, to_density)
+from qdof.trace import (EmptySubspaceError, Subsystem, _product_basis,
+                        project_one_per_region, to_qubit_array, trace_dof_dist,
+                        trace_dof_indist, trace_region)
 
 SPIN = DofSpec(1, ("dn", "up"))
 
@@ -307,3 +307,58 @@ def test_rule_errors_surface_only_for_mapped_tuples():
         else:
             assert trace_dof_dist(call, 0, 2).basis == ((Ket("p", ((1, "dn"),)),
                                                          full[1]),)
+
+
+def test_pauli_excluded_image_is_left_out():
+    """Tracing DoF 2 at region a sends a:(x, u) to a:x, so the fermion tuple
+    (a:x, a:(x, u)) has no image: a:x lacks DoF 2, and (a:x, a:x) is
+    excluded.  Its weight leaves, and the two tuples with one particle at b
+    keep their coherence."""
+    path = DofSpec(2, ("u", "v"))
+    specs = (DofSpec(1, ("x", "y")), path)
+    a_x, b_yv = Ket("a", ((1, "x"),)), Ket("b", ((1, "y"), (2, "v")))
+    a_xu, a_yu = Ket("a", ((1, "x"), (2, "u"))), Ket("a", ((1, "y"), (2, "u")))
+    state = SymState(FERMION, {(a_x, a_xu): 0.6, (a_xu, b_yv): 0.48,
+                               (a_yu, b_yv): 0.64j}, specs)
+    red = trace_dof_indist(to_density(state), Subsystem("a", 2))
+    assert red.basis == ((a_x, b_yv), (Ket("a", ((1, "y"),)), b_yv))
+    v = np.array([0.48, 0.64j]) / 0.8
+    assert np.allclose(red.data, np.outer(v, v.conj()), rtol=0, atol=1e-15)
+
+
+def test_region_without_a_dof_is_one_dimensional_in_the_qubit_array():
+    """Tracing particle 0's only DoF leaves it a ket without DoFs, which the
+    layout places as a factor of dimension 1: the array is particle 1's."""
+    x, y = k1("r1", "dn"), k1("r1", "up")
+    terms = {(x, k1("r2", "dn")): 0.6, (x, k1("r2", "up")): 0.48,
+             (y, k1("r2", "up")): 0.64}
+    red = trace_dof_dist(to_density(SymState(DISTINGUISHABLE, terms, (SPIN,))),
+                         0, 1)
+    assert {kets[0] for kets in red.basis} == {Ket("r1")}
+    # key dn: particle 1 in 0.6|dn> + 0.48|up>; key up: 0.64|up>
+    want = np.array([[0.36, 0.288], [0.288, 0.2304 + 0.4096]])
+    assert np.allclose(to_qubit_array(red), want, rtol=0, atol=1e-15)
+
+
+def test_product_slot_without_the_traced_dof_takes_the_kernel():
+    """On a product basis whose slot lacks the traced DoF the dense branch
+    has no plan, and the kernel's rule decides: the distinguishable rule
+    refuses the DoF, the coherent one finds no image."""
+    slots = (("r1", ((1, ("dn", "up")),)),
+             ("r2", ((1, ("dn", "up")), (2, ("x", "y")))))
+    basis = _product_basis(slots)
+    specs = (SPIN, DofSpec(2, ("x", "y")))
+    for eta in (DISTINGUISHABLE, BOSON):
+        dm = DensityMatrix(basis, np.eye(8) / 8, eta, specs, 2)
+        if eta == DISTINGUISHABLE:
+            with pytest.raises(ValueError, match="dof index 2 not present"):
+                trace_dof_dist(dm, 0, 2)
+        else:
+            with pytest.raises(EmptySubspaceError, match="DoF trace left nothing"):
+                trace_dof_indist(dm, Subsystem("r1", 2))
+        assert basis.plans[0, 2] is None
+        # the slot that carries it takes the dense branch: I/4 is left
+        red = (trace_dof_dist(dm, 1, 2) if eta == DISTINGUISHABLE
+               else trace_dof_indist(dm, Subsystem("r2", 2)))
+        assert basis.plans[1, 2] is not None
+        assert np.allclose(red.data, np.eye(4) / 4, rtol=0, atol=1e-15)
