@@ -25,15 +25,15 @@ from .trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_
 SCHEMA_VERSION = 1
 
 
-def _round_floats(obj, digits=12):
+def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist(), digits)
+        return _round_floats(obj.tolist())
     return obj
 
 

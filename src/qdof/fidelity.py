@@ -26,9 +26,10 @@ come; a p = 1 grid point reuses the endpoint grid its ceilings were
 measured on.
 
 The noise family and the random states of `sf_upper_bound_check` take their
-basis, resource matrix and DoF specs from `_resource(layout)`, cached per
-layout.  The basis is built by `trace._product_basis`, so it carries its
-product slots and the DoF traces take their dense branch on it.
+basis, eta and DoF specs from `_space(layout)`; the noise family alone reads
+the resource matrix of `_resource(layout)`.  Both are cached per layout.  The
+basis is built by `trace._product_basis`, so it carries its product slots and
+the DoF traces take their dense branch on it.
 
 Teleportation uses the standard Bell-measurement-and-correction protocol:
 `teleport_output` runs it on one input, outcome by outcome.  Its fidelity
@@ -39,9 +40,9 @@ computes.  The per-matrix forms first written, six protocol runs and nine
 correlation products, are kept as oracles in `tests/oracles.py`; both closed
 forms agree with them within 1e-14 relative.  `relation_check` records a
 residual below 1e-12 as 0.0, so no record pins the order of these sums.
-Channels between DoFs of indistinguishable particles are scaled onto a
-configurable ceiling below one, reflecting that unit-fidelity transfer is
-unavailable to them.
+Channels between DoFs of indistinguishable particles are scaled onto
+`F_MAX_INDIST` = 5/6, as unit-fidelity transfer is unavailable to them, or
+onto the `f_max` of the `FidelityParams` a caller passes.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ AXIS_STATES = [np.array(v, dtype=complex) / np.linalg.norm(v) for v in
                ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])]
 
 D = 2  # every DoF is two-level
+F_MAX_INDIST = 5.0 / 6.0  # channel fidelity ceiling of indistinguishable DoFs
 
 
 @dataclass(frozen=True)
@@ -90,22 +92,22 @@ class ChannelLayout:
 class FidelityParams:
     """Ceilings of the generalized fidelity and singlet fraction.
 
-    Defaults follow the closed-form ceilings: unit channel fidelity and
-    1 + (n-1)/D for distinguishable particles, a configurable sub-unit
-    fidelity (5/6) and n for indistinguishable ones.
+    `for_layout` gives the closed-form ceilings: unit channel fidelity and
+    1 + (n-1)/D for distinguishable particles, `F_MAX_INDIST` and n for
+    indistinguishable ones.
     """
 
     f_max: float
     big_f_max: float
 
     @staticmethod
-    def for_layout(layout, f_max_indist=5.0 / 6.0):
+    def for_layout(layout):
         """Default ceilings.  The coherent DoF trace gives every pair of a pure
         indistinguishable state rank one, so F_g <= n, a sum of n pair
         singlet fractions of at most 1 each, cannot fail there."""
         if layout.kind == "distinguishable":
             return FidelityParams(1.0, 1.0 + (layout.n - 1) / D)
-        return FidelityParams(f_max_indist, float(layout.n))
+        return FidelityParams(F_MAX_INDIST, float(layout.n))
 
 
 # -- singlet fraction ----------------------------------------------------------
@@ -302,9 +304,9 @@ def average_teleport_fidelity(channel):
     return float(values[0]) if single else values
 
 
-def _rescale_to_ceiling(raw, d, f_max):
-    # map the entangled fraction of the channel onto [1/d, f_max]
-    base = 1.0 / d
+def _rescale_to_ceiling(raw, f_max):
+    # map the entangled fraction of the channel onto [1/D, f_max]
+    base = 1.0 / D
     return base + (raw - base) * (f_max - base) / (1.0 - base)
 
 
@@ -318,7 +320,7 @@ def generalized_teleportation_fidelity(dm, layout, params=None):
 def _teleportation_fidelity_of(grid, layout, params):
     best = _measure_grid(average_teleport_fidelity, grid).max()
     if layout.kind == "indistinguishable":
-        best = _rescale_to_ceiling(best, D, params.f_max)
+        best = _rescale_to_ceiling(best, params.f_max)
     return float(best)
 
 
@@ -326,19 +328,30 @@ def _teleportation_fidelity_of(grid, layout, params):
 
 
 @functools.lru_cache(maxsize=8)
+def _space(layout):
+    """(basis, eta, specs) of two parties with `n` two-valued DoFs each; the
+    sorted product basis is built by `_product_basis`, so it has its slots."""
+    dofs = tuple((i, ("0", "1")) for i in range(1, layout.n + 1))
+    if layout.kind == "distinguishable":
+        regions, eta = ("A", "B"), DISTINGUISHABLE
+    else:
+        regions, eta = ("s1", "s2"), BOSON
+    basis = _product_basis(tuple((region, dofs) for region in regions))
+    return basis, eta, tuple(DofSpec(i, values) for i, values in dofs)
+
+
+@functools.lru_cache(maxsize=8)
 def _resource(layout):
-    """(basis, data, eta, specs) of the reference state with a maximally
-    entangled pair for every DoF, `data` read-only.
+    """Read-only matrix, over `_space(layout)`'s basis, of the reference
+    state with a maximally entangled pair for every DoF.
 
     Distinguishable particles can only afford one Bell pair (first DoF of each
     side; every other DoF maximally mixed).  Indistinguishable regions support
     the inter-DoF correlated two-mode state whose every pairwise reduction is
-    a Bell state.  The basis is the sorted product of two parties with `n`
-    two-valued DoFs each, built by `_product_basis`, so it carries its slots.
+    a Bell state.
     """
     n = layout.n
     dim = 4 ** n
-    dofs = tuple((i, ("0", "1")) for i in range(1, n + 1))
     if layout.kind == "distinguishable":
         bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
         rest = np.eye(4 ** (n - 1), dtype=complex) / (4 ** (n - 1))
@@ -348,53 +361,47 @@ def _resource(layout):
         perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
         perm = perm + [2 * n + p for p in perm]
         data = t.transpose(perm).reshape(dim, dim)
-        regions, eta = ("A", "B"), DISTINGUISHABLE
     else:
         # |0..0, 0..0> and |1..1, 1..1>, the first and last product tuples
         v = np.zeros(dim, dtype=complex)
         v[0] = v[dim - 1] = 1 / math.sqrt(2)
         data = np.outer(v, v.conj())
-        regions, eta = ("s1", "s2"), BOSON
     data.setflags(write=False)
-    basis = _product_basis(tuple((region, dofs) for region in regions))
-    specs = tuple(DofSpec(i, values) for i, values in dofs)
-    return basis, data, eta, specs
+    return data
 
 
 def two_param_state(p, layout):
     """p * resource + (1-p) * white noise over the 4^n-dimensional pair space."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    basis, resource, eta, specs = _resource(layout)
+    basis, eta, specs = _space(layout)
     dim = len(basis)
-    data = p * resource + (1.0 - p) * np.eye(dim) / dim
+    data = p * _resource(layout) + (1.0 - p) * np.eye(dim) / dim
     return DensityMatrix(basis, data, eta, specs, layout.n)
 
 
-def relation_check(layout, p_grid=None, params=None):
+def relation_check(layout, p_grid=None):
     """Check f_g against its linear prediction from F_g across the noise family.
 
-    With `params` omitted, the ceilings are measured on the family's p = 1
-    endpoint, which keeps the check self-consistent with the constructed
-    resource state.  Returns a list of records with the residuals, each on an
-    absolute grid: below 1e-12 in magnitude it is recorded as 0.0, so the
-    record does not pin the order of floating-point sums.
+    The ceilings are measured on the family's p = 1 endpoint, which keeps the
+    check self-consistent with the constructed resource state.  Returns a
+    list of records with the residuals, each on an absolute grid: below 1e-12
+    in magnitude it is recorded as 0.0, so the record does not pin the order
+    of floating-point sums.
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 21)
     if len(p_grid) == 0:
         raise ValueError("p_grid needs at least one point")
     n = layout.n
-    endpoint = None
-    if params is None:
-        endpoint = _pair_matrices(two_param_state(1.0, layout), layout)
-        params = FidelityParams(
-            _teleportation_fidelity_of(endpoint, layout,
-                                       FidelityParams.for_layout(layout)),
-            _singlet_fraction_of(endpoint))
+    endpoint = _pair_matrices(two_param_state(1.0, layout), layout)
+    params = FidelityParams(
+        _teleportation_fidelity_of(endpoint, layout,
+                                   FidelityParams.for_layout(layout)),
+        _singlet_fraction_of(endpoint))
     records = []
     for p in p_grid:
-        if endpoint is not None and float(p) == 1.0:
+        if float(p) == 1.0:
             grid = endpoint  # the p = 1 state, already reduced
         else:
             grid = _pair_matrices(two_param_state(float(p), layout), layout)
@@ -419,7 +426,7 @@ def sf_upper_bound_check(layout, samples=200, seed=0):
     rng = np.random.default_rng(seed)
     n = layout.n
     dim = 4 ** n
-    basis, _, _, specs = _resource(layout)
+    basis, _, specs = _space(layout)
     bound = 1.0 + (n - 1) / D
     worst = -1.0
     for _ in range(samples):

@@ -12,10 +12,10 @@ from .circuits import PhaseConfig, li_circuit
 ALICE = "s1"
 BOB = "s2"
 
-# default +1 outcome labels, per observable pair; chosen so the normalized
+# +1 outcome labels, per observable pair; chosen so the normalized
 # expectation of the interferometer state equals cos(phi_A - phi_B) entrywise
 # with phi_A = phi_D - phi_L and phi_B = phi_R - phi_U
-_PLUS_DEFAULT = {
+_PLUS = {
     ("external", "external"): ({"L"}, {"U"}),
     ("internal", "internal"): ({"up"}, {"dn"}),
     ("internal", "external"): ({"dn", "H"}, {"U"}),
@@ -104,15 +104,13 @@ def coincidence_table(state, obs_a, obs_b):
     return CoincidenceTable(rows, cols, table, obs_a, obs_b)
 
 
-def expectation(table, plus_a=None, plus_b=None):
-    """Normalized dichotomic expectation of a coincidence table."""
+def expectation(table):
+    """Normalized dichotomic expectation of a coincidence table, with the
+    +1 outcomes of its observable pair in `_PLUS`."""
     total = table.total
     if total <= 0:
         raise ValueError("table has zero total probability")
-    if plus_a is None or plus_b is None:
-        da, db = _PLUS_DEFAULT[(table.observable_a, table.observable_b)]
-        plus_a = da if plus_a is None else plus_a
-        plus_b = db if plus_b is None else plus_b
+    plus_a, plus_b = _PLUS[(table.observable_a, table.observable_b)]
     value = 0.0
     for i, r in enumerate(table.rows):
         for j, c in enumerate(table.cols):

@@ -1,7 +1,8 @@
 """Two-qubit entanglement measures and monogamy reports.
 
-Concurrence, negativity / log-negativity and von Neumann entropy operate on
-plain 4x4 (or 2x2) numpy density matrices.  The monogamy machinery compares
+Concurrence, negativity / log-negativity and the tangle operate on plain
+two-qubit (4x4) or one-qubit (2x2) numpy density matrices, von Neumann
+entropy on a density matrix of any size.  The monogamy machinery compares
 the squared pairwise concurrences of a three-subsystem state against the
 one-vs-rest tangle 4 det(rho_A), classifying the outcome as holding, equality,
 violated, or maximally violated.
@@ -31,7 +32,7 @@ _SYSY = np.kron(_SY, _SY)
 _TOL = 1e-9
 
 
-def _check_density(rho, dim, atol=1e-7, stack=False):
+def _check_density(rho, dim, stack=False):
     """A finite, Hermitian, positive dim x dim `rho` over its real trace; with
     `stack`, also each matrix of a (k, dim, dim) stack, checked alone."""
     rho = np.asarray(rho, dtype=complex)
@@ -41,7 +42,7 @@ def _check_density(rho, dim, atol=1e-7, stack=False):
         raise ValueError("matrix has non-finite entries")
     # np.allclose's test on finite input, minus its wrappers
     adj = rho.conj().swapaxes(-1, -2)
-    if not (np.abs(rho - adj) <= atol + 1e-5 * np.abs(adj)).all():
+    if not (np.abs(rho - adj) <= 1e-7 + 1e-5 * np.abs(adj)).all():
         raise ValueError("matrix is not Hermitian")
     if np.linalg.eigvalsh(rho).min() < -1e-7:
         raise ValueError("matrix is not positive semidefinite")
@@ -89,22 +90,16 @@ def spin_flip_spectrum(rho):
     return _flip_eigenvalues(rho)
 
 
-def _partial_transpose(rho, dims=(2, 2)):
-    da, db = dims
-    r = rho.reshape(da, db, da, db)
-    return r.transpose(0, 3, 2, 1).reshape(da * db, da * db)
-
-
-def negativity(rho, dims=(2, 2)):
-    """(||rho^{T_B}||_1 - 1)/2 for a bipartite matrix with the given dims."""
-    rho = _check_density(rho, dims[0] * dims[1])
-    pt = _partial_transpose(rho, dims)
+def negativity(rho):
+    """(||rho^{T_B}||_1 - 1)/2 of a two-qubit density matrix."""
+    rho = _check_density(rho, 4)
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     trace_norm = float(np.abs(np.linalg.eigvalsh(pt)).sum())
     return (trace_norm - 1.0) / 2.0
 
 
-def log_negativity(rho, dims=(2, 2)):
-    return math.log2(2.0 * negativity(rho, dims) + 1.0)
+def log_negativity(rho):
+    return math.log2(2.0 * negativity(rho) + 1.0)
 
 
 def vn_entropy(rho):
@@ -349,7 +344,7 @@ def case_state(case):
             d, (c0, c1) = case.particles[particle_idx]
             options = []
             for coeff, value in ((c0, _DOFS[d].values[0]), (c1, _DOFS[d].values[1])):
-                if abs(coeff) > 1e-15:
+                if coeff != 0:
                     dof_pairs = []
                     for dd in all_dofs:
                         v = value if dd == d else _DOFS[dd].values[0]

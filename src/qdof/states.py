@@ -148,7 +148,7 @@ class SymState:
             if abs(amp) == 0.0:
                 continue
             merged[kets] = merged.get(kets, 0.0) + amp
-        self.terms = {k: v for k, v in merged.items() if abs(v) > 1e-15}
+        self.terms = {k: v for k, v in merged.items() if v != 0}
 
     @property
     def n_particles(self):
@@ -166,11 +166,11 @@ class SymState:
 
         Relies on the terms being canonical, which holds by construction, so
         the result keeps them as they are; as the constructor does, it adds
-        each amplitude to 0.0 and drops those at or below 1e-15.
+        each amplitude to 0.0 and keeps exactly the non-zero ones.
         """
         out = SymState(self.eta, {}, self.dof_specs)
         out.terms = {k: amp for k, v in self.terms.items()
-                     if abs(amp := 0.0 + complex(v * factor)) > 1e-15}
+                     if (amp := 0.0 + complex(v * factor)) != 0}
         return out
 
     # -- serialization -------------------------------------------------------
@@ -187,7 +187,7 @@ class SymState:
 
     @staticmethod
     def from_json(doc):
-        data = json.loads(doc) if isinstance(doc, str) else doc
+        data = json.loads(doc)
         eta = ETA_OF_KIND[data["eta"]]
         specs = tuple(DofSpec(i, tuple(v)) for i, v in data.get("dof_specs", []))
         terms = {}
@@ -261,13 +261,13 @@ class DensityMatrix:
         return DensityMatrix(self.basis, self.data / tr, self.eta,
                              self.dof_specs, self.n_dofs_orig)
 
-    def check(self, atol=_ATOL):
+    def check(self):
         """Validate hermiticity, unit trace and positivity; returns self."""
-        if not np.allclose(self.data, self.data.conj().T, atol=atol):
+        if not np.allclose(self.data, self.data.conj().T, atol=_ATOL):
             raise ValueError("matrix is not Hermitian")
-        if abs(self.trace - 1.0) > atol:
+        if abs(self.trace - 1.0) > _ATOL:
             raise ValueError("trace differs from 1")
-        if np.linalg.eigvalsh(self.data).min() < -atol:
+        if np.linalg.eigvalsh(self.data).min() < -_ATOL:
             raise ValueError("matrix has a negative eigenvalue")
         return self
 

@@ -30,9 +30,11 @@ vector with the axes of A_i and B_j moved to the front.
 `pure_vector_ascent` maximizes a value of that grid over pure vectors by
 L-BFGS-B from seeded starts: `singlet_fraction_ascent` F_g, so that the
 tests can check that the distinguishable ceiling 1 + (n - 1)/2 is reached
-and never exceeded, and `monogamy_ascent` the largest row of
-sum_j C^2(A_i, B_j) minus the tangle 4 det rho_{A_i}, which must stay at or
-below 0 (Osborne & Verstraete, PRL 96, 220503, 2006).
+and never exceeded, and `monogamy_ascent` the largest row ratio of
+sum_j C^2(A_i, B_j) to the tangle 4 det rho_{A_i}, over rows whose tangle is
+at least 0.1, which must stay at or below 1 (Osborne & Verstraete, PRL 96,
+220503, 2006).  A W state on A_1 and B_1..B_n reaches 1, while a row whose
+A_i is unentangled is left out, so the ascent cannot settle on one.
 
 `words_signaling_hits` is the hit count of `qdof.protocols.signaling_mc` in
 'dofs' mode as it was first written: it draws the Z register's value too and
@@ -340,9 +342,11 @@ def pure_vector_ascent(value_of_grid, n, starts=4, seed=0):
     """Maximize `value_of_grid` over the `pure_vector_grid` of unit vectors
     at `n` DoFs.
 
-    L-BFGS-B with finite-difference gradients runs from `starts` normal
-    starts drawn with `seed`, over the real and imaginary parts.  Returns
-    (the best unit vector, its value, the largest value of any vector tried).
+    L-BFGS-B with finite-difference gradients runs from the first `starts`
+    normal draws with `seed`, over the real and imaginary parts, whose value
+    is positive: a value that is 0 on a whole region gives no gradient to
+    climb there.  Returns (the best unit vector, its value, the largest
+    value of any vector tried).
     """
     dim = 4 ** n
     rng = np.random.default_rng(seed)
@@ -357,8 +361,10 @@ def pure_vector_ascent(value_of_grid, n, starts=4, seed=0):
         largest[0] = max(largest[0], value)
         return -value
 
-    best = min((minimize(objective, rng.normal(size=2 * dim), method="L-BFGS-B")
-                for _ in range(starts)), key=lambda res: res.fun)
+    draws = (rng.normal(size=2 * dim) for _ in range(1000 * starts))
+    firsts = itertools.islice((x for x in draws if objective(x) < 0), starts)
+    best = min((minimize(objective, x, method="L-BFGS-B") for x in firsts),
+               key=lambda res: res.fun)
     return unit(best.x), -best.fun, largest[0]
 
 
@@ -374,19 +380,27 @@ def singlet_fraction_ascent(n, starts=4, seed=0):
     return pure_vector_ascent(_grid_singlet_fraction, n, starts, seed)
 
 
-def monogamy_gap(grid):
-    """max_i of sum_j C^2(A_i, B_j) - 4 det rho_{A_i} on a pure-vector grid,
-    rho_{A_i} read off pair (A_i, B_1)."""
+MONOGAMY_MIN_TANGLE = 0.1
+
+
+def monogamy_ratio(grid):
+    """max_i of sum_j C^2(A_i, B_j) / 4 det rho_{A_i} on a pure-vector grid,
+    rho_{A_i} read off pair (A_i, B_1), over the rows whose tangle is at
+    least `MONOGAMY_MIN_TANGLE`; 0.0 if there is none."""
     n = len(grid)
     c2 = concurrence(grid.reshape(-1, 4, 4)).reshape(n, n) ** 2
     rho_a = np.einsum("iabcb->iac", grid[:, 0].reshape(n, 2, 2, 2, 2))
-    return float((c2.sum(axis=1) - 4 * np.linalg.det(rho_a).real).max())
+    tangles = 4 * np.linalg.det(rho_a).real
+    kept = tangles >= MONOGAMY_MIN_TANGLE
+    if not kept.any():
+        return 0.0
+    return float((c2.sum(axis=1)[kept] / tangles[kept]).max())
 
 
 def monogamy_ascent(n, starts=4, seed=0):
-    """`pure_vector_ascent` of `monogamy_gap`, which the Osborne-Verstraete
-    bound keeps at or below 0 on pure distinguishable states."""
-    return pure_vector_ascent(monogamy_gap, n, starts, seed)
+    """`pure_vector_ascent` of `monogamy_ratio`, which the Osborne-Verstraete
+    bound keeps at or below 1 on pure distinguishable states."""
+    return pure_vector_ascent(monogamy_ratio, n, starts, seed)
 
 
 def hardy_q_grid(thetas, phis):

@@ -20,8 +20,9 @@ from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
                          to_density)
 from qdof.trace import project_one_per_region
 
-from oracles import (_fef_closed, _six_run_output, closed_form_singlet_fraction,
-                     monogamy_ascent, optimized_singlet_fraction,
+from oracles import (MONOGAMY_MIN_TANGLE, _fef_closed, _six_run_output,
+                     closed_form_singlet_fraction, monogamy_ascent,
+                     optimized_singlet_fraction,
                      pure_vector_grid, singlet_fraction_ascent,
                      singlet_fraction_grid, six_run_teleport_fidelity,
                      werner_grid)
@@ -329,7 +330,7 @@ def test_relation_endpoints_hit_ceilings():
 def test_indistinguishable_fidelity_capped():
     layout = ChannelLayout("indistinguishable", 2)
     dm = two_param_state(1.0, layout)
-    params = FidelityParams.for_layout(layout, f_max_indist=0.9)
+    params = FidelityParams(0.9, 2.0)
     assert generalized_teleportation_fidelity(dm, layout, params) == \
         pytest.approx(0.9, abs=1e-9)
 
@@ -375,7 +376,7 @@ def test_singlet_fraction_bound_is_met_when_phi_plus_leads():
 
 def _pure_state(v, layout):
     """|v><v| on the layout's product basis."""
-    basis, _, eta, specs = fidelity._resource(layout)
+    basis, eta, specs = fidelity._space(layout)
     return DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, layout.n)
 
 
@@ -439,18 +440,35 @@ def test_pair_grid_of_pure_distinguishable_states_is_monogamous(n):
         assert (rows <= tangles + 1e-9).all()
 
 
+def _w_state(n):
+    """W state of A_1 and B_1..B_n, A_2..A_n in |0>, axes (A_1..A_n,
+    B_1..B_n) as in the product basis."""
+    v = np.zeros((2,) * (2 * n))
+    for axis in [0] + list(range(n, 2 * n)):
+        one = [0] * (2 * n)
+        one[axis] = 1
+        v[tuple(one)] = 1 / math.sqrt(n + 1)
+    return v.reshape(-1)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_monogamy_ascent_approaches_the_bound_from_below(n):
-    """The seeded ascent on sum_j C^2(A_i, B_j) - 4 det rho_{A_i} reaches
-    0 (within 1e-9 at n = 2, 1e-11 at n = 3) and never goes above it.  A row
-    whose A_i is unentangled also reads 0, and at n = 3 the ascent ends on
-    one, so a tangle scaled by 0.9 fails only the n = 2 case."""
+    """The seeded ascent on sum_j C^2(A_i, B_j) / 4 det rho_{A_i}, over rows
+    whose tangle is at least 0.1, comes within 1e-3 of 1 and never goes
+    above it.  Unentangled rows are left out, so the ascent cannot settle on
+    one; the W state, with tangle 8/9 at n = 2 and 3/4 at n = 3, reads 1."""
     layout = ChannelLayout("distinguishable", n)
-    v, gap, largest = monogamy_ascent(n, starts=4, seed=n)
+    rows, tangles = _monogamy_sides(_pure_state(_w_state(n), layout), layout)
+    assert tangles[0] == pytest.approx(4 * n / (n + 1) ** 2, abs=1e-12)
+    assert abs(rows[0] / tangles[0] - 1.0) <= 1e-12
+    v, ratio, largest = monogamy_ascent(n, starts=2, seed=n)
     rows, tangles = _monogamy_sides(_pure_state(v, layout), layout)
-    assert abs((rows - tangles).max() - gap) <= 1e-12
-    assert -1e-3 <= gap
-    assert largest <= 1e-9
+    kept = tangles >= MONOGAMY_MIN_TANGLE
+    # the concurrence takes square roots of flip eigenvalues near 0, which
+    # turn the two grids' 1e-14 differences into up to about 1e-10 here
+    assert abs((rows[kept] / tangles[kept]).max() - ratio) <= 1e-8
+    assert 1.0 - 1e-3 <= ratio
+    assert largest <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -470,6 +488,25 @@ def test_indistinguishable_resource_rows_sum_to_n(n):
     assert np.abs(tangles - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_every_pair_grid_keeps_the_horodecki_bound(kind, n):
+    """On random pure states, the unscaled f_g, the largest pair fidelity,
+    is at most (2 max_ij F_ij + 1)/3 (Horodecki, Horodecki & Horodecki, PRA
+    60, 1888, 1999), and the rescaled f_g of an indistinguishable layout at
+    most its ceiling F_MAX_INDIST < 1, claim (ii) as the code encodes it."""
+    layout = ChannelLayout(kind, n)
+    rng = np.random.default_rng(80 + n)
+    for v in _random_unit_vectors(rng, n, 30):
+        dm = _pure_state(v, layout)
+        stack = fidelity._pair_matrices(dm, layout).reshape(-1, 4, 4)
+        raw = average_teleport_fidelity(stack).max()
+        assert raw <= (2.0 * singlet_fraction(stack).max() + 1.0) / 3.0 + 1e-12
+        if kind == "indistinguishable":
+            assert (generalized_teleportation_fidelity(dm, layout)
+                    <= fidelity.F_MAX_INDIST + 1e-12)
+
+
 def test_bound_check_rejects_indistinguishable_layout():
     with pytest.raises(ValueError):
         sf_upper_bound_check(ChannelLayout("indistinguishable", 2))
@@ -485,7 +522,7 @@ def _per_pair_loop(dm, layout, params):
     best = max(average_teleport_fidelity(grid[i, j])
                for i in range(n) for j in range(n))
     if layout.kind == "indistinguishable":
-        best = fidelity._rescale_to_ceiling(best, fidelity.D, params.f_max)
+        best = fidelity._rescale_to_ceiling(best, params.f_max)
     return float(best), big_f
 
 
@@ -494,7 +531,7 @@ def _random_pure(layout, seed):
     dim = 4 ** layout.n
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    basis, _, _, specs = fidelity._resource(layout)
+    basis, _, specs = fidelity._space(layout)
     return DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE, specs,
                          layout.n)
 
@@ -600,6 +637,14 @@ def test_bound_check_reduces_each_sample_past_the_memo(monkeypatch):
     sf_upper_bound_check(ChannelLayout("distinguishable", 2), samples=3)
     assert len(calls) == 3
     assert fidelity._last_grid is None
+
+
+def test_bound_check_builds_no_resource_matrix():
+    """The random states need the layout's basis and specs only, not the
+    4^n x 4^n resource matrix of the noise family."""
+    fidelity._resource.cache_clear()
+    sf_upper_bound_check(ChannelLayout("distinguishable", 3), samples=2)
+    assert fidelity._resource.cache_info().currsize == 0
 
 
 def test_relation_check_reduces_the_endpoint_once(monkeypatch):

@@ -68,13 +68,6 @@ def test_expectation_distinguishable_vanishes():
         assert expectation(t) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_expectation_sign_override():
-    st = li_circuit("fermion", PhaseConfig(phi_d=0.6))
-    t = coincidence_table(st, "external", "external")
-    flipped = expectation(t, plus_a={"D"}, plus_b={"U"})
-    assert flipped == pytest.approx(-expectation(t))
-
-
 def test_expectation_zero_total_rejected():
     st = li_circuit("fermion", PhaseConfig())
     t = coincidence_table(st, "external", "external")

@@ -11,8 +11,9 @@ A `Ket` is a plain tuple; `canonical` on it must give the tuple and sign that
 the dataclass oracle gives, and hashes, sorted bases and set orders must be
 the oracle's.  `scaled` and `normalize` keep the canonical terms as they
 are, so they must give, amplitude for amplitude in `repr`, the state the
-constructor builds from the rescaled terms, amplitudes near the 1e-15 drop
-and signed zeros included.
+constructor builds from the rescaled terms, tiny and subnormal amplitudes
+(whose products can round to zero, the one amplitude a state drops) and
+signed zeros included.
 """
 
 import math
@@ -105,7 +106,8 @@ def test_canonical_matches_the_dataclass_oracle(eta, drawn):
     assert [_pairs(k) for k in set(new)] == [_pairs(k) for k in set(old)]
 
 
-TINY = st.sampled_from([0.0, -0.0]) | st.floats(-4e-15, 4e-15)
+TINY = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+        | st.floats(-4e-15, 4e-15))
 AMPLITUDES = (st.complex_numbers(max_magnitude=1.0, allow_nan=False,
                                  allow_infinity=False)
               | st.builds(complex, TINY, TINY))

@@ -223,6 +223,21 @@ def test_region_traces_keep_tuples_of_tiny_weight_in_either_order(order):
     assert dm.data.tolist() == [[1]]
 
 
+def test_state_keeps_an_amplitude_of_1e_16_and_reduces_as_the_reference():
+    # a state keeps exactly its non-zero amplitudes, the support rule of the
+    # reductions, so the 1e-16 term reaches both traces with its tuple
+    xy = DofSpec(1, ("x", "y"))
+    ax, bx, by = Ket("a", ((1, "x"),)), Ket("b", ((1, "x"),)), Ket("b", ((1, "y"),))
+    s = SymState(BOSON, {(ax, bx): 1.0, (ax, by): 1e-16}, (xy,))
+    assert s.terms == {(ax, bx): 1.0, (ax, by): 1e-16}
+    dm = to_density(normalize(s))
+    for region in ("a", "b"):
+        red, want = trace_region(dm, region), ref.trace_region(dm, region)
+        assert red.basis == want.basis
+        assert len(red.basis) == (2 if region == "a" else 1)
+        assert np.allclose(red.data, want.data, rtol=0, atol=1e-15)
+
+
 def test_lofranco_distinguishable_matches_region_trace():
     one = DofSpec(1, ("0", "1"))
     p0 = Ket("p", ((1, "0"),))
