@@ -1,8 +1,8 @@
 """Paradox-of-nonlocality statistics for two qubits.
 
-Ideal joint probabilities and the nonzero witness probability q of the
-two-parameter test state; the location and value of max q, found on a
-coarse grid of a real closed form of q and refined by direct evaluation; a
+Ideal joint probabilities and the witness probability q of the test
+state, at a point by one scalar form; max q, found by a block scan of a
+coarse grid of a real closed form of q, refined with that scalar form; a
 synthetic depolarizing-plus-readout noise model with binomial shot noise;
 and the two-phase estimator that bounds q from below using Student-t
 confidence intervals calibrated on known zero-q states.
@@ -12,8 +12,10 @@ The t-distribution quantiles come from scipy's inverse Student-t CDF.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,17 +45,26 @@ class HardyParams:
         return math.atan2(1.0, math.tan(self.theta) * math.cos(self.phi))
 
 
+# the fixed settings A1 and B1, read-only and shared by every call
+_A1, _B1 = u_rot(math.pi / 4), u_rot(0.0)
+_A1.setflags(write=False)
+_B1.setflags(write=False)
+
+
 def measurement_operators(p):
     """The two dichotomic settings per party; outcomes read in the z basis."""
-    a1 = u_rot(math.pi / 4)
-    b1 = u_rot(0.0)
-    a2 = u_phase(2 * p.phi) @ u_rot(math.pi / 4) @ u_phase(-2 * p.phi)
+    a2 = u_phase(2 * p.phi) @ _A1 @ u_phase(-2 * p.phi)
     b2 = u_phase(p.phi) @ u_rot(p.chi) @ u_phase(-p.phi)
-    return (a1, a2), (b1, b2)
+    return (_A1, a2), (_B1, b2)
+
+
+def _pair_gate(a, b):
+    """np.kron(a, b) of two 2x2 operators, as one broadcast outer product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def _outcome_distribution(psi, op_a, op_b):
-    amps = np.kron(op_a, op_b) @ psi
+    amps = _pair_gate(op_a, op_b) @ psi
     return (np.abs(amps) ** 2).reshape(2, 2)  # [x, y], outcome +1 <-> index 0
 
 # the four joint-probability equations: (party settings, outcome indices)
@@ -77,15 +88,22 @@ def hardy_probs(p):
     return out
 
 
+def _q(theta, phi):
+    """`hardy_q` of the angles, unvalidated, in scalar arithmetic."""
+    chi = math.atan2(1.0, math.tan(theta) * math.cos(phi))
+    z = 0.5 * math.cos(theta) * math.cos(chi) * (1 - cmath.exp(-2j * phi))
+    return abs(z) ** 2
+
+
 def hardy_q(p):
     """Closed form |1/2 cos(theta) cos(chi) (1 - e^{-2i phi})|^2."""
-    z = 0.5 * math.cos(p.theta) * math.cos(p.chi) * (1 - np.exp(-2j * p.phi))
-    return float(abs(z) ** 2)
+    return _q(p.theta, p.phi)
 
 
 Q_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 
 _QMAX_STEP_DEG = 0.25  # spacing of the coarse grid, before the refine
+_QMAX_BLOCK = 64  # grid rows evaluated at once by the scan
 
 
 def _q_grid(thetas, phis):
@@ -94,33 +112,49 @@ def _q_grid(thetas, phis):
     |z|^2 = cos^2(theta) cos^2(chi) sin^2(phi) with cot(chi) = tan(theta)
     cos(phi) gives q = sin^2(theta) sin^2(phi) cos^2(phi) /
     (1 + tan^2(theta) cos^2(phi)), built from 1-D sin, cos and tan vectors by
-    broadcasting; angles must avoid theta = 90 degrees.
+    broadcasting, then squaring, adding and dividing in place; angles must
+    avoid theta = 90 degrees.
     """
-    tc = np.tan(thetas)[:, None] * np.cos(phis)[None, :]
-    sc = np.sin(phis) * np.cos(phis)
-    return np.sin(thetas)[:, None] ** 2 * (sc ** 2)[None, :] / (1 + tc ** 2)
+    den = np.multiply.outer(np.tan(thetas), np.cos(phis))
+    den *= den
+    den += 1
+    sc2 = (np.sin(phis) * np.cos(phis)) ** 2
+    return np.divide(np.multiply.outer(np.sin(thetas) ** 2, sc2), den, out=den)
+
+
+def _grid_argmax(grid):
+    """(i, j) of the first maximum of `_q_grid(grid, grid)` in row-major
+    order: np.argmax inside each block of rows, a strict `>` across them."""
+    best, cell = -math.inf, (0, 0)
+    for lo in range(0, len(grid), _QMAX_BLOCK):
+        qs = _q_grid(grid[lo:lo + _QMAX_BLOCK], grid)
+        i, j = divmod(int(np.argmax(qs)), len(grid))
+        if qs[i, j] > best:
+            best, cell = qs[i, j], (lo + i, j)
+    return cell
 
 
 def qmax_solve():
     """Grid-plus-refine maximization of q over (0, 90) x (0, 90) degrees.
 
-    The coarse grid is `_q_grid` (real, no complex exponentials); its argmax
-    keeps the first maximum in (theta, phi) row-major order, as a
-    strict-improvement scan would.  The refine steps then compare `hardy_q`
-    values on shrinking 3 x 3 neighbourhoods.
+    The coarse grid is `_q_grid` (real, no complex exponentials), scanned
+    by `_grid_argmax` in blocks of rows for the first maximum in row-major
+    order.  The refine steps compare `_q` on the eight off-centre points of
+    shrinking 3 x 3 neighbourhoods; the centre, q itself, cannot win a
+    strict comparison.
     """
     grid = np.deg2rad(np.arange(_QMAX_STEP_DEG, 90.0, _QMAX_STEP_DEG))
-    qs = _q_grid(grid, grid)
-    i, j = np.unravel_index(np.argmax(qs), qs.shape)
-    t, f = grid[i], grid[j]
+    i, j = _grid_argmax(grid)
+    t, f = float(grid[i]), float(grid[j])
     q = hardy_q(HardyParams(t, f))
     h = math.radians(_QMAX_STEP_DEG)
     for _ in range(40):
         h *= 0.6
-        candidates = [(t + dt, f + df) for dt in (-h, 0, h) for df in (-h, 0, h)]
+        candidates = [(t + dt, f + df) for dt in (-h, 0, h)
+                      for df in (-h, 0, h) if dt or df]
         for tt, ff in candidates:
             if 0 < tt < math.pi / 2 and 0 < ff < math.pi / 2:
-                qq = hardy_q(HardyParams(tt, ff))
+                qq = _q(tt, ff)
                 if qq > q:
                     t, f, q = tt, ff, qq
     return t, f, q
@@ -153,28 +187,29 @@ class NoiseModel:
             raise ValueError("need at least one shot per run")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
-    """Repeated-run estimates of one probability."""
+    """Repeated-run estimates of one probability: a read-only copy of the
+    values; the mean and sd (0.0 for one run) are each worked out once."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self):
         return len(self.values)
 
-    @property
+    @cached_property
     def mean(self):
         return float(self.values.mean())
 
-    @property
+    @cached_property
     def sd(self):
-        if self.n < 2:
-            return 0.0
-        return float(self.values.std(ddof=1))
+        return float(self.values.std(ddof=1)) if self.n > 1 else 0.0
 
 
 _Z1 = np.diag([1, 1, -1, -1]).astype(complex)
@@ -201,7 +236,7 @@ def noisy_probabilities(p, noise):
     flip = np.array([[1 - r, r], [r, 1 - r]])
     out = {}
     for name, ia, ib, (x, y) in EQUATIONS:
-        gate = np.kron(ops[0][ia], ops[1][ib])
+        gate = _pair_gate(ops[0][ia], ops[1][ib])
         dist = np.diag(gate @ rho @ gate.conj().T).real.reshape(2, 2)
         noisy = flip @ dist @ flip.T
         out[name] = float(noisy[x, y])

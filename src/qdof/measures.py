@@ -34,22 +34,29 @@ _TOL = 1e-9
 
 def _check_density(rho, dim, stack=False):
     """A finite, Hermitian, positive dim x dim `rho` over its real trace; with
-    `stack`, also each matrix of a (k, dim, dim) stack, checked alone."""
+    `stack`, also each matrix of a (k, dim, dim) stack, checked alone.
+
+    The matrix is divided by its |trace| first, so c * rho gets the verdict
+    of rho for every c > 0; a trace of at most 1e-12 times the largest
+    |entry|, zero for a zero matrix, raises DegenerateStateError.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (dim, dim) or rho.ndim > 2 + stack:
         raise ValueError(f"expected a {dim}x{dim} matrix")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
+    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1).real)
+    if (tr <= 1e-12 * np.abs(rho).max(axis=(-2, -1))).any():
+        raise DegenerateStateError("zero-trace matrix")
+    rho = rho / tr[..., None, None]
     # np.allclose's test on finite input, minus its wrappers
     adj = rho.conj().swapaxes(-1, -2)
     if not (np.abs(rho - adj) <= 1e-7 + 1e-5 * np.abs(adj)).all():
         raise ValueError("matrix is not Hermitian")
+    # a negative trace leaves eigenvalues summing to -1 here: refused
     if np.linalg.eigvalsh(rho).min() < -1e-7:
         raise ValueError("matrix is not positive semidefinite")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    if (abs(tr) < 1e-12).any():
-        raise DegenerateStateError("zero-trace matrix")
-    return rho / tr[..., None, None]
+    return rho
 
 
 def _sqrtm_psd(rho):

@@ -22,7 +22,18 @@ library's closed form (2 <Phi+|rho|Phi+> + 1) / 3 must agree with it within
 (indistinguishable layout), or only pair (1, 1) is and every other pair is
 I/4 (distinguishable layout).  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
 angle grid as the maximizer first built it, through the complex amplitude
-1/2 cos(theta) cos(chi) (1 - e^{-2i phi}).
+1/2 cos(theta) cos(chi) (1 - e^{-2i phi}).  `numpy_exp_hardy_q` is
+`hardy_q` at one point as it was first written, with numpy's complex
+exponential; the library's `cmath.exp` form must give the same bits.
+
+`star_projector_sum` is H_n = sum_j |Phi+><Phi+| on (A_1, B_j), j = 1..n,
+over A_1, B_1..B_n; the spectators A_2..A_n only tensor it with their
+identity.  Each pair term is maximized over a unitary on B_j alone, which
+the vector absorbs, so the supremum of F_g over pure (and, F_g being
+convex, mixed) distinguishable states is its top eigenvalue (n + 1)/2.
+`star_ceiling_state` is a top eigenvector of it with A_2..A_n in a seeded
+random product state, which must read that ceiling through the library's
+pair grid.
 
 `pure_vector_grid` is the pair grid of a pure distinguishable vector read off
 its amplitudes, without the trace rules: pair (i, j) is M M^dagger, M the
@@ -410,6 +421,43 @@ def hardy_q_grid(thetas, phis):
     chi = np.arctan2(1.0, np.tan(ts) * np.cos(fs))
     z = 0.5 * np.cos(ts) * np.cos(chi) * (1 - np.exp(-2j * fs))
     return np.abs(z) ** 2
+
+
+def numpy_exp_hardy_q(p):
+    """|1/2 cos(theta) cos(chi) (1 - e^{-2i phi})|^2 of HardyParams `p`,
+    with numpy's complex exponential."""
+    z = 0.5 * math.cos(p.theta) * math.cos(p.chi) * (1 - np.exp(-2j * p.phi))
+    return float(abs(z) ** 2)
+
+
+def _on_qubits(op, qubits, m):
+    """The operator `op` on `qubits`, in its axis order, of m qubits, with
+    the identity on the rest."""
+    k = len(qubits)
+    t = np.kron(op, np.eye(2 ** (m - k))).reshape((2,) * (2 * m))
+    order = list(qubits) + [q for q in range(m) if q not in qubits]
+    axes = list(np.argsort(order))
+    return t.transpose(axes + [m + a for a in axes]).reshape(2 ** m, 2 ** m)
+
+
+def star_projector_sum(n):
+    """H_n = sum_j |Phi+><Phi+| on (A_1, B_j) over axes (A_1, B_1..B_n)."""
+    bell = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    return sum(_on_qubits(bell, (0, j), n + 1) for j in range(1, n + 1))
+
+
+def star_ceiling_state(n, seed=0):
+    """A top eigenvector of `star_projector_sum(n)` with A_2..A_n in a
+    random product state drawn with `seed`, as a unit vector on axes
+    (A_1..A_n, B_1..B_n) as in the sorted product basis."""
+    v = np.linalg.eigh(star_projector_sum(n))[1][:, -1]
+    t = v.reshape((2,) * (n + 1))  # axes A_1, B_1..B_n
+    rng = np.random.default_rng(seed)
+    for _ in range(n - 1):  # appends A_2..A_n
+        s = rng.normal(size=2) + 1j * rng.normal(size=2)
+        t = np.multiply.outer(t, s / np.linalg.norm(s))
+    t = t.transpose([0] + list(range(n + 1, 2 * n)) + list(range(1, n + 1)))
+    return t.reshape(-1)
 
 
 def words_signaling_hits(cfg):

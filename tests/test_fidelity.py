@@ -25,7 +25,7 @@ from oracles import (MONOGAMY_MIN_TANGLE, _fef_closed, _six_run_output,
                      optimized_singlet_fraction,
                      pure_vector_grid, singlet_fraction_ascent,
                      singlet_fraction_grid, six_run_teleport_fidelity,
-                     werner_grid)
+                     star_ceiling_state, star_projector_sum, werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -417,6 +417,32 @@ def test_singlet_fraction_ascent_reaches_the_distinguishable_ceiling(n):
     assert abs(reached - value) <= 1e-12
     assert ceiling - 1e-6 <= reached <= ceiling + 1e-9
     assert largest <= ceiling + 1e-9
+
+
+def _ceiling_misses(ceiling, readings):
+    """Names of the `readings` (name -> value) that miss `ceiling` by more
+    than 1e-12."""
+    return [name for name, value in readings.items()
+            if abs(value - ceiling) > 1e-12]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_star_hamiltonian_certifies_the_distinguishable_ceiling(n):
+    # F_g's supremum is the top eigenvalue of H_n (see oracles): exact, with
+    # no optimizer, where random states stay far below the ceiling
+    layout = ChannelLayout("distinguishable", n)
+    ceiling = FidelityParams.for_layout(layout).big_f_max
+    assert ceiling == (n + 1) / 2
+    top = np.linalg.eigvalsh(star_projector_sum(n))[-1]
+    readings = {"top eigenvalue": top}
+    if n <= 3:
+        readings["sf-bound"] = sf_upper_bound_check(layout, samples=1)["bound"]
+    if n <= 5:
+        dm = _pure_state(star_ceiling_state(n, seed=80 + n), layout)
+        readings["top eigenvector"] = generalized_singlet_fraction(dm, layout)
+    assert _ceiling_misses(ceiling, readings) == []
+    for scale in (1.01, 0.99):
+        assert _ceiling_misses(scale * ceiling, readings)
 
 
 def _monogamy_sides(dm, layout):

@@ -10,7 +10,7 @@ from qdof.hardy import (BoundaryError, EQUATIONS, HardyParams, NoiseModel,
                         hardy_probs, hardy_q, noisy_probabilities,
                         noisy_sample, qmax_solve, t_ci, t_quantile)
 
-from oracles import hardy_q_grid
+from oracles import hardy_q_grid, numpy_exp_hardy_q
 
 deg = math.radians
 
@@ -71,6 +71,65 @@ def test_qmax_grid_closed_form_matches_complex_amplitude():
     assert closed.shape == oracle.shape == (len(grid), len(grid))
     assert np.abs(closed - oracle).max() <= 1e-15
     assert np.argmax(closed) == np.argmax(oracle)
+
+
+def test_hardy_q_gives_the_bits_of_the_numpy_exp_form():
+    # the scalar form calls cmath.exp where the first form called np.exp;
+    # a libm on which the two differ fails here, not only as a moved digest
+    rng = np.random.default_rng(26)
+    points = rng.uniform(0.0, math.pi / 2, size=(10 ** 4, 2))
+    points = points[(points > 0).all(axis=1)]
+    mismatched = [(t, f) for t, f in points
+                  if hardy_q(HardyParams(t, f)).hex()
+                  != numpy_exp_hardy_q(HardyParams(t, f)).hex()]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.25])
+def test_block_scan_picks_the_cell_of_the_whole_grid_argmax(step):
+    grid = np.deg2rad(np.arange(step, 90.0, step))
+    assert len(grid) % hardy._QMAX_BLOCK != 0
+    qs = hardy._q_grid(grid, grid)
+    assert hardy._grid_argmax(grid) == np.unravel_index(np.argmax(qs),
+                                                        qs.shape)
+
+
+def test_block_scan_keeps_the_first_of_tied_maxima(monkeypatch):
+    # a flat grid: every block ties, and only the first cell may win
+    monkeypatch.setattr(hardy, "_q_grid",
+                        lambda thetas, phis: np.ones((len(thetas), len(phis))))
+    starts = []
+
+    def recording_hardy_q(p):
+        starts.append((p.theta, p.phi))
+        return hardy._q(p.theta, p.phi)
+
+    monkeypatch.setattr(hardy, "hardy_q", recording_hardy_q)
+    qmax_solve()
+    first = float(np.deg2rad(hardy._QMAX_STEP_DEG))
+    assert starts == [(first, first)]
+
+
+def test_pair_gate_is_np_kron_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                for _ in range(2))
+        assert hardy._pair_gate(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def test_shared_operators_and_sample_values_are_read_only():
+    (a1, _), (b1, _) = hardy.measurement_operators(HardyParams(0.3, 0.4))
+    values = np.array([0.1, 0.2, 0.4])
+    s = SampleSet(values)
+    values[0] = 0.9  # the set holds a copy
+    for array in (a1, b1, s.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert s.values[0] == 0.1 and s.mean == pytest.approx(0.7 / 3)
+    with pytest.raises(AttributeError):
+        s.values = np.zeros(3)
 
 
 def test_boundary_point_rejected():

@@ -94,22 +94,87 @@ def near_hermitian(draw):
 @PROPERTY_SETTINGS
 @given(rho=near_hermitian())
 def test_hermitian_test_gives_the_allclose_verdict(rho):
-    assert _passes_hermitian_test(rho) == np.allclose(rho, rho.conj().T, atol=1e-7)
+    # the test runs on the matrix over |trace|, after the degenerate ones
+    # are refused as such
+    tr = abs(np.trace(rho).real)
+    if tr <= 1e-12 * np.abs(rho).max():
+        with pytest.raises(DegenerateStateError):
+            _check_density(rho, len(rho))
+        return
+    unit = rho / tr
+    assert _passes_hermitian_test(rho) == np.allclose(unit, unit.conj().T,
+                                                      atol=1e-7)
 
 
 @PROPERTY_SETTINGS
 @given(rho=near_hermitian(), b=st.floats(-1e3, 1e3),
        ulps=st.sampled_from((-1, 0, 1)))
 def test_hermitian_test_at_and_one_ulp_either_side_of_the_bound(rho, b, ulps):
-    # rho[0, 1] - conj(rho[1, 0]) is exactly the real gap: the imaginary
-    # parts cancel, and the bound atol + 1e-5 |adj| is 1e-7 + 1e-5 |b|
+    # a diagonal of 1/dim gives a trace of exactly 1, so the matrix over its
+    # trace is rho itself; rho[0, 1] - conj(rho[1, 0]) is exactly the real
+    # gap: the imaginary parts cancel, and the bound atol + 1e-5 |adj| is
+    # 1e-7 + 1e-5 |b|
     rho = (rho + rho.conj().T) / 2
+    np.fill_diagonal(rho, 1 / len(rho))
+    assert np.trace(rho).real == 1.0
     bound = 1e-7 + 1e-5 * abs(b)
     gap = bound if ulps == 0 else np.nextafter(bound, ulps * np.inf)
     rho[0, 1], rho[1, 0] = complex(gap, b), complex(0.0, -b)
     expected = np.allclose(rho, rho.conj().T, atol=1e-7)
     assert expected == (ulps <= 0)
     assert _passes_hermitian_test(rho) == expected
+
+
+def test_hermiticity_is_judged_after_dividing_by_the_trace():
+    # entry (0, 3) is 0.9 off its mirror: at scale 1e-8 that gap is 9e-9,
+    # inside an absolute 1e-7, yet the matrix is no closer to Hermitian
+    lone = np.zeros((4, 4))
+    lone[0, 3] = 0.9
+    for measure in (concurrence, negativity):
+        for scale in (1.0, 1e-8):
+            with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                measure(scale * (BELL + lone))
+
+
+def _verdict(rho):
+    """(exception type, message) of `_check_density` on `rho`, or None."""
+    try:
+        _check_density(rho, len(rho))
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def judged_matrices(draw):
+    """(kind, matrix): a random unit-trace density matrix, or one made
+    non-Hermitian, not positive, or traceless from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from((2, 4)))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    kind = draw(st.sampled_from(("valid", "non-hermitian", "not-psd",
+                                 "zero-trace")))
+    if kind == "non-hermitian":
+        rho[0, dim - 1] += 0.1
+    elif kind == "not-psd":
+        w, v = np.linalg.eigh(rho)
+        w[0] = -0.1  # the smallest of a unit sum: the trace stays positive
+        rho = (v * w) @ v.conj().T
+    elif kind == "zero-trace":
+        rho = rho - np.eye(dim) / dim
+    return kind, rho
+
+
+@PROPERTY_SETTINGS
+@given(case=judged_matrices())
+def test_the_verdict_on_a_scaled_matrix_is_the_verdict_on_the_matrix(case):
+    kind, rho = case
+    verdict = _verdict(rho)
+    assert (verdict is None) == (kind == "valid")
+    for c in (1e-300, 1e-8, 1.0, 1e8):
+        assert _verdict(c * rho) == verdict
 
 
 @st.composite
