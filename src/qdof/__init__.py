@@ -10,21 +10,21 @@ synthetic noise model.
 """
 
 from .circuits import (PhaseConfig, gate_hardy_state, hardy_state, li_circuit,
-                       pol_oam_pair, sorter_cascade, swap_circuit)
+                       pol_oam_pair, swap_circuit)
 from .fidelity import (ChannelLayout, FidelityParams,
                        generalized_singlet_fraction,
                        generalized_teleportation_fidelity, relation_check,
                        sf_upper_bound_check, singlet_fraction,
                        teleport_fidelity, two_param_state)
-from .hardy import (HardyParams, NoiseModel, SampleSet, chsh_hardy_lhs,
-                    diff_lower_bound, estimate_qlb, hardy_probs, hardy_q,
-                    noisy_sample, qmax_solve, t_ci, t_quantile)
+from .hardy import (HardyParams, NoiseModel, SampleSet, estimate_qlb,
+                    hardy_probs, hardy_q, noisy_sample, qmax_solve,
+                    t_quantile)
 from .measurement import (ChshSettings, CoincidenceTable, chsh,
                           coincidence_table, expectation, generalized_table)
 from .measures import (MonogamyReport, ThreeParticleCase, concurrence,
                        log_negativity, mixed_monogamy_check, monogamy_report,
                        monogamy_report_qubits, negativity,
-                       three_particle_case, vn_entropy)
+                       three_particle_cases, vn_entropy)
 from .protocols import (AttackConfig, SignalingConfig, hardy_attack, qpq_sf,
                         signaling_exact, signaling_mc, signaling_multicopy,
                         swap_verify)

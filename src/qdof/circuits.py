@@ -3,10 +3,9 @@
 Builds the two-particle interferometer state in which a hybrid beam splitter
 couples an internal mode (spin or polarization) to an external path mode, for
 bosons, fermions and labelled distinguishable particles; the two-boson swap
-variant; the DoF-sorter detector cascade; and the two-qubit test state of the
-nonlocality statistics, both as the analytic vector (``hardy_state``, what
-the statistics use) and as the output of its gate circuit
-(``gate_hardy_state``), which agree up to a global phase.
+variant; and the two-qubit test state of the nonlocality statistics as the
+analytic vector (``hardy_state``, what the statistics use) and as its gate
+circuit (``gate_hardy_state``), which agree up to a global phase.
 
 Conventions: the two source particles enter at modes R and L; Alice collects
 modes L and D (region ``s1``) and controls ``phi_L``/``phi_D``; Bob collects R
@@ -104,33 +103,6 @@ def swap_circuit(phases):
     internal = {"R": "H", "L": "H", "U": "H", "D": "V"}
     first, second = _interferometer(phases, internal)
     return normalize(_assemble("boson", first, second, (PATH, POLARIZATION)))
-
-
-def sorter_cascade(n_dofs, input_state_per_dof):
-    """Detector distribution of a cascade of one sorter per DoF.
-
-    `input_state_per_dof` is a single (a, b) qubit amplitude pair shared by all
-    DoFs, or a sequence of one pair per DoF.  Detector k (1-based) fires when
-    sorter j (0-based) yields bit j of k-1, counting from the least significant
-    bit, so the last sorter is the most significant bit.  D_1 collects the all-0
-    word and D_{2**N} the all-1 word, so Z-basis inputs land in
-    {D_1, D_{2**N}} with probability 1.
-    """
-    if n_dofs < 1:
-        raise ValueError("need at least one DoF")
-    if n_dofs > 20:
-        raise ValueError("cascade limited to 20 DoFs")
-    amps = np.asarray(input_state_per_dof, dtype=complex)
-    if amps.ndim == 1:
-        amps = np.tile(amps, (n_dofs, 1))
-    if amps.shape != (n_dofs, 2):
-        raise ValueError("expected one (a, b) pair per DoF")
-    norms = (np.abs(amps) ** 2).sum(axis=1)
-    p01 = (np.abs(amps) ** 2) / norms[:, None]
-    out = np.ones(1)
-    for j in range(n_dofs):
-        out = np.concatenate([out * p01[j, 0], out * p01[j, 1]])
-    return out
 
 
 POL = DofSpec(1, ("H", "V"))

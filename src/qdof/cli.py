@@ -155,6 +155,9 @@ def _cmd_monogamy(args):
 def _cmd_cases(args):
     rng = np.random.default_rng(args.seed)
     ids = [int(x) for x in args.case.split(",")] if args.case else range(1, 14)
+    for cid in ids:
+        if ids.count(cid) > 1:
+            raise ValueError(f"--case names case {cid} more than once")
     cases = [measures.random_case(cid, rng) for cid in ids]
     out = {str(cid): {**rep.to_dict(), "pattern": list(pattern)}
            for cid, (rep, pattern) in zip(ids, measures.three_particle_cases(cases))}

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _check_density
 from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
                      DensityMatrix, DofSpec)
 from .trace import (Subsystem, _product_basis, to_qubit_array, trace_dof_dist,
@@ -265,11 +266,12 @@ def _unit(psi_in):
 
 
 def teleport_output(channel, psi_in):
-    """Output state of the Bell-measurement protocol through a two-qubit channel."""
+    """Output state of the Bell-measurement protocol through a two-qubit
+    channel, a density matrix up to a positive factor (`_check_density`)."""
     channel = np.asarray(channel, dtype=complex)
     if channel.shape != (4, 4):
         raise ValueError(_CHANNEL_SHAPE)
-    channel = _unit_trace(channel[None], _ZERO_CHANNEL)[0]
+    channel = _check_density(channel, 4)
     psi_in = _unit(psi_in)
     joint = np.kron(np.outer(psi_in, psi_in.conj()), channel)  # C x A x B
     t = joint.reshape((2,) * 6)  # (c a b | c' a' b')

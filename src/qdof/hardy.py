@@ -273,45 +273,10 @@ def t_margin(alpha, n, spread):
     return t_quantile(alpha / 2.0, n - 1) * spread / math.sqrt(n)
 
 
-def t_ci(sample, alpha):
-    """Two-sided (1 - alpha) confidence interval around the sample mean."""
-    if sample.n < 2:
-        raise ValueError("need at least two runs for an interval")
-    half = t_margin(alpha, sample.n, sample.sd)
-    return sample.mean - half, sample.mean + half
-
-
-def diff_lower_bound(x, y, alpha):
-    """Lower confidence limit of E[x] - E[y] at level 1 - alpha."""
-    if x.n != y.n:
-        raise ValueError("sample sets must have matching run counts")
-    if x.n < 2:
-        raise ValueError("need at least two runs for a bound")
-    return (x.mean - y.mean
-            - t_margin(alpha, x.n, math.sqrt(x.sd ** 2 + y.sd ** 2)))
-
-
 # known zero-q calibration states (theta, phi) in degrees: the maximally
 # entangled state first, then four product states
 OFFLINE_STATES_DEG = ((45.0, 90.0), (0.0, 0.0), (45.0, 0.0), (90.0, 0.0),
                       (90.0, 45.0))
-
-
-@dataclass
-class EstimatorState:
-    """Offline calibration: the largest zero-q background and its spread."""
-
-    sigma4_bar: float
-    s_sigma4: float
-    alpha_level: float
-
-
-def calibrate_offline(offline_sets, alpha):
-    """Pick the worst background mean among zero-q calibration runs."""
-    if not offline_sets:
-        raise ValueError("need at least one calibration sample set")
-    worst = max(offline_sets, key=lambda s: s.mean)
-    return EstimatorState(worst.mean, worst.sd, alpha)
 
 
 def estimate_qlb(offline_sets, online, alpha):
@@ -324,17 +289,11 @@ def estimate_qlb(offline_sets, online, alpha):
     """
     if online.n < 2:
         raise ValueError("need at least two runs for a bound")
-    state = calibrate_offline(offline_sets, alpha)
-    delta = t_margin(alpha, online.n,
-                     math.sqrt(online.sd ** 2 + state.s_sigma4 ** 2))
-    q_lb = online.mean - state.sigma4_bar - delta
+    if not offline_sets:
+        raise ValueError("need at least one calibration sample set")
+    worst = max(offline_sets, key=lambda s: s.mean)
+    delta = t_margin(alpha, online.n, math.sqrt(online.sd ** 2 + worst.sd ** 2))
+    q_lb = online.mean - worst.mean - delta
     return {"q_lb_hat": q_lb, "delta": delta,
-            "sigma4_bar": state.sigma4_bar, "s_sigma4": state.s_sigma4,
+            "sigma4_bar": worst.mean, "s_sigma4": worst.sd,
             "decision": "nmes" if q_lb > 0 else "inconclusive"}
-
-
-def chsh_hardy_lhs(e5, e1, e2, e3):
-    """e5 - e1 - e2 - e3; positive values witness local-realism violation."""
-    def val(x):
-        return x.mean if isinstance(x, SampleSet) else float(x)
-    return val(e5) - val(e1) - val(e2) - val(e3)

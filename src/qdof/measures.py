@@ -91,12 +91,6 @@ def concurrence(rho):
     return float(values) if rho.ndim == 2 else values
 
 
-def spin_flip_spectrum(rho):
-    """Eigenvalues of rho (sy x sy) rho* (sy x sy), descending."""
-    rho = _check_density(rho, 4)
-    return _flip_eigenvalues(rho)
-
-
 def negativity(rho):
     """(||rho^{T_B}||_1 - 1)/2 of a two-qubit density matrix."""
     rho = _check_density(rho, 4)
@@ -192,8 +186,7 @@ def _monogamy_reports(triples):
     pairs = np.array([rho for ab, ac, _ in triples for rho in (ab, ac)])
     rho_a = np.array([a for _, _, a in triples])
     c2 = [c ** 2 for c in concurrence(pairs).tolist()]
-    # concurrence has validated every pair; this is spin_flip_spectrum's
-    # arithmetic, run on the same (2k, 4, 4) stack
+    # audit spectra: `_flip_eigenvalues` of each checked pair over its trace
     flips = _flip_eigenvalues(
         pairs / np.trace(pairs, axis1=1, axis2=2).real[:, None, None]).tolist()
     tangles = _tangle(_check_density(rho_a, 2, stack=True)).tolist()
@@ -381,11 +374,6 @@ def three_particle_cases(cases):
             for rep in _monogamy_reports(triples)]
 
 
-def three_particle_case(case):
-    """`three_particle_cases` for one case: its (MonogamyReport, pattern)."""
-    return three_particle_cases([case])[0]
-
-
 def _phased(rng):
     x = rng.uniform(0.15, 0.85)
     return (math.sqrt(x), math.sqrt(1 - x) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
@@ -451,18 +439,3 @@ CASE_PATTERNS = {
     12: ("nonneg", "zero", "nonneg"),
     13: ("zero", "zero", "zero"),
 }
-
-
-def z_form_pair(z2, z3):
-    """Closed-form squared concurrence between the first two regions of the
-    one-odd-spin state with placement amplitudes (z1, z2, z3), real-parameter
-    form."""
-    t = 2 * abs(z2 * z3) ** 2 + (z2 ** 2 * np.conj(z3) ** 2).real * 2
-    cross = abs(abs(z2 * z3) ** 2 - z2 ** 2 * z3 ** 2) ** 2
-    return float(t - 2 * cross)
-
-
-def z_form_tangle(z3):
-    """Closed-form one-vs-rest squared concurrence 4 (1-|z3|^2) |z3|^2."""
-    a = abs(z3) ** 2
-    return float(4.0 * (1.0 - a) * a)

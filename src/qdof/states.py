@@ -250,17 +250,6 @@ class DensityMatrix:
     def trace(self):
         return float(np.trace(self.data).real)
 
-    @property
-    def purity(self):
-        return float(np.trace(self.data @ self.data).real)
-
-    def renormalized(self):
-        tr = np.trace(self.data).real
-        if tr <= 1e-24:
-            raise DegenerateStateError("zero-trace matrix")
-        return DensityMatrix(self.basis, self.data / tr, self.eta,
-                             self.dof_specs, self.n_dofs_orig)
-
     def check(self):
         """Validate hermiticity, unit trace and positivity; returns self."""
         if not np.allclose(self.data, self.data.conj().T, atol=_ATOL):

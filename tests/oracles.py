@@ -52,8 +52,8 @@ A_i is unentangled is left out, so the ascent cannot settle on one.
 decodes each detector word, all-equal as the Z basis and anything else as
 the X basis.  The library counts the same hits from the X words alone.
 `cascade_signaling_exact` is `qdof.protocols.signaling_exact` as it was
-first written: an enumeration of the sorter cascade's detector words, where
-the library returns the closed form 1 - 2^-N.
+first written: an enumeration of the detector words of `sorter_cascade`, one
+sorter per DoF, where the library returns the closed form 1 - 2^-N.
 
 `per_case_monogamy_report` is `qdof.measures.monogamy_report` as it was
 before the catalogue was measured as one stack: it reduces one state and
@@ -61,7 +61,8 @@ measures that one row, with one `concurrence` call on its two pairs, its own
 audit spin-flip spectra, marginal spectrum and tangle.
 `per_case_three_particle` runs one catalogue case through it.  The library's
 stacked `three_particle_cases` must give every field of every record the
-same `repr`.
+same `repr`.  `z_form_pair` and `z_form_tangle` are the closed forms of
+catalogue row 2, the one-odd-spin state, that the pipeline must reproduce.
 
 `qdof.states.tuple_overlap` gives the overlap of canonical ket tuples as a
 Gram factor; `permutation_overlap` sums the permanent (bosons) or takes the
@@ -91,7 +92,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from qdof.circuits import sorter_cascade
 from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS,
                            singlet_fraction)
 from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
@@ -477,9 +477,36 @@ def words_signaling_hits(cfg):
     return int((decoded == sent).sum())
 
 
+def sorter_cascade(n_dofs, input_state_per_dof):
+    """Detector distribution of a cascade of one sorter per DoF.
+
+    `input_state_per_dof` is a single (a, b) qubit amplitude pair shared by all
+    DoFs, or a sequence of one pair per DoF.  Detector k (1-based) fires when
+    sorter j (0-based) yields bit j of k-1, counting from the least significant
+    bit, so the last sorter is the most significant bit.  D_1 collects the all-0
+    word and D_{2**N} the all-1 word, so Z-basis inputs land in
+    {D_1, D_{2**N}} with probability 1.
+    """
+    if n_dofs < 1:
+        raise ValueError("need at least one DoF")
+    if n_dofs > 20:
+        raise ValueError("cascade limited to 20 DoFs")
+    amps = np.asarray(input_state_per_dof, dtype=complex)
+    if amps.ndim == 1:
+        amps = np.tile(amps, (n_dofs, 1))
+    if amps.shape != (n_dofs, 2):
+        raise ValueError("expected one (a, b) pair per DoF")
+    norms = (np.abs(amps) ** 2).sum(axis=1)
+    p01 = (np.abs(amps) ** 2) / norms[:, None]
+    out = np.ones(1)
+    for j in range(n_dofs):
+        out = np.concatenate([out * p01[j, 0], out * p01[j, 1]])
+    return out
+
+
 def cascade_signaling_exact(n):
     """`qdof.protocols.signaling_exact(n)` from the detector words of
-    `qdof.circuits.sorter_cascade`: a computational-basis message decodes on
+    `sorter_cascade`: a computational-basis message decodes on
     the two edge words, a Hadamard-basis one on every other word, each basis
     state of the message averaged.  Every word's probability is 0 or a power
     of two, so the float sums are exact and convert to a `Fraction` without
@@ -543,3 +570,18 @@ def per_case_three_particle(case):
     pattern = tuple("zero" if v <= 1e-9 else "nonneg"
                     for v in (report.c2_ab, report.c2_ac, report.c2_a_bc))
     return report, pattern
+
+
+def z_form_pair(z2, z3):
+    """Closed-form squared concurrence between the first two regions of the
+    one-odd-spin state with placement amplitudes (z1, z2, z3), real-parameter
+    form."""
+    t = 2 * abs(z2 * z3) ** 2 + (z2 ** 2 * np.conj(z3) ** 2).real * 2
+    cross = abs(abs(z2 * z3) ** 2 - z2 ** 2 * z3 ** 2) ** 2
+    return float(t - 2 * cross)
+
+
+def z_form_tangle(z3):
+    """Closed-form one-vs-rest squared concurrence 4 (1-|z3|^2) |z3|^2."""
+    a = abs(z3) ** 2
+    return float(4.0 * (1.0 - a) * a)

@@ -35,11 +35,10 @@ def _rebuild(pairs, eta, dof_specs, ndof):
     data = np.zeros((len(basis), len(basis)), dtype=complex)
     for s, t, w in pairs:
         data[index[s], index[t]] += w
-    dm = DensityMatrix(tuple(basis), data, eta, dof_specs, ndof)
-    tr = dm.trace
+    tr = np.trace(data).real
     if tr <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
-    return dm.renormalized()
+    return DensityMatrix(tuple(basis), data / tr, eta, dof_specs, ndof)
 
 
 def project_one_per_region(dm, regions):

@@ -18,14 +18,16 @@ from qdof.fidelity import (ChannelLayout, generalized_singlet_fraction,
 from qdof.hardy import (HardyParams, NoiseModel, OFFLINE_STATES_DEG, Q_MAX,
                         hardy_q, noisy_sample, estimate_qlb, qmax_solve)
 from qdof.measures import (concurrence, log_negativity, mixed_monogamy_check,
-                           monogamy_report, monogamy_report_qubits,
-                           random_case, three_particle_case, z_form_tangle)
+                           monogamy_report_qubits, random_case,
+                           three_particle_cases)
 from qdof.measurement import ChshSettings, chsh, coincidence_table, generalized_table
 from qdof.protocols import (AttackConfig, SignalingConfig, hardy_attack,
                             signaling_exact, signaling_mc, signaling_multicopy)
 from qdof.states import BOSON, FERMION, DofSpec, Ket, SymState, normalize, to_density
 from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
                         trace_dof_indist, trace_region)
+
+from oracles import z_form_tangle
 
 deg = math.radians
 
@@ -120,7 +122,7 @@ def test_criterion_05_three_particle_equality():
     for cid in range(1, 14):
         for _ in range(50):
             case = random_case(cid, rng)
-            rep, _ = three_particle_case(case)
+            rep, _ = three_particle_cases([case])[0]
             worst_eq = max(worst_eq, abs(rep.residual))
             if cid == 2:
                 # the closed-form tangle of the one-odd-spin family

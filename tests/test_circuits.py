@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qdof.circuits import (PhaseConfig, gate_hardy_state, hardy_state,
-                           li_circuit, pol_oam_pair, sorter_cascade,
-                           swap_circuit)
+                           li_circuit, pol_oam_pair, swap_circuit)
 from qdof.measurement import coincidence_table
 from qdof.states import norm_squared
+
+from oracles import sorter_cascade
 
 
 def test_phase_config_derived_angle():

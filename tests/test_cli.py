@@ -247,6 +247,22 @@ def test_cases_subcommand(capsys):
     assert abs(rec["results"]["2"]["residual"]) < 1e-9
 
 
+@pytest.mark.parametrize("case, repeated", [("2,2", 2), ("2,5,13,5", 5)])
+def test_cases_refuses_a_repeated_id_before_any_draw(monkeypatch, capsys,
+                                                     case, repeated):
+    # a repeated id would draw twice and keep one row under that key
+    from qdof import measures
+
+    def never(*args, **kwargs):
+        raise AssertionError("cases drew a case before refusing --case")
+
+    monkeypatch.setattr(measures, "random_case", never)
+    assert main(["cases", "--case", case, "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --case names case {repeated} more than once\n"
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kind=boson\nphases=0,0,0,0\n")

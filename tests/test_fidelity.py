@@ -189,8 +189,8 @@ def test_singlet_fraction_matches_nine_products():
 def test_teleport_output_matches_one_run_byte_for_byte():
     rng = np.random.default_rng(6)
     channels = [_random_rho(rng) for _ in range(50)]
-    channels += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-                 for _ in range(30)]
+    # density matrices up to a positive factor: the protocol divides it out
+    channels += [rng.uniform(1e-3, 1e3) * _random_rho(rng) for _ in range(30)]
     for channel in channels:
         psi = 3.7 * (rng.normal(size=2) + 1j * rng.normal(size=2))
         got = teleport_output(channel, psi)
@@ -246,6 +246,24 @@ def test_non_two_qubit_input_raises_value_error(measure, shape):
     matrix = np.ones(shape, dtype=complex)
     with pytest.raises(ValueError, match="two-qubit"):
         measure(matrix)
+
+
+_LONE_09 = np.eye(4) / 4  # I/4 with a lone 0.9 at entry (0, 3)
+_LONE_09[0, 3] = 0.9
+
+
+@pytest.mark.parametrize("channel, message", [
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "not positive semidefinite"),
+    (_LONE_09, "not Hermitian"),
+    (-BELL, "not positive semidefinite"),
+], ids=["negative-eigenvalue", "non-hermitian", "negative-trace"])
+@pytest.mark.parametrize("run", [teleport_output, teleport_fidelity])
+def test_teleport_refuses_a_channel_that_is_no_density_matrix(run, channel,
+                                                              message):
+    # a shape-and-trace check passes all three: fidelities 1.5 and 0.95, and
+    # -BELL divided by its trace into BELL
+    with pytest.raises(ValueError, match=message):
+        run(channel, [1, 0])
 
 
 def test_teleport_output_takes_one_channel():
@@ -477,16 +495,24 @@ def _w_state(n):
     return v.reshape(-1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_w_state_reaches_the_monogamy_bound(n):
+    """The W state on A_1 and B_1..B_n reaches the Osborne-Verstraete bound
+    through the library's pair grid: sum_j C^2(A_1, B_j) / 4 det rho_{A_1}
+    is 1, with tangle 4n/(n+1)^2."""
+    layout = ChannelLayout("distinguishable", n)
+    rows, tangles = _monogamy_sides(_pure_state(_w_state(n), layout), layout)
+    assert abs(tangles[0] - 4 * n / (n + 1) ** 2) <= 1e-12
+    assert abs(rows[0] / tangles[0] - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_monogamy_ascent_approaches_the_bound_from_below(n):
     """The seeded ascent on sum_j C^2(A_i, B_j) / 4 det rho_{A_i}, over rows
     whose tangle is at least 0.1, comes within 1e-3 of 1 and never goes
     above it.  Unentangled rows are left out, so the ascent cannot settle on
-    one; the W state, with tangle 8/9 at n = 2 and 3/4 at n = 3, reads 1."""
+    one."""
     layout = ChannelLayout("distinguishable", n)
-    rows, tangles = _monogamy_sides(_pure_state(_w_state(n), layout), layout)
-    assert tangles[0] == pytest.approx(4 * n / (n + 1) ** 2, abs=1e-12)
-    assert abs(rows[0] / tangles[0] - 1.0) <= 1e-12
     v, ratio, largest = monogamy_ascent(n, starts=2, seed=n)
     rows, tangles = _monogamy_sides(_pure_state(v, layout), layout)
     kept = tangles >= MONOGAMY_MIN_TANGLE

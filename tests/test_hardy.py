@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from qdof import hardy
-from qdof.hardy import (BoundaryError, EQUATIONS, HardyParams, NoiseModel,
-                        OFFLINE_STATES_DEG, Q_MAX, SampleSet, calibrate_offline,
-                        chsh_hardy_lhs, diff_lower_bound, estimate_qlb,
+from qdof.hardy import (BoundaryError, HardyParams, NoiseModel,
+                        OFFLINE_STATES_DEG, Q_MAX, SampleSet, estimate_qlb,
                         hardy_probs, hardy_q, noisy_probabilities,
-                        noisy_sample, qmax_solve, t_ci, t_quantile)
+                        noisy_sample, qmax_solve, t_margin, t_quantile)
 
 from oracles import hardy_q_grid, numpy_exp_hardy_q
 
@@ -193,47 +192,40 @@ def test_t_quantile_approaches_normal():
     assert t_quantile(0.025, 9999) == pytest.approx(1.95996, rel=0.01)
 
 
-def test_t_ci_zero_spread_and_width_scaling():
-    flat = SampleSet(np.full(10, 0.3))
-    lo, hi = t_ci(flat, 0.01)
-    assert lo == pytest.approx(0.3) and hi == pytest.approx(0.3)
+def test_t_margin_zero_spread_and_width_scaling():
+    assert t_margin(0.01, 10, 0.0) == 0.0
     # width scales as t_quantile(nu)/sqrt(n); the pure 1/sqrt(n) part is 2,
     # the quantile drift at small n pushes the full ratio above it
     alpha = 0.05
-    ratio = ((t_quantile(alpha / 2, 9) / math.sqrt(10))
-             / (t_quantile(alpha / 2, 39) / math.sqrt(40)))
+    ratio = t_margin(alpha, 10, 1.0) / t_margin(alpha, 40, 1.0)
     assert 2.0 < ratio < 2.3
     s = SampleSet(np.concatenate([np.full(5, 0.2), np.full(5, 0.4)]))
-    w10 = np.diff(t_ci(s, alpha))[0]
-    assert w10 == pytest.approx(2 * t_quantile(alpha / 2, 9) * s.sd
-                                / math.sqrt(10))
+    assert t_margin(alpha, s.n, s.sd) == pytest.approx(
+        t_quantile(alpha / 2, 9) * s.sd / math.sqrt(10))
 
 
-def test_diff_lower_bound_algebra():
+def test_estimate_qlb_algebra():
     x = SampleSet(np.array([0.1, 0.2, 0.15, 0.12, 0.18]))
     zeros = SampleSet(np.zeros(5))
-    assert diff_lower_bound(x, zeros, 0.05) == pytest.approx(
-        t_ci(x, 0.05)[0])
-    same = diff_lower_bound(x, x, 0.05)
+    assert estimate_qlb([zeros], x, 0.05)["q_lb_hat"] == pytest.approx(
+        x.mean - t_margin(0.05, 5, x.sd))
+    # equal sets: the means cancel and the two spreads add in quadrature
+    same = estimate_qlb([x], x, 0.05)["q_lb_hat"]
     t = t_quantile(0.025, 4)
     assert same == pytest.approx(-t * math.sqrt(2) * x.sd / math.sqrt(5))
     # larger alpha -> larger lower bound
-    assert diff_lower_bound(x, zeros, 0.2) > diff_lower_bound(x, zeros, 0.01)
-
-
-def test_diff_lower_bound_requires_matching_n():
-    with pytest.raises(ValueError):
-        diff_lower_bound(SampleSet(np.zeros(4)), SampleSet(np.zeros(5)), 0.05)
+    assert (estimate_qlb([zeros], x, 0.2)["q_lb_hat"]
+            > estimate_qlb([zeros], x, 0.01)["q_lb_hat"])
 
 
 def test_single_run_bounds_rejected():
     one = SampleSet(np.array([0.1]))
     # one run has no spread to estimate: 0.0, where ddof=1 would give nan
     assert one.sd == 0.0
-    with pytest.raises(ValueError):
-        diff_lower_bound(one, one, 0.05)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least two runs"):
         estimate_qlb([one], one, 0.01)
+    with pytest.raises(ValueError, match="at least one calibration"):
+        estimate_qlb([], SampleSet(np.zeros(3)), 0.01)
 
 
 def _offline(noise, runs=10, seed=100):
@@ -278,21 +270,12 @@ def test_estimator_zero_noise_recovers_witness_minus_margin():
                                             abs=1e-6)
 
 
-def test_calibrate_offline_picks_worst_background():
-    sets = [SampleSet(np.full(4, 0.01)), SampleSet(np.full(4, 0.08)),
+def test_estimate_qlb_picks_worst_background():
+    sets = [SampleSet(np.full(4, 0.01)), SampleSet([0.07, 0.09, 0.08, 0.08]),
             SampleSet(np.full(4, 0.03))]
-    state = calibrate_offline(sets, 0.01)
-    assert state.sigma4_bar == pytest.approx(0.08)
-
-
-def test_chsh_lhs_values():
-    p = HardyParams(deg(51.827), deg(51.827))
-    probs = hardy_probs(p)
-    lhs = chsh_hardy_lhs(probs["e5"], probs["e1"], probs["e2"], probs["e3"])
-    assert lhs == pytest.approx(hardy_q(p), abs=1e-9)
-    assert chsh_hardy_lhs(0.2, 0.2, 0.2, 0.2) == pytest.approx(-0.4)
-    sets = [SampleSet(np.full(3, v)) for v in (0.3, 0.1, 0.05, 0.05)]
-    assert chsh_hardy_lhs(*sets) == pytest.approx(0.1)
+    res = estimate_qlb(sets, SampleSet(np.full(4, 0.2)), 0.01)
+    assert res["sigma4_bar"] == pytest.approx(0.08)
+    assert res["s_sigma4"] == sets[1].sd
 
 
 def test_gate_built_state_gives_identical_probabilities():

@@ -14,14 +14,13 @@ from qdof.measures import (CASE_PATTERNS, MonogamyReport, ThreeParticleCase,
                            case_state, concurrence, log_negativity,
                            mixed_monogamy_check, monogamy_report,
                            monogamy_report_qubits, negativity,
-                           random_case, spin_flip_spectrum,
-                           three_particle_case, three_particle_cases,
-                           tangle_one_vs_rest, vn_entropy, z_form_pair,
-                           z_form_tangle)
+                           random_case, three_particle_cases,
+                           tangle_one_vs_rest, vn_entropy)
 from qdof.states import DegenerateStateError, to_density
 from qdof.trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist
 
-from oracles import per_case_monogamy_report, per_case_three_particle
+from oracles import (per_case_monogamy_report, per_case_three_particle,
+                     z_form_pair, z_form_tangle)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -36,11 +35,11 @@ def _haar_unitary(rng, d=2):
 
 
 @pytest.mark.parametrize("measure, dim", [
-    (concurrence, 4), (negativity, 4), (spin_flip_spectrum, 4),
+    (concurrence, 4), (negativity, 4),
     (tangle_one_vs_rest, 2), (average_teleport_fidelity, 4),
     (lambda rho: teleport_fidelity(rho, [1, 0]), 4),
     (lambda rho: teleport_output(rho, [1, 0]), 4),
-], ids=["concurrence", "negativity", "spin_flip_spectrum", "tangle_one_vs_rest",
+], ids=["concurrence", "negativity", "tangle_one_vs_rest",
         "average_teleport_fidelity", "teleport_fidelity", "teleport_output"])
 def test_zero_trace_matrices_raise_degenerate_state_error(measure, dim):
     with pytest.raises(DegenerateStateError):
@@ -239,9 +238,13 @@ def test_concurrence_local_unitary_invariant():
         assert concurrence(u @ rho @ u.conj().T) == pytest.approx(base, abs=1e-9)
 
 
-def test_spin_flip_spectrum_of_bell():
-    spec = spin_flip_spectrum(BELL)
-    assert spec == pytest.approx([1, 0, 0, 0], abs=1e-9)
+def test_audit_flip_spectrum_of_bell():
+    # each pair is divided by its trace before its flip spectrum is taken
+    rep = _monogamy_reports([(2 * BELL, np.eye(4) / 4, np.eye(2) / 2)])[0]
+    assert rep.audit["flip_spectrum_ab"] == pytest.approx([1, 0, 0, 0],
+                                                          abs=1e-9)
+    assert rep.audit["flip_spectrum_ac"] == pytest.approx([1 / 16] * 4,
+                                                          abs=1e-9)
 
 
 def test_negativity_values():
@@ -303,7 +306,7 @@ def test_case_equality_and_patterns():
     for cid in range(1, 14):
         for _ in range(10):
             case = random_case(cid, rng)
-            rep, pattern = three_particle_case(case)
+            rep, pattern = three_particle_cases([case])[0]
             assert abs(rep.residual) <= 1e-9, (cid, rep.residual)
             want = CASE_PATTERNS[cid]
             for got, expect in zip(pattern, want):
@@ -328,7 +331,8 @@ def test_stacked_catalogue_equals_the_per_case_oracle(seed):
             want, want_pattern = per_case_three_particle(case)
             assert pattern == want_pattern
             assert _fields(rep) == _fields(want), case.case_id
-        assert _fields(three_particle_case(cases[-1])[0]) == _fields(got[-1][0])
+        assert _fields(three_particle_cases(cases[-1:])[0][0]) == \
+            _fields(got[-1][0])
 
 
 @pytest.mark.parametrize("kind", ["boson", "fermion"])
@@ -361,7 +365,7 @@ def test_case_two_matches_closed_forms():
     z = (0.0, 1 / math.sqrt(2), 1 / math.sqrt(2))
     case = ThreeParticleCase(2, ((1, (1.0, 0.0)), (1, (1.0, 0.0)),
                                  (1, (0.0, 1.0))), (1, 1, 1), z)
-    rep, _ = three_particle_case(case)
+    rep, _ = three_particle_cases([case])[0]
     assert rep.c2_ab == pytest.approx(1.0, abs=1e-9)
     assert rep.c2_ac == pytest.approx(0.0, abs=1e-9)
     assert rep.c2_a_bc == pytest.approx(1.0, abs=1e-9)
@@ -370,7 +374,7 @@ def test_case_two_matches_closed_forms():
     r3 = 1 / math.sqrt(3)
     case = ThreeParticleCase(2, ((1, (1.0, 0.0)), (1, (1.0, 0.0)),
                                  (1, (0.0, 1.0))), (1, 1, 1), (r3, r3, r3))
-    rep, _ = three_particle_case(case)
+    rep, _ = three_particle_cases([case])[0]
     assert rep.c2_ab == pytest.approx(4 / 9, abs=1e-9)
     assert rep.c2_ac == pytest.approx(4 / 9, abs=1e-9)
     assert rep.c2_a_bc == pytest.approx(8 / 9, abs=1e-9)
@@ -391,7 +395,7 @@ def test_distinct_same_dof_pair_exchanges_only_where_measured_alike(
     particles = ((1, (1.0, 0.0)), (1, (0.0, 1.0)), (2, (1.0, 0.0)))
     case = ThreeParticleCase(99, particles, measured, weights)
     assert _case_configs(case) == configs
-    rep, _ = three_particle_case(case)
+    rep, _ = three_particle_cases([case])[0]
     assert rep.c2_ab == pytest.approx(c2_ab, abs=1e-12)
     assert rep.c2_ac == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match=f"expected {len(configs)} weights"):
@@ -402,7 +406,7 @@ def test_case_two_z_form_tangle_random_complex():
     rng = np.random.default_rng(8)
     for _ in range(20):
         case = random_case(2, rng)
-        rep, _ = three_particle_case(case)
+        rep, _ = three_particle_cases([case])[0]
         assert rep.c2_a_bc == pytest.approx(z_form_tangle(case.weights[2]),
                                             abs=1e-9)
 
@@ -411,7 +415,7 @@ def test_case_one_and_five_all_zero():
     rng = np.random.default_rng(9)
     for cid in (1, 5):
         case = random_case(cid, rng)
-        rep, pattern = three_particle_case(case)
+        rep, pattern = three_particle_cases([case])[0]
         assert pattern == ("zero", "zero", "zero")
 
 
