@@ -234,10 +234,14 @@ def _cmd_attack(args):
 
 
 def _noise(args):
-    if args.noise:
+    if not args.noise:
+        return hardy.NoiseModel(shots=args.shots)
+    try:
         d, z, r = (float(x) for x in args.noise.split(","))
-        return hardy.NoiseModel(d, z, r, args.shots)
-    return hardy.NoiseModel(shots=args.shots)
+    except ValueError:
+        raise ValueError("expected three comma-separated noise probabilities "
+                         "(depolarizing,dephasing,readout)") from None
+    return hardy.NoiseModel(d, z, r, args.shots)
 
 
 def _hardy_params(args):

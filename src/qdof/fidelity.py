@@ -7,7 +7,8 @@ off by one `np.einsum` against the nine `kron(P_i, P_j)`.  The generalized
 quantities sum the pairwise values over DoF pairs of a two-party state.  The
 state's pair grid is one (n, n, 4, 4) array, built with the DoF trace rule of
 the particle kind: party 1 is reduced to each of its DoFs, sharing the traces
-of DoFs 1..i-1, then each of those to each DoF of party 2 in the same way.
+of DoFs 1..i-1, then each distinct row of those (`_row_key`) to each DoF of
+party 2 in the same way: (1 + r)(n(n-1)/2 + n-1) traces for r distinct rows.
 `singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
 return a float) or a (k, 4, 4) stack (and return its k values, each the one
 its matrix gets alone); a grid goes to each as its (n^2, 4, 4) stack.
@@ -56,8 +57,8 @@ import numpy as np
 from .measures import _check_density
 from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
                      DensityMatrix, DofSpec)
-from .trace import (Subsystem, _product_basis, to_qubit_array, trace_dof_dist,
-                    trace_dof_indist)
+from .trace import (ProductBasis, Subsystem, _product_basis, to_qubit_array,
+                    trace_dof_dist, trace_dof_indist)
 
 _PAULI = [np.eye(2, dtype=complex),
           np.array([[0, 1], [1, 0]], dtype=complex),
@@ -133,7 +134,7 @@ def _unit_trace(stack, message):
     """Each matrix of `stack` over its real trace; a trace of at most 1e-12
     times the matrix's largest |entry| in magnitude, zero for a zero matrix,
     raises DegenerateStateError(message)."""
-    tr = np.trace(stack, axis1=1, axis2=2).real
+    tr = stack.trace(axis1=1, axis2=2).real
     if (np.abs(tr) <= 1e-12 * np.abs(stack).max(axis=(1, 2))).any():
         raise DegenerateStateError(message)
     return stack / tr[:, None, None]
@@ -179,25 +180,41 @@ def _each_dof(dm, side, trace, n):
     return reduced
 
 
+def _row_key(row, i):
+    """What row i's party-2 reduction reads that rows can differ in: its
+    bytes, and on a product basis DoF i's values and order, else its basis."""
+    if type(row.basis) is not ProductBasis:
+        return row.data.tobytes(), row.basis
+    (_, values), *_ = row.basis.slots[0][1]  # more DoFs fail the layout
+    return row.data.tobytes(), values, tuple(row.value_order(i))
+
+
 def _pair_matrices(dm, layout):
     """(n, n, 4, 4) array whose entry [i - 1, j - 1] is the matrix of the
     (i-th DoF of party 1, j-th DoF of party 2) pair.
 
-    Party 1 is reduced to each of its DoFs, then each of those to each DoF
-    of party 2, by the trace rule of the layout's particle kind.
+    Party 1 is reduced to each of its DoFs, then each distinct row of those
+    (`_row_key`) to each DoF of party 2, by the trace rule of the layout's
+    particle kind.
     """
     n = layout.n
     if layout.kind == "distinguishable":
         trace = trace_dof_dist
     else:
-        regions = sorted({k.region for kets in dm.basis for k in kets})
+        regions = sorted(getattr(dm.basis, "regions", None)
+                         or {k.region for kets in dm.basis for k in kets})
 
         def trace(reduced, side, k):
             return trace_dof_indist(reduced, Subsystem(regions[side], k))
 
-    return np.array([[to_qubit_array(pair)
-                      for pair in _each_dof(row, 1, trace, n)]
-                     for row in _each_dof(dm, 0, trace, n)])
+    rows, grid = {}, []
+    for i, row in enumerate(_each_dof(dm, 0, trace, n), 1):
+        key = _row_key(row, i)
+        if key not in rows:
+            rows[key] = [to_qubit_array(pair)
+                         for pair in _each_dof(row, 1, trace, n)]
+        grid.append(rows[key])
+    return np.array(grid)
 
 
 _last_grid = None  # (basis, key, grid) of the last full grid built (module doc)
@@ -377,8 +394,8 @@ def two_param_state(p, layout):
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     basis, eta, specs = _space(layout)
-    dim = len(basis)
-    data = p * _resource(layout) + (1.0 - p) * np.eye(dim) / dim
+    data = p * _resource(layout) + 0.0
+    data.flat[::len(basis) + 1] += (1.0 - p) / len(basis)
     return DensityMatrix(basis, data, eta, specs, layout.n)
 
 

@@ -73,7 +73,7 @@ so the branch applies and ``to_qubit_array`` copies a matrix in qubit order
 without a layout.  On a product basis each kernel coefficient is +-1 (one
 sign per slot, so it cancels between ket and bra) and each output entry is
 the sum of two input entries, so the branch adds two slices of the
-``(2,) * 2m`` view in the kernel's order: over the ket axis first for the
+``(pre, 2, post) * 2`` view in the kernel's order: ket axis first for the
 coherent trace, key by key onto exact zeros for the distinguishable one.  Its
 result is the kernel's bit for bit.  Every other input (a full product built
 any other way, sparse circuit states, bunched sectors, a zero diagonal entry)
@@ -224,8 +224,8 @@ def _product_slots(dm):
 
 
 def _dense_plan(basis, slot, dof_index):
-    """(shape, k0, k1, b0, b1, traced) of a DoF trace, None if `slot` lacks
-    the DoF: t[k0], t[k1] of the view t fix its ket value, b0, b1 its bra's."""
+    """(shape, traced) of a DoF trace, None if `slot` lacks the DoF: shape
+    (pre, 2, post) * 2 views the DoF's ket and bra values on axes 1 and 4."""
     slots = basis.slots
     region, dofs = slots[slot]
     kept = tuple(d for d in dofs if d[0] != dof_index)
@@ -234,8 +234,7 @@ def _dense_plan(basis, slot, dof_index):
     m = sum(len(d) for _, d in slots)
     axis = (sum(len(d) for _, d in slots[:slot])
             + [i for i, _ in dofs].index(dof_index))
-    ket, bra = (slice(None),) * axis, (slice(None),) * (m - 1 + axis)
-    return ((2,) * (2 * m), ket + (0,), ket + (1,), bra + (0,), bra + (1,),
+    return ((2 ** axis, 2, 2 ** (m - 1 - axis)) * 2,
             _product_basis(slots[:slot] + ((region, kept),) + slots[slot + 1:]))
 
 
@@ -248,13 +247,13 @@ def _dense_trace(dm, basis, slot, dof_index, coherent):
     plan = basis.plans[slot, dof_index]
     if plan is None:
         return None
-    shape, k0, k1, b0, b1, traced = plan
+    shape, traced = plan
     t = dm.data.reshape(shape)
     if coherent:
-        half = t[k0] + t[k1]
-        out = half[b0] + half[b1] + 0.0
+        half = t[:, 0] + t[:, 1]
+        out = half[:, :, :, 0] + half[:, :, :, 1] + 0.0
     else:
-        out = t[k0][b0] + 0.0 + t[k1][b1]
+        out = t[:, 0, :, :, 0] + 0.0 + t[:, 1, :, :, 1]
     return traced, out.reshape(len(traced), len(traced))
 
 

@@ -20,7 +20,13 @@ library's closed form (2 <Phi+|rho|Phi+> + 1) / 3 must agree with it within
 `werner_grid` is the noise family's pair grid in closed form: every pair of
 `two_param_state(p, layout)` is a Werner state p |Phi+><Phi+| + (1 - p) I/4
 (indistinguishable layout), or only pair (1, 1) is and every other pair is
-I/4 (distinguishable layout).  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
+I/4 (distinguishable layout).  `unshared_pair_grid` is
+`qdof.fidelity._pair_matrices` as it was before a party-1 row equal to an
+earlier one reused that row's pair matrices: every row is reduced through
+party 2 again, and the library's grid must have its bytes.
+`eye_two_param_data` is the noise family's matrix as first written,
+p R + (1 - p) I/dim through a dim x dim identity, whose bytes
+`two_param_state` must give.  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
 angle grid as the maximizer first built it, through the complex amplitude
 1/2 cos(theta) cos(chi) (1 - e^{-2i phi}).  `numpy_exp_hardy_q` is
 `hardy_q` at one point as it was first written, with numpy's complex
@@ -93,13 +99,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS,
-                           singlet_fraction)
+                           _each_dof, _resource, _space, singlet_fraction)
 from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
                            _flip_eigenvalues, case_state, concurrence)
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, to_density,
                          tuple_overlap)
 from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
-                        trace_dof_indist, trace_region)
+                        trace_dof_dist, trace_dof_indist, trace_region)
 
 
 def _overlap_matrix(s, t):
@@ -334,6 +340,30 @@ def werner_grid(p, layout):
     grid[...] = np.eye(4) / 4.0
     grid[0, 0] = werner
     return grid
+
+
+def unshared_pair_grid(dm, layout):
+    """`qdof.fidelity._pair_matrices` as it was before equal rows were
+    shared: every party-1 row is reduced through party 2 again."""
+    n = layout.n
+    if layout.kind == "distinguishable":
+        trace = trace_dof_dist
+    else:
+        regions = sorted({k.region for kets in dm.basis for k in kets})
+
+        def trace(reduced, side, k):
+            return trace_dof_indist(reduced, Subsystem(regions[side], k))
+
+    return np.array([[to_qubit_array(pair)
+                      for pair in _each_dof(row, 1, trace, n)]
+                     for row in _each_dof(dm, 0, trace, n)])
+
+
+def eye_two_param_data(p, layout):
+    """The matrix of `qdof.fidelity.two_param_state(p, layout)` as it was
+    first written, white noise through a dim x dim identity."""
+    dim = len(_space(layout)[0])
+    return p * _resource(layout) + (1.0 - p) * np.eye(dim) / dim
 
 
 def pure_vector_grid(v, n):

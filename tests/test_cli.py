@@ -109,9 +109,20 @@ def test_chsh_requires_four_settings(capsys):
     ("trace", "--drop", "s9:1"),
     ("trace", "--drop", "s1:1,s1:1"),
     ("trace", "--drop", "s1:3,s2:1"),
+    ("hardy", "sample", "--noise", "0.1,0.2"),
+    ("hardy", "sample", "--noise", "a,b,c"),
+    ("hardy", "sample", "--noise", "0.1,0.1,0.1,0.1"),
 ])
 def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
     _exit_2_with_one_line(capsys, *argv)
+
+
+@pytest.mark.parametrize("noise", ["0.1,0.2", "a,b,c", "0.1,0.1,0.1,0.1"])
+def test_hardy_noise_names_its_three_values(capsys, noise):
+    assert main(["hardy", "sample", "--noise", noise]) == 2
+    assert capsys.readouterr().err == (
+        "error: expected three comma-separated noise probabilities "
+        "(depolarizing,dephasing,readout)\n")
 
 
 @pytest.mark.parametrize("drop, message", [

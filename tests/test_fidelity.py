@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import qdof.trace
 from qdof import fidelity
 from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
 from qdof.cli import main
@@ -17,15 +21,16 @@ from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
                            two_param_state)
 from qdof.measures import concurrence, tangle_one_vs_rest
 from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
-                         to_density)
+                         DofSpec, to_density)
 from qdof.trace import project_one_per_region
 
 from oracles import (MONOGAMY_MIN_TANGLE, _fef_closed, _six_run_output,
-                     closed_form_singlet_fraction, monogamy_ascent,
-                     optimized_singlet_fraction,
+                     closed_form_singlet_fraction, eye_two_param_data,
+                     monogamy_ascent, optimized_singlet_fraction,
                      pure_vector_grid, singlet_fraction_ascent,
                      singlet_fraction_grid, six_run_teleport_fidelity,
-                     star_ceiling_state, star_projector_sum, werner_grid)
+                     star_ceiling_state, star_projector_sum,
+                     unshared_pair_grid, werner_grid)
 
 BELL = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
@@ -707,24 +712,104 @@ def test_relation_check_reduces_the_endpoint_once(monkeypatch):
     assert len(calls) == 21
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
-def test_pair_grid_shares_its_dof_traces(monkeypatch, kind, n):
-    """Party 1 is reduced to each of its DoFs, then each of those to each DoF
-    of party 2, sharing the traces of DoFs 1..i-1: (n + 1)(n(n - 1)/2 + n - 1)
-    calls of the kind's DoF rule, 0/6/20/45/84 at n = 1-5."""
-    layout = ChannelLayout(kind, n)
-    dm = two_param_state(0.37, layout)
+def _dof_trace_calls(monkeypatch, dm, layout):
+    """The DoF rules `_pair_matrices(dm, layout)` calls, in order."""
     calls = []
     for name in ("trace_dof_dist", "trace_dof_indist"):
-        def spy(*args, rule=getattr(fidelity, name), name=name):
+        def spy(*args, rule=getattr(qdof.trace, name), name=name):
             calls.append(name)
             return rule(*args)
         monkeypatch.setattr(fidelity, name, spy)
     fidelity._pair_matrices(dm, layout)
+    return calls
+
+
+def _grid_traces(kind, n, rows):
+    """(1 + rows)(n(n - 1)/2 + n - 1) calls of the kind's DoF rule: party 1
+    to each of its DoFs, then each of `rows` distinct rows to each DoF of
+    party 2, each sharing the traces of DoFs 1..i-1."""
     rule = ("trace_dof_dist" if kind == "distinguishable"
             else "trace_dof_indist")
-    assert calls == [rule] * ((n + 1) * (n * (n - 1) // 2 + n - 1))
+    return [rule] * ((1 + rows) * (n * (n - 1) // 2 + n - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_pair_grid_shares_its_dof_traces(monkeypatch, kind, n):
+    """At p = 0.37 every indistinguishable row is the same matrix, and so
+    are distinguishable rows 2..n: 0/4/10/18/28 and 0/6/15/27/42 calls at
+    n = 1-5.  At p = 0 every row is."""
+    layout = ChannelLayout(kind, n)
+    rows = 1 if kind == "indistinguishable" else min(n, 2)
+    for p, distinct in ((0.37, rows), (0.0, 1)):
+        assert (_dof_trace_calls(monkeypatch, two_param_state(p, layout),
+                                 layout)
+                == _grid_traces(kind, n, distinct)), p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_state_reduces_every_row(monkeypatch, n):
+    """A random pure state's rows all differ: (n + 1)(n(n - 1)/2 + n - 1)."""
+    layout = ChannelLayout("distinguishable", n)
+    basis, _, specs = fidelity._space(layout)
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=4 ** n) + 1j * rng.normal(size=4 ** n)
+    v /= np.linalg.norm(v)
+    dm = DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE, specs, n)
+    assert (_dof_trace_calls(monkeypatch, dm, layout)
+            == _grid_traces("distinguishable", n, n))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_shared_rows_give_the_unshared_grid_bytes(kind, n, p):
+    layout = ChannelLayout(kind, n)
+    dm = two_param_state(p, layout)
+    assert (fidelity._pair_matrices(dm, layout).tobytes()
+            == unshared_pair_grid(dm, layout).tobytes())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["distinguishable", "indistinguishable"]),
+       n=st.integers(1, 3), data=st.data())
+def test_random_pure_states_give_the_unshared_grid_bytes(kind, n, data):
+    """Drawn amplitudes, zeros included (which take the kernel), through
+    both kinds' rules: shared or not, every row has the unshared bytes."""
+    layout = ChannelLayout(kind, n)
+    basis, eta, specs = fidelity._space(layout)
+    parts = data.draw(arrays(float, (2, 4 ** n), elements=st.floats(
+        -1, 1, allow_subnormal=False)))
+    v = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(v) > 1e-3)
+    v /= np.linalg.norm(v)
+    dm = DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, n)
+    assert (fidelity._pair_matrices(dm, layout).tobytes()
+            == unshared_pair_grid(dm, layout).tobytes())
+
+
+def test_a_reversed_value_order_keeps_its_own_row():
+    """With DoF 2 declared ("1", "0"), rows 1 and 2 of an n = 2 noise state
+    have the same bytes, but row 2's DoF is laid out the other way round:
+    pair (2, 1) is a Werner state of Psi+, not of Phi+."""
+    layout = ChannelLayout("indistinguishable", 2)
+    basis, eta, _ = fidelity._space(layout)
+    specs = (DofSpec(1, ("0", "1")), DofSpec(2, ("1", "0")))
+    dm = DensityMatrix(basis, two_param_state(0.37, layout).data, eta, specs, 2)
+    grid = fidelity._pair_matrices(dm, layout)
+    assert grid.tobytes() == unshared_pair_grid(dm, layout).tobytes()
+    psi_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
+    werner = 0.37 * np.outer(psi_plus, psi_plus) + 0.63 * np.eye(4) / 4
+    assert np.abs(grid[1, 0] - werner).max() <= 1e-14
+
+
+@pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0, 1e-300])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_two_param_state_has_the_identity_forms_bytes(kind, n, p):
+    layout = ChannelLayout(kind, n)
+    assert (two_param_state(p, layout).data.tobytes()
+            == eye_two_param_data(p, layout).tobytes())
 
 
 @pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])
