@@ -152,16 +152,29 @@ def _cmd_monogamy(args):
                  rep.to_dict(), "interferometer_monogamy")
 
 
+def _case_ids(text):
+    """The case numbers of a --case comma list, each item an integer."""
+    ids = []
+    for item in text.split(","):
+        try:
+            ids.append(int(item))
+        except ValueError:
+            raise ValueError("--case expects a comma list of case numbers "
+                             f"1..13, got {item!r}") from None
+    return ids
+
+
 def _cmd_cases(args):
     rng = np.random.default_rng(args.seed)
-    ids = [int(x) for x in args.case.split(",")] if args.case else range(1, 14)
+    ids = range(1, 14) if args.case is None else _case_ids(args.case)
     for cid in ids:
         if ids.count(cid) > 1:
             raise ValueError(f"--case names case {cid} more than once")
     cases = [measures.random_case(cid, rng) for cid in ids]
     out = {str(cid): {**rep.to_dict(), "pattern": list(pattern)}
            for cid, (rep, pattern) in zip(ids, measures.three_particle_cases(cases))}
-    return _emit(args, {"case": args.case or "all", "seed": args.seed},
+    return _emit(args, {"case": "all" if args.case is None else args.case,
+                        "seed": args.seed},
                  out, "three_particle_cases")
 
 
@@ -234,7 +247,7 @@ def _cmd_attack(args):
 
 
 def _noise(args):
-    if not args.noise:
+    if args.noise is None:
         return hardy.NoiseModel(shots=args.shots)
     try:
         d, z, r = (float(x) for x in args.noise.split(","))
@@ -280,7 +293,8 @@ def _cmd_hardy_sample(args):
         for i, v in enumerate(s.values):
             csv_lines.append(f"{name},{i},{v:.12g}")
     return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
-                        "noise": args.noise or "default",
+                        "noise": ("default" if args.noise is None
+                                  else args.noise),
                         "runs": args.runs, "shots": args.shots,
                         "seed": args.seed},
                  results, "noisy_sampling", "\n".join(csv_lines) + "\n")
@@ -312,24 +326,32 @@ def _cmd_hardy_estimate(args):
     return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
                         "alpha": args.alpha, "runs": args.runs,
                         "shots": args.shots, "seed": args.seed,
-                        "noise": args.noise or "default"},
+                        "noise": ("default" if args.noise is None
+                                  else args.noise)},
                  {**res, "online_mean": online.mean, "online_sd": online.sd},
                  "two_phase_estimator", "\n".join(csv_lines) + "\n")
 
 
 def _expand_config(argv):
-    """Splice the lines of ``--config FILE`` in right after the command words:
-    ``key=value`` becomes ``--key=value`` and a bare ``key`` becomes
-    ``--key``.  The parser then checks them like typed flags, and explicit
-    flags, which come later, win."""
-    if "--config" not in argv:
+    """Splice the lines of ``--config FILE`` (or ``--config=FILE``) in right
+    after the command words: ``key=value`` becomes ``--key=value`` and a
+    bare ``key`` becomes ``--key``.  The parser then checks them like typed
+    flags, and explicit flags, which come later, win."""
+    at = [i for i, a in enumerate(argv)
+          if a == "--config" or a.startswith("--config=")]
+    if not at:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ValueError("--config needs a file path")
-    rest = argv[:i] + argv[i + 2:]
+    if len(at) > 1:
+        raise ValueError("--config may be given only once")
+    i = at[0]
+    if argv[i] == "--config":
+        if i + 1 == len(argv):
+            raise ValueError("--config needs a file path")
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        path, rest = argv[i].partition("=")[2], argv[:i] + argv[i + 1:]
     flags = []
-    with open(argv[i + 1]) as fh:
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):

@@ -1,11 +1,11 @@
 """Paradox-of-nonlocality statistics for two qubits.
 
 Ideal joint probabilities and the witness probability q of the test
-state, at a point by one scalar form; max q, found by a block scan of a
-coarse grid of a real closed form of q, refined with that scalar form; a
-synthetic depolarizing-plus-readout noise model with binomial shot noise;
-and the two-phase estimator that bounds q from below using Student-t
-confidence intervals calibrated on known zero-q states.
+state, at a point by one scalar form; max q, refined with that scalar form
+from the 0.25-degree grid cell of the closed-form maximizer; a synthetic
+depolarizing-plus-readout noise model with binomial shot noise; and the
+two-phase estimator that bounds q from below using Student-t confidence
+intervals calibrated on known zero-q states.
 
 The t-distribution quantiles come from scipy's inverse Student-t CDF.
 """
@@ -102,50 +102,24 @@ def hardy_q(p):
 
 Q_MAX = (5.0 * math.sqrt(5.0) - 11.0) / 2.0
 
-_QMAX_STEP_DEG = 0.25  # spacing of the coarse grid, before the refine
-_QMAX_BLOCK = 64  # grid rows evaluated at once by the scan
+# the maximizer theta = phi of q (Hardy, PRL 71, 1665, 1993)
+Q_MAX_ANGLE = math.acos((math.sqrt(5.0) - 1.0) / 2.0)
 
-
-def _q_grid(thetas, phis):
-    """hardy_q over the grid thetas x phis, as a real closed form.
-
-    |z|^2 = cos^2(theta) cos^2(chi) sin^2(phi) with cot(chi) = tan(theta)
-    cos(phi) gives q = sin^2(theta) sin^2(phi) cos^2(phi) /
-    (1 + tan^2(theta) cos^2(phi)), built from 1-D sin, cos and tan vectors by
-    broadcasting, then squaring, adding and dividing in place; angles must
-    avoid theta = 90 degrees.
-    """
-    den = np.multiply.outer(np.tan(thetas), np.cos(phis))
-    den *= den
-    den += 1
-    sc2 = (np.sin(phis) * np.cos(phis)) ** 2
-    return np.divide(np.multiply.outer(np.sin(thetas) ** 2, sc2), den, out=den)
-
-
-def _grid_argmax(grid):
-    """(i, j) of the first maximum of `_q_grid(grid, grid)` in row-major
-    order: np.argmax inside each block of rows, a strict `>` across them."""
-    best, cell = -math.inf, (0, 0)
-    for lo in range(0, len(grid), _QMAX_BLOCK):
-        qs = _q_grid(grid[lo:lo + _QMAX_BLOCK], grid)
-        i, j = divmod(int(np.argmax(qs)), len(grid))
-        if qs[i, j] > best:
-            best, cell = qs[i, j], (lo + i, j)
-    return cell
+_QMAX_STEP_DEG = 0.25  # grid spacing of the refine's start and first step
 
 
 def qmax_solve():
-    """Grid-plus-refine maximization of q over (0, 90) x (0, 90) degrees.
+    """Refine of q over (0, 90) x (0, 90) degrees from the closed-form cell.
 
-    The coarse grid is `_q_grid` (real, no complex exponentials), scanned
-    by `_grid_argmax` in blocks of rows for the first maximum in row-major
-    order.  The refine steps compare `_q` on the eight off-centre points of
-    shrinking 3 x 3 neighbourhoods; the centre, q itself, cannot win a
-    strict comparison.
+    The refine starts at the 0.25-degree grid point nearest `Q_MAX_ANGLE`,
+    (51.75, 51.75) degrees, the cell a scan of that grid picks.  Its steps
+    compare `_q` on the eight off-centre points of shrinking 3 x 3
+    neighbourhoods; the centre, q itself, cannot win a strict comparison.
+    It stays only because `qdof hardy qmax` prints where it ends, which
+    differs from `Q_MAX_ANGLE` from the ninth significant digit.
     """
-    grid = np.deg2rad(np.arange(_QMAX_STEP_DEG, 90.0, _QMAX_STEP_DEG))
-    i, j = _grid_argmax(grid)
-    t, f = float(grid[i]), float(grid[j])
+    t = f = math.radians(round(math.degrees(Q_MAX_ANGLE) / _QMAX_STEP_DEG)
+                         * _QMAX_STEP_DEG)
     q = hardy_q(HardyParams(t, f))
     h = math.radians(_QMAX_STEP_DEG)
     for _ in range(40):

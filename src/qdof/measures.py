@@ -104,9 +104,12 @@ def log_negativity(rho):
 
 
 def vn_entropy(rho):
-    """von Neumann entropy (natural log) of a density matrix of any size."""
+    """von Neumann entropy (natural log) of a density matrix of any size,
+    checked by `_check_density` like the other measures: c * rho gives the
+    entropy of rho for every c > 0."""
     rho = np.asarray(rho, dtype=complex)
-    lams = np.linalg.eigvalsh(rho).real
+    dim = rho.shape[-1] if rho.ndim else 0
+    lams = np.linalg.eigvalsh(_check_density(rho, dim))
     lams = lams[lams > 1e-12]
     return float(-(lams * np.log(lams)).sum())
 

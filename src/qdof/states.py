@@ -127,6 +127,11 @@ def tuple_overlap(s, t, eta):
                            for _, run in itertools.groupby(s)))
 
 
+def _ket_json(kets):
+    """A ket tuple as JSON lists: [region, [[dof_index, value], ...]] each."""
+    return [[k.region, [list(p) for p in k.dofs]] for k in kets]
+
+
 @dataclass
 class SymState:
     """Sparse pure state: amplitude per canonical tuple of kets.
@@ -176,12 +181,10 @@ class SymState:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        def enc(kets):
-            return [[k.region, [list(p) for p in k.dofs]] for k in kets]
         return json.dumps({
             "eta": {eta: kind for kind, eta in ETA_OF_KIND.items()}[self.eta],
             "dof_specs": [[d.index, list(d.values)] for d in self.dof_specs],
-            "terms": [{"kets": enc(k), "re": v.real, "im": v.imag}
+            "terms": [{"kets": _ket_json(k), "re": v.real, "im": v.imag}
                       for k, v in sorted(self.terms.items())],
         })
 
@@ -264,10 +267,8 @@ class DensityMatrix:
         return value_order(self.basis, self.dof_specs, dof_index)
 
     def to_json(self):
-        def enc(kets):
-            return [[k.region, [list(p) for p in k.dofs]] for k in kets]
         return json.dumps({
-            "basis": [enc(k) for k in self.basis],
+            "basis": [_ket_json(k) for k in self.basis],
             "re": np.real(self.data).tolist(),
             "im": np.imag(self.data).tolist(),
         })

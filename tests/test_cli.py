@@ -112,6 +112,10 @@ def test_chsh_requires_four_settings(capsys):
     ("hardy", "sample", "--noise", "0.1,0.2"),
     ("hardy", "sample", "--noise", "a,b,c"),
     ("hardy", "sample", "--noise", "0.1,0.1,0.1,0.1"),
+    ("hardy", "sample", "--noise", ""),
+    ("hardy", "estimate", "--noise", ""),
+    ("cases", "--case", ""),
+    ("cases", "--case", "1,,2"),
 ])
 def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
     _exit_2_with_one_line(capsys, *argv)
@@ -135,6 +139,14 @@ def test_hardy_noise_names_its_three_values(capsys, noise):
 def test_trace_drop_names_the_bad_item(capsys, drop, message):
     assert main(["trace", "--drop", drop]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("case, item", [("", "''"), ("1,,2", "''"),
+                                        ("3,x", "'x'")])
+def test_cases_names_the_bad_item(capsys, case, item):
+    assert main(["cases", "--case", case]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --case expects a comma list of case numbers 1..13, got {item}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,6 +228,29 @@ def test_config_without_path_exits_2(capsys):
 def test_config_missing_file_exits_2(tmp_path, capsys):
     _exit_2_with_one_line(capsys, "tables", "--config",
                           str(tmp_path / "absent.cfg"))
+
+
+def test_config_empty_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case=\n")
+    _exit_2_with_one_line(capsys, "cases", "--config", str(cfg))
+
+
+def test_config_equals_form_reads_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=60\n")
+    code, out = run(capsys, "hardy", "probs", f"--config={cfg}")
+    assert code == 0
+    assert json.loads(out)["config"]["theta_deg"] == 60.0
+
+
+@pytest.mark.parametrize("second", [("--config", "CFG"), ("--config=CFG",)])
+def test_second_config_exits_2_naming_config(tmp_path, capsys, second):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta=60\n")
+    argv = [a.replace("CFG", str(cfg)) for a in second]
+    assert main(["hardy", "probs", "--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err == "error: --config may be given only once\n"
 
 
 def test_monogamy_subcommand(capsys):

@@ -63,13 +63,32 @@ def test_qmax_solver():
     assert math.cos(2 * t) == pytest.approx(2 - math.sqrt(5), abs=1e-8)
 
 
-def test_qmax_grid_closed_form_matches_complex_amplitude():
-    grid = np.deg2rad(np.arange(hardy._QMAX_STEP_DEG, 90.0,
-                                hardy._QMAX_STEP_DEG))
-    closed, oracle = hardy._q_grid(grid, grid), hardy_q_grid(grid, grid)
-    assert closed.shape == oracle.shape == (len(grid), len(grid))
-    assert np.abs(closed - oracle).max() <= 1e-15
-    assert np.argmax(closed) == np.argmax(oracle)
+def test_qmax_solve_starts_at_the_argmax_of_the_full_grid(monkeypatch):
+    step = hardy._QMAX_STEP_DEG
+    grid = np.deg2rad(np.arange(step, 90.0, step))
+    qs = hardy_q_grid(grid, grid)
+    i, j = np.unravel_index(np.argmax(qs), qs.shape)
+    starts = []
+
+    def recording_hardy_q(p):
+        starts.append((p.theta, p.phi))
+        return hardy._q(p.theta, p.phi)
+
+    monkeypatch.setattr(hardy, "hardy_q", recording_hardy_q)
+    qmax_solve()
+    assert starts == [(float(grid[i]), float(grid[j]))]
+
+
+def test_qmax_solve_returns_the_recorded_bits():
+    # where the refine ends is printed by `qdof hardy qmax`; a start one grid
+    # step off ends at 51.8272918937 or 51.8272924743 degrees instead
+    assert [x.hex() for x in qmax_solve()] == [
+        "0x1.cf2214c8f3d91p-1", "0x1.cf2214b1ef957p-1", "0x1.715609f7c746fp-4"]
+
+
+def test_hardy_q_at_the_closed_form_maximizer_is_q_max():
+    angle = hardy.Q_MAX_ANGLE
+    assert abs(hardy_q(HardyParams(angle, angle)) - Q_MAX) <= 1e-15
 
 
 def test_hardy_q_gives_the_bits_of_the_numpy_exp_form():
@@ -82,31 +101,6 @@ def test_hardy_q_gives_the_bits_of_the_numpy_exp_form():
                   if hardy_q(HardyParams(t, f)).hex()
                   != numpy_exp_hardy_q(HardyParams(t, f)).hex()]
     assert mismatched == []
-
-
-@pytest.mark.parametrize("step", [1.0, 0.5, 0.25])
-def test_block_scan_picks_the_cell_of_the_whole_grid_argmax(step):
-    grid = np.deg2rad(np.arange(step, 90.0, step))
-    assert len(grid) % hardy._QMAX_BLOCK != 0
-    qs = hardy._q_grid(grid, grid)
-    assert hardy._grid_argmax(grid) == np.unravel_index(np.argmax(qs),
-                                                        qs.shape)
-
-
-def test_block_scan_keeps_the_first_of_tied_maxima(monkeypatch):
-    # a flat grid: every block ties, and only the first cell may win
-    monkeypatch.setattr(hardy, "_q_grid",
-                        lambda thetas, phis: np.ones((len(thetas), len(phis))))
-    starts = []
-
-    def recording_hardy_q(p):
-        starts.append((p.theta, p.phi))
-        return hardy._q(p.theta, p.phi)
-
-    monkeypatch.setattr(hardy, "hardy_q", recording_hardy_q)
-    qmax_solve()
-    first = float(np.deg2rad(hardy._QMAX_STEP_DEG))
-    assert starts == [(first, first)]
 
 
 def test_pair_gate_is_np_kron_bit_for_bit():

@@ -260,6 +260,36 @@ def test_vn_entropy_values():
     assert vn_entropy(np.eye(2) / 2) == pytest.approx(math.log(2))
 
 
+def test_vn_entropy_checks_its_input_like_the_other_measures():
+    assert vn_entropy(5 * np.eye(3)) == pytest.approx(math.log(3))
+    with pytest.raises(ValueError, match="^matrix is not positive semidefinite$"):
+        vn_entropy(np.diag([1.5, -0.5, 0, 0]))
+    lone = np.eye(4) / 4
+    lone[0, 3] = 0.9
+    with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+        vn_entropy(lone)
+    for shape in [(), (4,), (3, 4), (2, 4, 4)]:
+        with pytest.raises(ValueError):
+            vn_entropy(np.ones(shape))
+
+
+@PROPERTY_SETTINGS
+@given(case=judged_matrices())
+def test_vn_entropy_of_a_scaled_matrix_is_judged_as_the_matrix(case):
+    kind, rho = case
+    verdict = _verdict(rho)
+    lams = np.linalg.eigvalsh(rho)
+    lams = lams[lams > 1e-12]
+    for c in (1e-300, 1e-8, 1.0, 1e8):
+        if kind == "valid":
+            assert vn_entropy(c * rho) == pytest.approx(
+                -(lams * np.log(lams)).sum(), abs=1e-12)
+        else:
+            with pytest.raises(ValueError) as err:
+                vn_entropy(c * rho)
+            assert (type(err.value), str(err.value)) == verdict
+
+
 def test_monogamy_verdicts():
     assert MonogamyReport(0.0, 0.0, 1.0).verdict == "holds"
     assert MonogamyReport(0.5, 0.5, 1.0).verdict == "equality"

@@ -157,8 +157,9 @@ def test_json_round_trip():
     assert set(back.terms) == set(s.terms)
     for key in s.terms:
         assert back.terms[key] == pytest.approx(s.terms[key])
-    parsed = json.loads(doc)
-    assert parsed["eta"] == "fermion"
+    assert doc == ('{"eta": "fermion", "dof_specs": [[1, ["dn", "up"]]], '
+                   '"terms": [{"kets": [["a", [[1, "dn"]]], ["b", [[1, "up"]]]], '
+                   '"re": 0.6, "im": 0.8}]}')
 
 
 def test_density_csv_shape():
@@ -174,7 +175,12 @@ def test_density_json_lists_basis_and_parts():
     flipped = k("r1", "dn"), k("r2", "up")
     dm = to_density(SymState(DISTINGUISHABLE, {(up, dn): 0.6,
                                                flipped: 0.8j}, (SPIN,)))
-    doc = json.loads(dm.to_json())
+    text = dm.to_json()
+    assert text == ('{"basis": [[["r1", [[1, "dn"]]], ["r2", [[1, "up"]]]], '
+                    '[["r1", [[1, "up"]]], ["r2", [[1, "dn"]]]]], '
+                    '"re": [[0.6400000000000001, 0.0], [0.0, 0.36]], '
+                    '"im": [[0.0, 0.48], [-0.48, 0.0]]}')
+    doc = json.loads(text)
     # the sorted basis: r1 down before r1 up
     assert doc["basis"] == [[["r1", [[1, "dn"]]], ["r2", [[1, "up"]]]],
                             [["r1", [[1, "up"]]], ["r2", [[1, "dn"]]]]]
