@@ -90,8 +90,9 @@ def signaling_mc(cfg, mode="dofs"):
     rng.integers(0, 4, size=trials)                    # Bell outcome, corrected
     if mode == "dofs":
         bits = rng.integers(0, 2, size=(trials, n))    # X: uniform detector words
-        weight = bits @ np.ones(n, dtype=bits.dtype)   # ones in each word
-        missed = sent & ((weight == 0) | (weight == n))  # X read as Z
+        missed = sent == 1                             # X read as Z: every
+        for j in range(1, n):                          # bit equals the first
+            missed &= bits[:, j] == bits[:, 0]
         hits = trials - int(np.count_nonzero(missed))
     else:
         # the conditional bottleneck: given a Hadamard-basis message, each

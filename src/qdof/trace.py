@@ -36,41 +36,37 @@ are all zero, and mapped otherwise, however small its entries.  Every
 reduction renormalizes to unit trace, so downstream entanglement measures can
 assume proper density matrices.
 
-``to_qubit_array`` does not run the kernel.  It keeps the same tuples, finds
-each one's position in the tensor-ordered qubit array and forms the kernel's
-one product ``k rho k^dagger``, where ``k`` has a 1 at (position, tuple);
-distinguishable particles in swapped slots that land on one position thus
-add.  A matrix whose tuples are all kept and already in qubit order is
+``to_qubit_array`` is a one-key map too: it keeps the same tuples and sends
+each one to its position in the tensor-ordered qubit array, so
+distinguishable particles in swapped slots that land on one position add.
+The reduced matrix is scattered at its positions.  A matrix whose basis
+fills the array in its own order and whose diagonal has no zero entry is
 returned as a copy.
 
 What a call depends on beyond its data is worked out once per plan, never
-per call.  A plan is keyed on the basis, what the call does with it and the
-matrix's support as a mask packed by ``np.packbits``.  The operator sum's
-plan, keyed on ``(basis, rule, mask of the non-zero entries)``, holds
-the reduced basis and, for each key of the mapped tuples in its order of
-first appearance, the (row, column, coefficient) index arrays of K_key.
-``to_qubit_array``'s plan, keyed on ``(basis, dof_specs, mask of the kept
-rows)``, holds the array's size, each kept tuple's position as ``cells``,
-``rows`` and ``kept``, and whether every tuple is kept in qubit order.
-Rules come from cached factories keyed on their arguments (``eta`` and the
-DoF included), so equal arguments give the same rule and share plans.  A
-plan maps only the tuples its mask keeps, so a rule or layout that raises
-for a tuple raises only when a call keeps it, and no error is cached.  Only
-the products stay per call: each K built from its index arrays and the
-sums ``k rho k^dagger`` in the plan's order, the ones a plan worked out on
-every call would give.  Plans hold index arrays, never a dense K or an
-unpacked mask, which would pin ``len(basis)**2`` entries per plan.
+per call.  The operator sum's plan is keyed on ``(basis, rule, mask of the
+non-zero entries)``, the mask packed by ``np.packbits``.  It holds the
+reduced basis and, for each key of the mapped tuples in its order of first
+appearance, the (row, column, coefficient) index arrays of K_key.  Rules
+come from cached factories keyed on their arguments (``eta`` and the DoF
+included; the basis and ``dof_specs`` for the qubit layout), so equal
+arguments give the same rule and share plans.  A plan maps only the tuples
+its mask keeps, so a rule that raises for a tuple raises only when a call
+keeps it, and no error is cached.  Only the products stay per call: each K
+built from its index arrays and the sums ``k rho k^dagger`` in the plan's
+order, the ones a plan worked out on every call would give.  Plans hold
+index arrays, never a dense K or an unpacked mask, which would pin
+``len(basis)**2`` entries per plan.
 
 The two DoF traces take a dense branch on a ``ProductBasis``, the sorted
 full product of two-valued DoFs with one ket per distinct region, built only
 by ``_product_basis`` (cached), as are ``fidelity``'s noise-family and random
-bases and every basis the branch returns.  Such a basis carries its slots,
-regions and DoFs, whether the regions are in canonical order (as the
-symmetrized kinds need), each DoF trace's plan and, per ``dof_specs``,
-whether its last layout kept every tuple in qubit order.  Only the diagonal
+bases and every basis the branch returns.  Such a basis carries only what
+its slots determine: the slots, regions and DoFs and whether the regions are
+in canonical order (as the symmetrized kinds need).  Each DoF trace's plan
+is cached on the slots, which hash faster than the basis.  Only the diagonal
 test stays per call: with every diagonal entry non-zero every tuple is kept,
-so the branch applies and ``to_qubit_array`` copies a matrix in qubit order
-without a layout.  On a product basis each kernel coefficient is +-1 (one
+so the branch applies.  On a product basis each kernel coefficient is +-1 (one
 sign per slot, so it cancels between ket and bra) and each output entry is
 the sum of two input entries, so the branch adds two slices of the
 ``(pre, 2, post) * 2`` view in the kernel's order: ket axis first for the
@@ -209,7 +205,6 @@ def _product_basis(slots):
     basis.slots, basis.regions = slots, tuple(region for region, _ in slots)
     basis.canonical = list(basis.regions) == sorted(basis.regions)
     basis.dofs = frozenset(i for _, dofs in slots for i, _ in dofs)
-    basis.plans, basis.in_order = {}, {}
     return basis
 
 
@@ -223,10 +218,11 @@ def _product_slots(dm):
     return basis
 
 
-def _dense_plan(basis, slot, dof_index):
-    """(shape, traced) of a DoF trace, None if `slot` lacks the DoF: shape
-    (pre, 2, post) * 2 views the DoF's ket and bra values on axes 1 and 4."""
-    slots = basis.slots
+@functools.lru_cache(maxsize=512)
+def _dense_plan(slots, slot, dof_index):
+    """(shape, traced) of a DoF trace on the `ProductBasis` of `slots`, None
+    if `slot` lacks the DoF: shape (pre, 2, post) * 2 views the DoF's ket and
+    bra values on axes 1 and 4."""
     region, dofs = slots[slot]
     kept = tuple(d for d in dofs if d[0] != dof_index)
     if len(kept) == len(dofs):
@@ -242,9 +238,7 @@ def _dense_trace(dm, basis, slot, dof_index, coherent):
     """(basis, data) of the trace of `dof_index` at `slot`, or None.  The
     coherent sum adds over the ket axis first, as K rho does before K^dagger;
     the other adds key by key onto 0, which + 0.0 stands for."""
-    if (slot, dof_index) not in basis.plans:
-        basis.plans[slot, dof_index] = _dense_plan(basis, slot, dof_index)
-    plan = basis.plans[slot, dof_index]
+    plan = _dense_plan(basis.slots, slot, dof_index)
     if plan is None:
         return None
     shape, traced = plan
@@ -378,16 +372,13 @@ def _dof_value_rule(particle, dof_index):
     return images_of
 
 
-@functools.lru_cache(maxsize=512)
-def _layout_plan(basis, dof_specs, mask):
-    """(in_order, dim, cells, rows, kept) of `basis` in the qubit array, where
-    `mask` is the packed mask of the tuples `_linked` keeps.
+@functools.lru_cache(maxsize=256)
+def _layout_rule(basis, dof_specs):
+    """(in_order, dim, rule) of `basis` in the qubit array of size `dim`.
 
-    `kept` lists those tuples and `cells` their distinct array positions:
-    kept tuple i lands on cells[rows[i]].  Only kept tuples are placed, so
-    one the layout cannot place raises only when kept (and is never cached).
-    `in_order` says that every tuple is kept and fills the array in the
-    basis's own order.
+    The rule maps each tuple, under one key, to its position in the array,
+    so a tuple the layout cannot place raises only when a call keeps it.
+    `in_order` says that the basis fills the array in its own order.
     """
     regions = sorted({k.region for kets in basis for k in kets})
     if len(regions) != len(basis[0]):
@@ -411,20 +402,19 @@ def _layout_plan(basis, dof_specs, mask):
             orders.append([Ket(r, ((di, v),)) for v in use])
         else:
             orders.append([Ket(r)])
-    dims = [len(o) for o in orders]
-    kept = np.flatnonzero(_unpacked(mask, (len(basis),)))
-    pos = []
-    for c in kept.tolist():
-        by_region = {k.region: k for k in basis[c]}
+    dim = math.prod(len(o) for o in orders)
+
+    def position(kets):
+        by_region = {k.region: k for k in kets}
         p = 0
-        for o, d in zip(orders, dims):
-            p = p * d + o.index(by_region[o[0].region])
-        pos.append(p)
-    dim = math.prod(dims)
-    cells, rows = np.unique(np.array(pos, dtype=np.intp), return_inverse=True)
-    for a in (cells, rows, kept):
-        a.setflags(write=False)  # shared by every call that hits the cache
-    return len(basis) == dim and pos == list(range(dim)), dim, cells, rows, kept
+        for o in orders:
+            p = p * len(o) + o.index(by_region[o[0].region])
+        return p
+
+    # tuple i holds the kets of position i, one per region
+    in_order = [{k.region: k for k in kets} for kets in basis] == [
+        dict(zip(regions, combo)) for combo in itertools.product(*orders)]
+    return in_order, dim, lambda kets: [(None, 1.0, position(kets))]
 
 
 def to_qubit_array(dm):
@@ -435,19 +425,11 @@ def to_qubit_array(dm):
     declared eigenvalue order fixes |0>,|1>.  Tuples whose row and column
     are all zero are left out.
     """
-    specs = tuple(dm.dof_specs)
-    known = getattr(dm.basis, "in_order", {})  # a `ProductBasis`'s table
-    # + 0.0 stores -0.0 as +0.0, as the operator-sum layout did
-    if known.get(specs) and _keeps_every_tuple(dm):
-        return dm.data + 0.0  # every tuple kept (module doc)
-    known[specs], dim, cells, rows, kept = _layout_plan(
-        tuple(dm.basis), specs, np.packbits(_linked(dm).any(axis=1)).tobytes())
-    if known[specs]:
-        return dm.data + 0.0  # every tuple kept, already in qubit order
-    # the operator sum's own k: one row per distinct position, so the
-    # amplitudes of distinguishable particles in swapped slots add
-    k = np.zeros((len(cells), len(dm.basis)), dtype=complex)
-    k[rows, kept] = 1.0
+    in_order, dim, rule = _layout_rule(tuple(dm.basis), tuple(dm.dof_specs))
+    if in_order and _keeps_every_tuple(dm):
+        return dm.data + 0.0  # + 0.0 stores -0.0 as +0.0, as the kernel does
+    cells, data = _operator_sum(dm, rule)
+    cells = np.array(cells, dtype=np.intp)
     out = np.zeros((dim, dim), dtype=complex)
-    out[cells[:, None], cells] = k @ dm.data @ k.conj().T + 0.0
+    out[cells[:, None], cells] = data
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import concurrence, vn_entropy
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DensityMatrix,
                          DofSpec, Ket, SymState, normalize, to_density)
-from qdof.trace import (EmptySubspaceError, Subsystem, _product_basis,
-                        project_one_per_region, to_qubit_array, trace_dof_dist,
-                        trace_dof_indist, trace_region)
+from qdof.trace import (EmptySubspaceError, Subsystem, _dense_plan,
+                        _product_basis, project_one_per_region, to_qubit_array,
+                        trace_dof_dist, trace_dof_indist, trace_region)
 
 SPIN = DofSpec(1, ("dn", "up"))
 
@@ -266,6 +267,23 @@ def test_qubit_layout_of_specs_given_as_lists():
                                                    np.full((2, 2), 0.5)))
 
 
+def test_a_value_the_spec_lacks_raises_only_when_its_tuple_is_kept():
+    """A tuple whose value its declared `DofSpec` lacks has no place in the
+    qubit array: with its row and column zero it is left out, and once its
+    row is non-zero the layout refuses it."""
+    spec = DofSpec(1, ("x", "y"))
+    basis = tuple((Ket("a", ((1, "x"),)), Ket("b", ((1, v),))) for v in "xyz")
+    data = np.zeros((3, 3), dtype=complex)
+    data[:2, :2] = 0.5
+    dm = DensityMatrix(basis, data, DISTINGUISHABLE, (spec,), 1)
+    want = np.kron([[1, 0], [0, 0]], np.full((2, 2), 0.5))
+    assert to_qubit_array(dm).tobytes() == (want + 0j).tobytes()
+    data[2, 0] = data[0, 2] = 0.1
+    with pytest.raises(ValueError, match=re.escape(
+            "Ket(region='b', dofs=((1, 'z'),)) is not in list")):
+        to_qubit_array(DensityMatrix(basis, data, DISTINGUISHABLE, (spec,), 1))
+
+
 def _two_dof_pair_with_bunching():
     """Two two-DoF particles over regions a, b with bunched (a, a) tuples,
     whose kets are distinct, so the basis is canonical for bosons and
@@ -376,9 +394,9 @@ def test_product_slot_without_the_traced_dof_takes_the_kernel():
         else:
             with pytest.raises(EmptySubspaceError, match="DoF trace left nothing"):
                 trace_dof_indist(dm, Subsystem("r1", 2))
-        assert basis.plans[0, 2] is None
+        assert _dense_plan(basis.slots, 0, 2) is None
         # the slot that carries it takes the dense branch: I/4 is left
         red = (trace_dof_dist(dm, 1, 2) if eta == DISTINGUISHABLE
                else trace_dof_indist(dm, Subsystem("r2", 2)))
-        assert basis.plans[1, 2] is not None
+        assert _dense_plan(basis.slots, 1, 2) is not None
         assert np.allclose(red.data, np.eye(4) / 4, rtol=0, atol=1e-15)

@@ -14,8 +14,8 @@ over two different subsystems, which must also commute.
 On full-product states built by `trace._product_basis` the two DoF traces
 take their dense branch, which must give the kernel's result bit for bit;
 inputs just outside its conditions, a plain-tuple copy of such a basis
-among them, must still reach the kernel.  Such a basis keeps its trace plans
-and its qubit order, so a second pair grid on it builds and lays out
+among them, must still reach the kernel.  The trace plans and qubit layouts
+are cached, so a second pair grid on such a basis builds and lays out
 nothing, and `to_qubit_array`'s short path must give the general path's
 bytes.
 
@@ -25,11 +25,12 @@ afresh on each call, is its byte-for-byte oracle, on the random and named
 states and on states where many keys add into one entry, which is where the
 order of the key sum shows in the last bits.
 
-`to_qubit_array` lays matrices out by index; its array must equal, byte for
-byte (signed zeros included), the one the operator-sum kernel laid out, and
-it must fail with the same errors.  It replays a layout plan cached per
-basis, specs and support, so a second matrix on the same basis, with other
-rows zeroed, must still be laid out (or fail) by its own rows.  Each chain of
+`to_qubit_array` lays matrices out through the kernel by a rule cached per
+basis and specs; its array must equal, byte for byte (signed zeros
+included), the one a rule built afresh on each call gives, and it must fail
+with the same errors.  Its kernel plan is cached per support too, so a
+second matrix on the same basis, with other rows zeroed, must still be laid
+out (or fail) by its own rows.  Each chain of
 drawn reductions ends with the layout: of its last matrix with one row and
 column zeroed, then of that matrix, both against the per-entry engine.
 
@@ -544,20 +545,14 @@ def test_product_basis_rejects_what_the_dense_branch_cannot_take(slots,
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
-def test_a_second_grid_builds_no_plan_and_lays_out_no_basis(monkeypatch, kind,
-                                                            n):
+def test_a_second_grid_builds_no_plan_and_lays_out_no_basis(kind, n):
     layout = fidelity.ChannelLayout(kind, n)
     fidelity._pair_matrices(fidelity.two_param_state(0.37, layout), layout)
-    called = []
-    for name in ("_dense_plan", "_layout_plan"):
-        def spy(*args, fn=getattr(trace, name), name=name):
-            called.append(name)
-            return fn(*args)
-        monkeypatch.setattr(trace, name, spy)
+    caches = (trace._dense_plan, trace._layout_rule, trace._kernel_plan)
+    misses = [cache.cache_info().misses for cache in caches]
     dm = fidelity.two_param_state(0.8, layout)
     grid = fidelity._pair_matrices(dm, layout)
-    assert called == []
-    monkeypatch.undo()
+    assert [cache.cache_info().misses for cache in caches] == misses
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace, "_product_slots", lambda dm: None)
         kernel = fidelity._pair_matrices(
@@ -567,9 +562,9 @@ def test_a_second_grid_builds_no_plan_and_lays_out_no_basis(monkeypatch, kind,
 
 
 def _kernel_qubit_array(dm):
-    """The qubit array as the operator-sum kernel laid it out: the layout
-    `to_qubit_array` had before it stopped calling the kernel, kept as its
-    byte-for-byte oracle."""
+    """The qubit array through the operator-sum kernel, with a layout rule
+    built afresh on every call: the byte-for-byte oracle of
+    `to_qubit_array`'s cached rule and of its copy path."""
     nslots = len(dm.basis[0])
     regions = sorted({k.region for kets in dm.basis for k in kets})
     if len(regions) != nslots:
@@ -825,7 +820,6 @@ def test_qubit_layout_short_path_matches_the_general_path(monkeypatch, dm,
     are those of a plain-tuple copy of the basis, which takes the general
     path, and those of the kernel's layout."""
     assert type(dm.basis) is trace.ProductBasis
-    trace.to_qubit_array(dm)  # the basis learns whether it is in qubit order
     masks = []
     linked = trace._linked
     monkeypatch.setattr(trace, "_linked", lambda dm: masks.append(dm) or linked(dm))
@@ -838,8 +832,8 @@ def test_qubit_layout_short_path_matches_the_general_path(monkeypatch, dm,
 
 
 def _clear_plans():
-    trace._kernel_plan.cache_clear()
-    trace._layout_plan.cache_clear()
+    for cache in (trace._kernel_plan, trace._layout_rule, trace._dense_plan):
+        cache.cache_clear()
 
 
 def _assert_same_bytes(got, want):
@@ -898,22 +892,24 @@ def _arrays(plan):
 @pytest.mark.parametrize("kind, n", [("distinguishable", 5),
                                      ("indistinguishable", 5)])
 def test_plans_hold_no_dense_map(monkeypatch, kind, n):
-    """The p = 1 endpoint of a five-DoF pair grid runs on the kernel and the
-    layout plans.  No array a plan holds has len(basis)**2 or more entries,
-    nor more than one per tuple and slot of its basis, so no plan pins a
-    dense K or an unpacked mask."""
-    held = {}
-    for name in ("_kernel_plan", "_layout_plan"):
-        def spy(basis, *args, fn=getattr(trace, name), name=name):
-            plan = fn(basis, *args)
-            held.setdefault(name, []).append((basis, plan))
-            return plan
-        monkeypatch.setattr(trace, name, spy)
+    """The p = 1 endpoint of a five-DoF pair grid runs on the kernel, its
+    DoF traces and its qubit layouts alike.  No array a plan holds has
+    len(basis)**2 or more entries, nor more than one per tuple and slot of
+    its basis, so no plan pins a dense K or an unpacked mask."""
+    held = []
+
+    def spy(basis, *args, fn=trace._kernel_plan):
+        plan = fn(basis, *args)
+        held.append((basis, plan))
+        return plan
+
+    monkeypatch.setattr(trace, "_kernel_plan", spy)
     layout = fidelity.ChannelLayout(kind, n)
     fidelity._pair_matrices(fidelity.two_param_state(1.0, layout), layout)
-    assert sorted(held) == ["_kernel_plan", "_layout_plan"]
-    assert max(len(basis) for basis, _ in held["_kernel_plan"]) >= 256
-    for basis, plan in held["_kernel_plan"] + held["_layout_plan"]:
+    assert max(len(basis) for basis, _ in held) >= 256
+    # a layout's reduced basis holds array positions, a trace's ket tuples
+    assert {type(reduced[0]) for _, (reduced, _) in held} == {int, tuple}
+    for basis, plan in held:
         for a in _arrays(plan):
             assert a.size < len(basis) ** 2
             assert a.size <= len(basis) * len(basis[0])
