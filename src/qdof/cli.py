@@ -65,10 +65,26 @@ def _radians(degrees):
     return math.radians(value)
 
 
-def _phases(text):
-    vals = [_radians(x) for x in text.split(",")]
+def _four_angles(text, flag):
+    """Radians of the comma list of four angles in degrees given to `flag`
+    (`--phases` or `--settings`); an item that is no number names the flag
+    and the item."""
+    what = flag[2:]
+    vals = []
+    for item in text.split(","):
+        try:
+            degrees = float(item)
+        except ValueError:
+            raise ValueError(f"{flag} expects four comma-separated {what} "
+                             f"in degrees, got {item!r}") from None
+        vals.append(_radians(degrees))
     if len(vals) != 4:
-        raise ValueError("expected four comma-separated phases (degrees)")
+        raise ValueError(f"expected four comma-separated {what} (degrees)")
+    return vals
+
+
+def _phases(text):
+    vals = _four_angles(text, "--phases")
     return circuits.PhaseConfig(phi_l=vals[0], phi_d=vals[1],
                                 phi_r=vals[2], phi_u=vals[3])
 
@@ -94,10 +110,8 @@ def _cmd_tables(args):
 
 
 def _cmd_chsh(args):
-    vals = [_radians(x) for x in args.settings.split(",")]
-    if len(vals) != 4:
-        raise ValueError("expected four comma-separated settings (degrees)")
-    settings = measurement.ChshSettings(*vals)
+    settings = measurement.ChshSettings(
+        *_four_angles(args.settings, "--settings"))
     value = measurement.chsh(args.kind, settings)
     verdict = ("no violation" if value <= 2.0 + 1e-12 else
                "violation" if value < 2 * math.sqrt(2) - 1e-9 else

@@ -8,7 +8,12 @@ quantities sum the pairwise values over DoF pairs of a two-party state.  The
 state's pair grid is one (n, n, 4, 4) array, built with the DoF trace rule of
 the particle kind: party 1 is reduced to each of its DoFs, sharing the traces
 of DoFs 1..i-1, then each distinct row of those (`_row_key`) to each DoF of
-party 2 in the same way: (1 + r)(n(n-1)/2 + n-1) traces for r distinct rows.
+party 2 in the same way.  The distinct rows of one product-basis layout go
+through party 2 as one (k, N, N) stack on the first row's basis, which the
+dense trace branch reduces matrix by matrix with the bytes each gets alone:
+(1 + g)(n(n-1)/2 + n-1) traces and g n qubit layouts for g such groups.  A
+stack with a step that would leave the dense branch (a zero diagonal entry)
+is reduced row by row from the start.
 `singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
 return a float) or a (k, 4, 4) stack (and return its k values, each the one
 its matrix gets alone); a grid goes to each as its (n^2, 4, 4) stack.
@@ -56,7 +61,7 @@ import numpy as np
 
 from .measures import _check_density
 from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
-                     DensityMatrix, DofSpec)
+                     DensityMatrix, DofSpec, StackError)
 from .trace import (ProductBasis, Subsystem, _product_basis, to_qubit_array,
                     trace_dof_dist, trace_dof_indist)
 
@@ -181,12 +186,40 @@ def _each_dof(dm, side, trace, n):
 
 
 def _row_key(row, i):
-    """What row i's party-2 reduction reads that rows can differ in: its
-    bytes, and on a product basis DoF i's values and order, else its basis."""
+    """(bytes, layout): what row i's party-2 reduction reads that rows can
+    differ in.  On a product basis the layout is DoF i's values and order;
+    else it is the basis and the bytes, as the kernel takes no stack."""
+    data = row.data.tobytes()
     if type(row.basis) is not ProductBasis:
-        return row.data.tobytes(), row.basis
+        return data, (row.basis, data)
     (_, values), *_ = row.basis.slots[0][1]  # more DoFs fail the layout
-    return row.data.tobytes(), values, tuple(row.value_order(i))
+    return data, (values, tuple(row.value_order(i)))
+
+
+def _reduce_rows(grid, rows, at, trace, n):
+    """Write into grid[i, j - 1] row i of `rows` reduced to DoF j of party
+    2, for the indices `at` of distinct rows of one layout.
+
+    More than one row is reduced as one stack on the first row's basis.  A
+    step that leaves the dense branch raises StackError, and then the rows
+    are reduced one by one from the start.
+    """
+    if len(at) > 1:
+        first = rows[at[0]]
+        block = np.empty((len(at),) + first.data.shape, dtype=complex)
+        for m, i in enumerate(at):
+            block[m] = rows[i].data
+        stack = DensityMatrix(first.basis, block, first.eta, first.dof_specs,
+                              first.n_dofs_orig)
+        try:
+            for j, pair in enumerate(_each_dof(stack, 1, trace, n)):
+                grid[at, j] = to_qubit_array(pair)
+            return
+        except StackError:
+            pass
+    for i in at:
+        for j, pair in enumerate(_each_dof(rows[i], 1, trace, n)):
+            grid[i, j] = to_qubit_array(pair)
 
 
 def _pair_matrices(dm, layout):
@@ -195,7 +228,8 @@ def _pair_matrices(dm, layout):
 
     Party 1 is reduced to each of its DoFs, then each distinct row of those
     (`_row_key`) to each DoF of party 2, by the trace rule of the layout's
-    particle kind.
+    particle kind.  The distinct rows of one layout go through party 2 as
+    one stack (`_reduce_rows`).
     """
     n = layout.n
     if layout.kind == "distinguishable":
@@ -207,14 +241,19 @@ def _pair_matrices(dm, layout):
         def trace(reduced, side, k):
             return trace_dof_indist(reduced, Subsystem(regions[side], k))
 
-    rows, grid = {}, []
-    for i, row in enumerate(_each_dof(dm, 0, trace, n), 1):
-        key = _row_key(row, i)
-        if key not in rows:
-            rows[key] = [to_qubit_array(pair)
-                         for pair in _each_dof(row, 1, trace, n)]
-        grid.append(rows[key])
-    return np.array(grid)
+    rows = _each_dof(dm, 0, trace, n)
+    layouts = {}  # layout -> {row bytes: indices of the rows with them}
+    for i, row in enumerate(rows):
+        data, row_layout = _row_key(row, i + 1)
+        layouts.setdefault(row_layout, {}).setdefault(data, []).append(i)
+    grid = np.empty((n, n, 4, 4), dtype=complex)
+    for equal in layouts.values():
+        _reduce_rows(grid, rows, [first for first, *_ in equal.values()],
+                     trace, n)
+        for first, *rest in equal.values():
+            for i in rest:
+                grid[i] = grid[first]
+    return grid
 
 
 _last_grid = None  # (basis, key, grid) of the last full grid built (module doc)

@@ -51,6 +51,10 @@ class ShapeError(ValueError):
     """Raised when two states do not share DoF layout or statistics."""
 
 
+class StackError(ShapeError):
+    """Raised when a stack of matrices reaches what takes one matrix."""
+
+
 @dataclass(frozen=True)
 class DofSpec:
     """One degree of freedom: its index (1-based) and ordered eigenvalue labels."""
@@ -236,6 +240,13 @@ class DensityMatrix:
     Canonical tuples are treated as an orthonormal basis; amplitudes of bunched
     bosonic tuples are rescaled by sqrt(<S|S>) when a pure state is densified, so
     matrix traces coincide with physical norms.
+
+    `data` is one (N, N) matrix or a (k, N, N) stack of k matrices on the
+    one basis.  Only the dense branch of the DoF traces, their
+    renormalization and the in-order copy of `trace.to_qubit_array` take a
+    stack, and each gives every matrix of it the bytes it gets alone;
+    everything else (the operator-sum kernel, `check`, `trace`, `to_json`,
+    `to_csv`) raises `StackError`, a `ShapeError`, on one.
     """
 
     basis: tuple
@@ -246,20 +257,30 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != (len(self.basis), len(self.basis)):
+        square = (len(self.basis), len(self.basis))
+        if self.data.shape != square and (self.data.ndim != 3
+                                          or self.data.shape[1:] != square):
             raise ShapeError("matrix shape does not match basis size")
+
+    def _matrix(self):
+        """`data` as one matrix; a stack raises StackError."""
+        if self.data.ndim != 2:
+            raise StackError("expected one matrix, got a stack of "
+                             f"{len(self.data)}")
+        return self.data
 
     @property
     def trace(self):
-        return float(np.trace(self.data).real)
+        return float(np.trace(self._matrix()).real)
 
     def check(self):
         """Validate hermiticity, unit trace and positivity; returns self."""
-        if not np.allclose(self.data, self.data.conj().T, atol=_ATOL):
+        data = self._matrix()
+        if not np.allclose(data, data.conj().T, atol=_ATOL):
             raise ValueError("matrix is not Hermitian")
         if abs(self.trace - 1.0) > _ATOL:
             raise ValueError("trace differs from 1")
-        if np.linalg.eigvalsh(self.data).min() < -_ATOL:
+        if np.linalg.eigvalsh(data).min() < -_ATOL:
             raise ValueError("matrix has a negative eigenvalue")
         return self
 
@@ -267,15 +288,16 @@ class DensityMatrix:
         return value_order(self.basis, self.dof_specs, dof_index)
 
     def to_json(self):
+        data = self._matrix()
         return json.dumps({
             "basis": [_ket_json(k) for k in self.basis],
-            "re": np.real(self.data).tolist(),
-            "im": np.imag(self.data).tolist(),
+            "re": np.real(data).tolist(),
+            "im": np.imag(data).tolist(),
         })
 
     def to_csv(self):
         """Row-major CSV with re/im interleaved."""
-        return matrix_csv(self.data)
+        return matrix_csv(self._matrix())
 
 
 def value_order(basis, dof_specs, dof_index):

@@ -74,6 +74,16 @@ coherent trace, key by key onto exact zeros for the distinguishable one.  Its
 result is the kernel's bit for bit.  Every other input (a full product built
 any other way, sparse circuit states, bunched sectors, a zero diagonal entry)
 takes the kernel, as do ``trace_region`` and ``project_one_per_region``.
+
+A ``DensityMatrix`` may hold a (k, N, N) stack of k matrices on one basis.
+Only the dense branch takes it, when no matrix of the stack has a zero
+diagonal entry: the stack's matrices lie one after another on the view's
+first axis, so each output entry is the same sum of the same two entries as
+alone, and each matrix is renormalized over its own trace.  The in-order
+copy of ``to_qubit_array`` takes a stack too.  The kernel takes one matrix
+and raises ``StackError``, a ``ShapeError``, on a stack, so a stack that
+would leave the dense branch stops there instead of being reduced as one
+matrix.
 """
 
 from __future__ import annotations
@@ -86,7 +96,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
-                     Ket, ShapeError, canonical, tuple_overlap, value_order)
+                     Ket, ShapeError, StackError, canonical, tuple_overlap,
+                     value_order)
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,10 @@ def _linked(dm):
 
 
 def _keeps_every_tuple(dm):
-    """Whether every diagonal entry is non-zero, so `_linked` keeps every tuple."""
-    return dm.data.diagonal().all()
+    """Whether every diagonal entry (of every matrix of a stack) is non-zero,
+    so `_linked` keeps every tuple."""
+    diagonal = dm.data.diagonal(0, -2, -1)
+    return np.count_nonzero(diagonal) == diagonal.size
 
 
 def _unpacked(mask, shape):
@@ -158,14 +171,16 @@ def _kernel_plan(basis, images_of, mask):
 
 def _operator_sum(dm, images_of):
     """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``,
-    the basis and each K_key's entries from the `_kernel_plan` of its support."""
+    the basis and each K_key's entries from the `_kernel_plan` of its support.
+    It takes one matrix: a stack raises StackError."""
+    rho = dm._matrix()
     basis, maps = _kernel_plan(tuple(dm.basis), images_of,
                                np.packbits(_linked(dm)).tobytes())
     data = np.zeros((len(basis), len(basis)), dtype=complex)
     for row, col, coeff in maps:
         k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
         k[row, col] = coeff
-        data += k @ dm.data @ k.conj().T
+        data += k @ rho @ k.conj().T
     return basis, data
 
 
@@ -175,13 +190,19 @@ def _reduce(dm, images_of, empty, n_dofs=None):
 
 
 def _renormalized(dm, basis, data, empty, n_dofs=None):
-    """The reduced matrix on `basis`, renormalized to unit trace."""
+    """The reduced matrix on `basis`, renormalized to unit trace: each
+    matrix of a stack over its own trace."""
     if not basis:
         raise EmptySubspaceError(empty)
-    tr = data.trace().real
-    if tr <= 1e-24:
+    if data.ndim == 2:
+        tr = least = data.trace().real
+    else:
+        tr = data.trace(axis1=1, axis2=2).real
+        least, tr = min(tr.tolist()), tr[:, None, None]
+    if least <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
-    return DensityMatrix(basis, data / tr, dm.eta, dm.dof_specs,
+    data /= tr  # a fresh array from the kernel or the dense branch
+    return DensityMatrix(basis, data, dm.eta, dm.dof_specs,
                          n_dofs or dm.n_dofs_orig)
 
 
@@ -221,8 +242,9 @@ def _product_slots(dm):
 @functools.lru_cache(maxsize=512)
 def _dense_plan(slots, slot, dof_index):
     """(shape, traced) of a DoF trace on the `ProductBasis` of `slots`, None
-    if `slot` lacks the DoF: shape (pre, 2, post) * 2 views the DoF's ket and
-    bra values on axes 1 and 4."""
+    if `slot` lacks the DoF: shape (-1, 2, post) + (pre, 2, post) views the
+    DoF's ket and bra values on axes 1 and 4, the -1 taking pre times the
+    size of a stack."""
     region, dofs = slots[slot]
     kept = tuple(d for d in dofs if d[0] != dof_index)
     if len(kept) == len(dofs):
@@ -230,25 +252,32 @@ def _dense_plan(slots, slot, dof_index):
     m = sum(len(d) for _, d in slots)
     axis = (sum(len(d) for _, d in slots[:slot])
             + [i for i, _ in dofs].index(dof_index))
-    return ((2 ** axis, 2, 2 ** (m - 1 - axis)) * 2,
+    pre, post = 2 ** axis, 2 ** (m - 1 - axis)
+    return ((-1, 2, post, pre, 2, post),
             _product_basis(slots[:slot] + ((region, kept),) + slots[slot + 1:]))
 
 
 def _dense_trace(dm, basis, slot, dof_index, coherent):
     """(basis, data) of the trace of `dof_index` at `slot`, or None.  The
     coherent sum adds over the ket axis first, as K rho does before K^dagger;
-    the other adds key by key onto 0, which + 0.0 stands for."""
+    the other adds key by key onto 0, which + 0.0 stands for.  A stack's
+    matrices lie one after another on the first axis, each summed as alone."""
     plan = _dense_plan(basis.slots, slot, dof_index)
     if plan is None:
         return None
     shape, traced = plan
-    t = dm.data.reshape(shape)
+    data = dm.data
+    t = data.reshape(shape)
     if coherent:
         half = t[:, 0] + t[:, 1]
-        out = half[:, :, :, 0] + half[:, :, :, 1] + 0.0
+        out = half[:, :, :, 0] + half[:, :, :, 1]
+        out += 0.0
     else:
-        out = t[:, 0, :, :, 0] + 0.0 + t[:, 1, :, :, 1]
-    return traced, out.reshape(len(traced), len(traced))
+        out = t[:, 0, :, :, 0] + 0.0
+        out += t[:, 1, :, :, 1]
+    size = len(traced)
+    return traced, out.reshape((size, size) if data.ndim == 2
+                               else (-1, size, size))
 
 
 def project_one_per_region(dm, regions):
@@ -423,7 +452,8 @@ def to_qubit_array(dm):
     Every remaining slot must carry at most a single DoF with at most two
     values.  Slots are ordered by region label; within a slot the DoF's
     declared eigenvalue order fixes |0>,|1>.  Tuples whose row and column
-    are all zero are left out.
+    are all zero are left out.  A stack takes only the in-order copy: the
+    kernel raises StackError on it.
     """
     in_order, dim, rule = _layout_rule(tuple(dm.basis), tuple(dm.dof_specs))
     if in_order and _keeps_every_tuple(dm):

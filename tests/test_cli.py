@@ -141,6 +141,23 @@ def test_trace_drop_names_the_bad_item(capsys, drop, message):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("argv, flag, item", [
+    (("tables", "--kind", "boson", "--phases", "0,a,0,0"), "--phases", "'a'"),
+    (("trace", "--phases", "x,0,0,0"), "--phases", "'x'"),
+    (("monogamy", "--kind", "fermion", "--phases", "0,0,0,"), "--phases",
+     "''"),
+    (("swap", "--phases", "45,0,90,1e"), "--phases", "'1e'"),
+    (("chsh", "--kind", "boson", "--settings", "0,180,b,-45"), "--settings",
+     "'b'"),
+])
+def test_an_angle_that_is_no_number_names_the_flag_and_item(capsys, argv,
+                                                            flag, item):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} expects four comma-separated {flag[2:]} in "
+            f"degrees, got {item}\n")
+
+
 @pytest.mark.parametrize("case, item", [("", "''"), ("1,,2", "''"),
                                         ("3,x", "'x'")])
 def test_cases_names_the_bad_item(capsys, case, item):

@@ -724,32 +724,33 @@ def _dof_trace_calls(monkeypatch, dm, layout):
     return calls
 
 
-def _grid_traces(kind, n, rows):
-    """(1 + rows)(n(n - 1)/2 + n - 1) calls of the kind's DoF rule: party 1
-    to each of its DoFs, then each of `rows` distinct rows to each DoF of
-    party 2, each sharing the traces of DoFs 1..i-1."""
+def _grid_traces(kind, n, groups):
+    """(1 + groups)(n(n - 1)/2 + n - 1) calls of the kind's DoF rule: party 1
+    to each of its DoFs, then each of `groups` stacks of distinct rows of one
+    layout to each DoF of party 2, each sharing the traces of DoFs 1..i-1."""
     rule = ("trace_dof_dist" if kind == "distinguishable"
             else "trace_dof_indist")
-    return [rule] * ((1 + rows) * (n * (n - 1) // 2 + n - 1))
+    return [rule] * ((1 + groups) * (n * (n - 1) // 2 + n - 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
 def test_pair_grid_shares_its_dof_traces(monkeypatch, kind, n):
-    """At p = 0.37 every indistinguishable row is the same matrix, and so
-    are distinguishable rows 2..n: 0/4/10/18/28 and 0/6/15/27/42 calls at
-    n = 1-5.  At p = 0 every row is."""
+    """At p = 0.37 every indistinguishable row is the same matrix, and
+    distinguishable rows 2..n are one matrix, stacked with row 1 on one
+    layout: 0/4/10/18/28 calls at n = 1-5 either way.  At p = 0 every row
+    is the same matrix."""
     layout = ChannelLayout(kind, n)
-    rows = 1 if kind == "indistinguishable" else min(n, 2)
-    for p, distinct in ((0.37, rows), (0.0, 1)):
+    for p in (0.37, 0.0):
         assert (_dof_trace_calls(monkeypatch, two_param_state(p, layout),
                                  layout)
-                == _grid_traces(kind, n, distinct)), p
+                == _grid_traces(kind, n, 1)), p
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_state_reduces_every_row(monkeypatch, n):
-    """A random pure state's rows all differ: (n + 1)(n(n - 1)/2 + n - 1)."""
+    """A random pure state's rows all differ and share one layout, so they
+    go through party 2 as one stack: 2(n(n - 1)/2 + n - 1) calls."""
     layout = ChannelLayout("distinguishable", n)
     basis, _, specs = fidelity._space(layout)
     rng = np.random.default_rng(n)
@@ -757,7 +758,7 @@ def test_random_state_reduces_every_row(monkeypatch, n):
     v /= np.linalg.norm(v)
     dm = DensityMatrix(basis, np.outer(v, v.conj()), DISTINGUISHABLE, specs, n)
     assert (_dof_trace_calls(monkeypatch, dm, layout)
-            == _grid_traces("distinguishable", n, n))
+            == _grid_traces("distinguishable", n, 1))
 
 
 @pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0])

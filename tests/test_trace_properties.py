@@ -48,6 +48,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference_trace as ref
+from oracles import unshared_pair_grid
 from qdof import fidelity, trace
 from qdof.circuits import KINDS, PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import case_state, random_case
@@ -913,3 +914,91 @@ def test_plans_hold_no_dense_map(monkeypatch, kind, n):
         for a in _arrays(plan):
             assert a.size < len(basis) ** 2
             assert a.size <= len(basis) * len(basis[0])
+
+
+def _row_matrices(kind, n, i, k, rng):
+    """k random matrices on the basis of a pair-grid row: party 1 keeps its
+    DoF i, party 2 all its n DoFs, each two-valued, as `trace._product_basis`
+    builds it."""
+    regions, eta = ((("A", "B"), DISTINGUISHABLE) if kind == "distinguishable"
+                    else (("s1", "s2"), BOSON))
+    values = ("0", "1")
+    basis = trace._product_basis((
+        (regions[0], ((i, values),)),
+        (regions[1], tuple((j, values) for j in range(1, n + 1)))))
+    dim = len(basis)
+    data = np.empty((k, dim, dim), dtype=complex)
+    for m in range(k):
+        a = rng.normal(size=(dim, 1 + m)) + 1j * rng.normal(size=(dim, 1 + m))
+        data[m] = a @ a.conj().T  # rank 1 + m
+    specs = tuple(DofSpec(j, values) for j in range(1, n + 1))
+    return basis, data, eta, specs
+
+
+def _planted_zero(n, rng):
+    """A pure indistinguishable state of `n` >= 2 DoFs per region whose
+    party-1 row n, the last matrix of the stack, alone has amplitudes at
+    B_2 = 1 that are minus those at B_2 = 0 (where A_n = B_1 = B_3 = ... =
+    0): tracing B_2 coherently leaves that row with a diagonal entry of
+    exactly 0, as sums of negated terms are the negated sums."""
+    layout = fidelity.ChannelLayout("indistinguishable", n)
+    basis, eta, specs = fidelity._space(layout)
+    t = (rng.normal(size=(2,) * (2 * n))
+         + 1j * rng.normal(size=(2,) * (2 * n)))
+    at = (slice(None),) * (n - 1) + (0, 0)
+    t[at + (1,) + (0,) * (n - 2)] = -t[at + (0,) + (0,) * (n - 2)]
+    v = t.reshape(-1) / np.linalg.norm(t)
+    return layout, DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, n)
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(["distinguishable", "indistinguishable"]),
+       n=st.integers(1, 5), k=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_stack_gives_each_matrix_its_bytes_alone(kind, n, k, data, seed):
+    """A (k, N, N) stack of pair-grid rows through party 2's dense DoF
+    traces and the qubit layout: every matrix gets the basis and bytes it
+    gets alone (n = 4-5 rows of 32-64 tuples give traces of 8 or more
+    entries, which numpy sums pairwise).  The
+    kernel, `check`, `trace`, `to_json` and `to_csv` refuse the stack.  A
+    planted zero diagonal entry in one row's coherent trace sends the pair
+    grid's stack back to row by row, with the unshared grid's bytes."""
+    rng = np.random.default_rng(seed)
+    i = data.draw(st.integers(1, n))
+    basis, matrices, eta, specs = _row_matrices(kind, n, i, k, rng)
+    stack = DensityMatrix(basis, matrices, eta, specs, n)
+    if kind == "distinguishable":
+        rule = trace.trace_dof_dist
+    else:
+        def rule(dm, side, j):
+            return trace.trace_dof_indist(dm, Subsystem(("s1", "s2")[side], j))
+    pairs = fidelity._each_dof(stack, 1, rule, n)
+    for m in range(k):
+        alone = fidelity._each_dof(
+            DensityMatrix(basis, matrices[m], eta, specs, n), 1, rule, n)
+        for pair, single in zip(pairs, alone):
+            assert pair.basis is single.basis
+            assert pair.data[m].tobytes() == single.data.tobytes()
+            assert (trace.to_qubit_array(pair)[m].tobytes()
+                    == trace.to_qubit_array(single).tobytes())
+
+    refusals = [lambda: trace._operator_sum(stack, trace._dof_value_rule(1, 1)),
+                stack.check, lambda: stack.trace, stack.to_json, stack.to_csv]
+    for refuse in refusals:
+        with pytest.raises(ShapeError):
+            refuse()
+
+    if kind == "indistinguishable" and n >= 2:
+        layout, dm = _planted_zero(n, rng)
+        refused = []
+        operator_sum = trace._operator_sum
+
+        def spy(dm, images_of):
+            refused.append(dm.data.ndim == 3)
+            return operator_sum(dm, images_of)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace, "_operator_sum", spy)
+            grid = fidelity._pair_matrices(dm, layout)
+        assert refused[0]  # the stack reached the kernel first
+        assert grid.tobytes() == unshared_pair_grid(dm, layout).tobytes()
