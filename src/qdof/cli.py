@@ -193,6 +193,8 @@ def _cmd_cases(args):
 
 
 def _cmd_fidelity_relation(args):
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     layout = fidelity.ChannelLayout(args.kind, args.n)
     recs = fidelity.relation_check(layout,
                                    p_grid=np.linspace(0, 1, args.points))

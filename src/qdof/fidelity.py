@@ -1,60 +1,63 @@
 """Singlet fraction, teleportation fidelity, and the relation between them.
 
 The singlet fraction of a two-qubit matrix, its maximal overlap with the
-maximally entangled states |psi_U> = (1 x U)|Phi+>, U in U(2), is computed in
-closed form from the signed singular values of the correlation matrix, read
-off by one `np.einsum` against the nine `kron(P_i, P_j)`.  The generalized
-quantities sum the pairwise values over DoF pairs of a two-party state.  The
-state's pair grid is one (n, n, 4, 4) array, built with the DoF trace rule of
-the particle kind: party 1 is reduced to each of its DoFs, sharing the traces
-of DoFs 1..i-1, then each distinct row of those (`_row_key`) to each DoF of
-party 2 in the same way.  The distinct rows of one product-basis layout go
-through party 2 as one (k, N, N) stack on the first row's basis, which the
-dense trace branch reduces matrix by matrix with the bytes each gets alone:
-(1 + g)(n(n-1)/2 + n-1) traces and g n qubit layouts for g such groups.  A
-stack with a step that would leave the dense branch (a zero diagonal entry)
-is reduced row by row from the start.
+maximally entangled states (1 x U)|Phi+>, U in U(2), is the largest eigenvalue
+of Re rho_M over the trace, rho_M being rho in the magic basis, where those
+states are the real unit vectors (Hill & Wootters, PRL 78, 5022, 1997;
+Grondalski, Etlinger & James, PLA 300, 573, 2002).  Re rho_M is symmetrized,
+so a non-Hermitian matrix reads its Hermitian part, and a negative trace takes
+the smallest eigenvalue.  The generalized quantities sum the pairwise values
+over DoF pairs of a two-party state, whose pair grid is one (n, n, 4, 4) array
+built with the DoF trace rule of the particle kind: party 1 is reduced to each
+of its DoFs, sharing the traces of DoFs 1..i-1, then each distinct row of
+those (`_row_key`) to each DoF of party 2 in the same way.  The distinct rows
+of one product-basis layout go through party 2 as one (k, N, N) stack on the
+first row's basis, which the dense trace branch reduces matrix by matrix with
+the bytes each gets alone: (1 + g)(n(n-1)/2 + n-1) traces and g n qubit
+layouts for g such groups.  A stack with a step that would leave the dense
+branch (a zero diagonal entry) is reduced row by row from the start.
 `singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
 return a float) or a (k, 4, 4) stack (and return its k values, each the one
-its matrix gets alone); a grid goes to each as its (n^2, 4, 4) stack.
+its matrix gets alone, the trace divided out of the values); a grid goes to
+each as its (n^2, 4, 4) stack.
 
 `generalized_teleportation_fidelity` and `generalized_singlet_fraction` read
-their n x n grid of pair matrices through a one-entry memo holding the last
-grid built, so a caller that needs both for one state reduces it once.  The
-memo is keyed on the layout, the identity of `dm.basis`, `dm.eta`,
-`dm.dof_specs`, `dm.n_dofs_orig` and the dtype, shape and bytes of
-`dm.data`: input equal in all of these gets the very grid a fresh reduction
-would build, and a matrix changed in place or set on another basis object is
-reduced again.  The memo's grid is read-only.  `relation_check` and
-`sf_upper_bound_check` reduce each of their states themselves, past the
-memo, whose key would copy every random state's bytes for a hit that cannot
-come; a p = 1 grid point reuses the endpoint grid its ceilings were
-measured on.
+their grid through a one-entry memo holding the last grid built, so a caller
+that needs both for one state reduces it once.  The memo is keyed on the
+layout, the identity of `dm.basis`, `dm.eta`, `dm.dof_specs`, `dm.n_dofs_orig`
+and the dtype, shape and bytes of `dm.data`: equal input gets the very grid a
+fresh reduction would build, and a matrix changed in place or set on another
+basis object is reduced again.  The memo's grid is read-only.
+`relation_check` and `sf_upper_bound_check` reduce each state past the memo,
+whose key would copy every random state's bytes for a hit that cannot come; a
+p = 1 grid point reuses the endpoint grid its ceilings were measured on.
 
 The noise family and the random states of `sf_upper_bound_check` take their
-basis, eta and DoF specs from `_space(layout)`; the noise family alone reads
-the resource matrix of `_resource(layout)`.  Both are cached per layout.  The
-basis is built by `trace._product_basis`, so it carries its product slots and
-the DoF traces take their dense branch on it.
+basis, eta and DoF specs from `_space(layout)`, and the noise family its
+resource matrix from `_resource(layout)`, both cached per layout.  The basis
+is built by `trace._product_basis`, so the DoF traces take their dense branch
+on it.
 
 Teleportation uses the standard Bell-measurement-and-correction protocol:
 `teleport_output` runs it on one input, outcome by outcome.  Its fidelity
-averaged over the six Pauli axis states is linear in the channel and equals
+averaged over the six Pauli axis states is linear in the channel, and equals
 (2 <Phi+|rho|Phi+> + 1) / 3 on the unit-trace channel rho (Horodecki,
 Horodecki & Horodecki, PRA 60, 1888, 1999), which `average_teleport_fidelity`
-computes.  The per-matrix forms first written, six protocol runs and nine
-correlation products, are kept as oracles in `tests/oracles.py`; both closed
-forms agree with them within 1e-14 relative.  `relation_check` records a
-residual below 1e-12 as 0.0, so no record pins the order of these sums.
-Channels between DoFs of indistinguishable particles are scaled onto
-`F_MAX_INDIST` = 5/6, as unit-fidelity transfer is unavailable to them, or
-onto the `f_max` of the `FidelityParams` a caller passes.
+computes.  The per-matrix forms first written, six protocol runs and the
+signed singular values of the nine-product correlation matrix, are kept as
+oracles in `tests/oracles.py`; both closed forms agree with them within 1e-14
+relative.  `relation_check` records a residual below 1e-12 as 0.0, so no record
+pins the order of these sums.  Channels between DoFs of indistinguishable
+particles are scaled onto `F_MAX_INDIST` = 5/6, as unit-fidelity transfer is
+unavailable to them, or onto the `f_max` of the `FidelityParams` a caller
+passes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,29 +123,26 @@ class FidelityParams:
 # -- singlet fraction ----------------------------------------------------------
 
 
-# kron(P_i, P_j) for i, j in 1..3, row-major: entry m = 3 (i - 1) + (j - 1)
-_PAULI_PAIRS = np.array([np.kron(_PAULI[i], _PAULI[j])
-                         for i in (1, 2, 3) for j in (1, 2, 3)])
-_T_SIGNS = np.diag([1.0, -1.0, 1.0])
+# the magic basis times sqrt(2), by columns: (1, 0, 0, 1), i(1, 0, 0, -1),
+# i(0, 1, 1, 0), (0, 1, -1, 0); its entries 0, +-1, +-i are exact
+_MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1],
+                   [1, -1j, 0, 0]])
+_MAGIC_H = _MAGIC.conj().T
 
 
-def _stack(matrices, message):
-    """(k, 4, 4) complex stack of one 4x4 matrix or of a stack, and whether
-    the input was one matrix; other shapes raise ValueError(message)."""
+def _stack(matrices, message, zero):
+    """(k, 4, 4) complex stack of one 4x4 matrix or of a stack, its k real
+    traces, and whether the input was one matrix.  Other shapes raise
+    ValueError(message), and a trace of at most 1e-12 times its matrix's
+    largest |entry| in magnitude DegenerateStateError(zero)."""
     matrices = np.asarray(matrices, dtype=complex)
     if matrices.ndim not in (2, 3) or matrices.shape[-2:] != (4, 4):
         raise ValueError(message)
-    return matrices.reshape(-1, 4, 4), matrices.ndim == 2
-
-
-def _unit_trace(stack, message):
-    """Each matrix of `stack` over its real trace; a trace of at most 1e-12
-    times the matrix's largest |entry| in magnitude, zero for a zero matrix,
-    raises DegenerateStateError(message)."""
+    stack = matrices.reshape(-1, 4, 4)
     tr = stack.trace(axis1=1, axis2=2).real
-    if (np.abs(tr) <= 1e-12 * np.abs(stack).max(axis=(1, 2))).any():
-        raise DegenerateStateError(message)
-    return stack / tr[:, None, None]
+    if any((np.abs(tr) <= 1e-12 * np.abs(stack).max(axis=(1, 2))).tolist()):
+        raise DegenerateStateError(zero)
+    return stack, tr, matrices.ndim == 2
 
 
 def singlet_fraction(rho):
@@ -152,15 +152,13 @@ def singlet_fraction(rho):
     stack, for which the k values are; each value is the one its matrix
     gets alone.
     """
-    stack, single = _stack(
-        rho, "v1 computes singlet fractions of two-qubit states")
-    stack = _unit_trace(stack, "singlet fraction of a zero-trace matrix")
-    # t[i, j] = Re tr(rho kron(P_i, P_j))
-    t = np.einsum("nab,mba->nm", stack, _PAULI_PAIRS).real.reshape(-1, 3, 3)
-    k = _T_SIGNS @ t
-    sing = np.linalg.svd(k, compute_uv=False)
-    last = np.where(np.linalg.det(k) >= 0, sing[:, 2], -sing[:, 2])
-    values = 0.25 * (1.0 + (sing[:, 0] + sing[:, 1] + last))
+    stack, tr, single = _stack(
+        rho, "v1 computes singlet fractions of two-qubit states",
+        "singlet fraction of a zero-trace matrix")
+    # r + r^T is 4 Re rho_M of the Hermitian part of rho
+    r = (_MAGIC_H @ stack @ _MAGIC).real
+    w = np.linalg.eigvalsh(r + r.transpose(0, 2, 1))
+    values = np.where(tr > 0, w[:, -1], w[:, 0]) / (4.0 * tr)
     return float(values[0]) if single else values
 
 
@@ -206,14 +204,14 @@ def _reduce_rows(grid, rows, at, trace, n):
     """
     if len(at) > 1:
         first = rows[at[0]]
-        block = np.empty((len(at),) + first.data.shape, dtype=complex)
-        for m, i in enumerate(at):
-            block[m] = rows[i].data
+        block = np.array([rows[i].data for i in at])
         stack = DensityMatrix(first.basis, block, first.eta, first.dof_specs,
                               first.n_dofs_orig)
+        run = at[-1] - at[0] == len(at) - 1  # a slice indexes it faster
+        where = slice(at[0], at[-1] + 1) if run else at
         try:
             for j, pair in enumerate(_each_dof(stack, 1, trace, n)):
-                grid[at, j] = to_qubit_array(pair)
+                grid[where, j] = to_qubit_array(pair)
             return
         except StackError:
             pass
@@ -281,10 +279,10 @@ def _measure_grid(measure, grid):
 
 
 def _singlet_fraction_of(grid):
-    pair_f = _measure_grid(singlet_fraction, grid)
-    by_i = pair_f.sum(axis=1).max()
-    by_j = pair_f.sum(axis=0).max()
-    return float(max(by_i, by_j))
+    # row and column sums left to right from the first value, numpy's order
+    pair_f = _measure_grid(singlet_fraction, grid).tolist()
+    return max(functools.reduce(operator.add, line)
+               for line in pair_f + list(zip(*pair_f)))
 
 
 def generalized_singlet_fraction(dm, layout):
@@ -353,11 +351,10 @@ def average_teleport_fidelity(channel):
     (k, 4, 4) stack, for which the k values are.  The mean is linear in the
     channel and equals (2 <Phi+|rho|Phi+> + 1) / 3 on the unit-trace `rho`.
     """
-    stack, single = _stack(channel, _CHANNEL_SHAPE)
-    stack = _unit_trace(stack, _ZERO_CHANNEL)
+    stack, tr, single = _stack(channel, _CHANNEL_SHAPE, _ZERO_CHANNEL)
     # <Phi+|rho|Phi+>, entry by entry so that each value is its matrix's alone
     overlap = 0.5 * (stack[:, 0, 0] + stack[:, 0, 3]
-                     + stack[:, 3, 0] + stack[:, 3, 3]).real
+                     + stack[:, 3, 0] + stack[:, 3, 3]).real / tr
     values = (2.0 * overlap + 1.0) / 3.0
     return float(values[0]) if single else values
 

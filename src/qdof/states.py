@@ -303,9 +303,9 @@ class DensityMatrix:
 def value_order(basis, dof_specs, dof_index):
     """Eigenvalue labels of DoF `dof_index`: declared in `dof_specs`, else
     the sorted values the basis carries."""
-    spec = {d.index: d for d in dof_specs}.get(dof_index)
-    if spec is not None:
-        return list(spec.values)
+    for spec in reversed(dof_specs):  # the last spec of an index holds
+        if spec.index == dof_index:
+            return list(spec.values)
     return sorted({k.value(dof_index) for kets in basis for k in kets
                    if k.value(dof_index) is not None})
 

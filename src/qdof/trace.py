@@ -69,8 +69,8 @@ test stays per call: with every diagonal entry non-zero every tuple is kept,
 so the branch applies.  On a product basis each kernel coefficient is +-1 (one
 sign per slot, so it cancels between ket and bra) and each output entry is
 the sum of two input entries, so the branch adds two slices of the
-``(pre, 2, post) * 2`` view in the kernel's order: ket axis first for the
-coherent trace, key by key onto exact zeros for the distinguishable one.  Its
+``(pre, 2, post) * 2`` view in the kernel's order (ket axis first for the
+coherent trace), then adds 0.0 as the kernel's sums start from zeros.  Its
 result is the kernel's bit for bit.  Every other input (a full product built
 any other way, sparse circuit states, bunched sectors, a zero diagonal entry)
 takes the kernel, as do ``trace_region`` and ``project_one_per_region``.
@@ -201,7 +201,7 @@ def _renormalized(dm, basis, data, empty, n_dofs=None):
         least, tr = min(tr.tolist()), tr[:, None, None]
     if least <= 1e-24:
         raise EmptySubspaceError("reduction produced an empty subspace")
-    data /= tr  # a fresh array from the kernel or the dense branch
+    data *= 1.0 / tr  # the bytes of data / tr: the fresh data holds no -0.0
     return DensityMatrix(basis, data, dm.eta, dm.dof_specs,
                          n_dofs or dm.n_dofs_orig)
 
@@ -259,9 +259,10 @@ def _dense_plan(slots, slot, dof_index):
 
 def _dense_trace(dm, basis, slot, dof_index, coherent):
     """(basis, data) of the trace of `dof_index` at `slot`, or None.  The
-    coherent sum adds over the ket axis first, as K rho does before K^dagger;
-    the other adds key by key onto 0, which + 0.0 stands for.  A stack's
-    matrices lie one after another on the first axis, each summed as alone."""
+    coherent sum adds over the ket axis first, as K rho does before K^dagger.
+    The kernel adds onto 0: (0 + a) + b is (a + b) + 0, which stores -0.0 as
+    +0.0.  A stack's matrices lie one after another on the first axis, each
+    summed as alone."""
     plan = _dense_plan(basis.slots, slot, dof_index)
     if plan is None:
         return None
@@ -271,10 +272,9 @@ def _dense_trace(dm, basis, slot, dof_index, coherent):
     if coherent:
         half = t[:, 0] + t[:, 1]
         out = half[:, :, :, 0] + half[:, :, :, 1]
-        out += 0.0
     else:
-        out = t[:, 0, :, :, 0] + 0.0
-        out += t[:, 1, :, :, 1]
+        out = t[:, 0, :, :, 0] + t[:, 1, :, :, 1]
+    out += 0.0
     size = len(traced)
     return traced, out.reshape((size, size) if data.ndim == 2
                                else (-1, size, size))

@@ -7,8 +7,9 @@ it in closed form; two routines here maximize the overlap directly over a
 3-angle parameterization of U, by multi-start local optimization and by a
 refined grid, so the tests can check the closed form against them.
 `closed_form_singlet_fraction` is the closed form as it was first written,
-one 4x4 product per entry of the correlation matrix; the library's one
-`np.einsum` over a stack must agree with it within 1e-14 relative.
+the signed singular values of the correlation matrix, one 4x4 product per
+entry; the library's magic-basis eigenvalue over a stack must agree with it
+within 1e-14 relative.
 
 `six_run_teleport_fidelity` is `qdof.fidelity.average_teleport_fidelity` as
 it was first written: six separate runs of the protocol, each normalizing

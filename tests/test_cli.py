@@ -129,6 +129,18 @@ def test_hardy_noise_names_its_three_values(capsys, noise):
         "(depolarizing,dephasing,readout)\n")
 
 
+@pytest.mark.parametrize("points", ["-3", "0"])
+def test_points_below_one_names_the_flag(capsys, points):
+    """numpy's own messages ("Number of samples, -3, must be
+    non-negative.", "p_grid needs at least one point") named no flag."""
+    assert main(["fidelity-relation", "--kind", "distinguishable",
+                 "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --points must be at least 1, "
+                            f"got {points}\n")
+
+
 @pytest.mark.parametrize("drop, message", [
     ("s9:1", "error: --drop: no region 's9'; the regions are s1, s2\n"),
     ("s1:1,s1:1", "error: --drop names DoF 1 of region 's1' twice\n"),

@@ -25,7 +25,7 @@ them: for every (kind, n) group of that op's mix, the SHA-256 of
 the memo was added.
 
 The printed fields are rounded to 12 significant digits, and
-`PUBLIC_DIGESTS` hashes full `repr`s.  Both pass through LAPACK (svd, det)
+`PUBLIC_DIGESTS` hashes full `repr`s.  Both pass through LAPACK (eigvalsh)
 and BLAS products, whose last bits can depend on the numpy build and on the
 OpenBLAS kernel picked for the CPU.  The digests were recorded with
 CPython 3.11.7, numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on

@@ -53,8 +53,8 @@ from qdof import fidelity, trace
 from qdof.circuits import KINDS, PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import case_state, random_case
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
-                         DensityMatrix, DofSpec, Ket, ShapeError, SymState,
-                         normalize, to_density)
+                         DensityMatrix, DofSpec, Ket, ShapeError, StackError,
+                         SymState, normalize, to_density)
 from qdof.trace import Subsystem
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -1002,3 +1002,84 @@ def test_a_stack_gives_each_matrix_its_bytes_alone(kind, n, k, data, seed):
             grid = fidelity._pair_matrices(dm, layout)
         assert refused[0]  # the stack reached the kernel first
         assert grid.tobytes() == unshared_pair_grid(dm, layout).tobytes()
+
+
+
+def _divided(data):
+    """`trace._renormalized`'s arithmetic as first written: each matrix
+    divided by its real trace."""
+    tr = data.trace(axis1=-2, axis2=-1).real
+    return data / (tr if data.ndim == 2 else tr[:, None, None])
+
+
+def _negative_zeros(data):
+    """How many real or imaginary parts of `data` are -0.0."""
+    return sum(np.count_nonzero((part == 0) & np.signbit(part))
+               for part in (data.real, data.imag))
+
+
+def _signed_zero_matrices(kind, n, k, rng):
+    """Random matrices on the product basis of `fidelity._space`, one or a
+    stack of `k`, with about a third of the real and of the imaginary parts
+    set to +0.0 and a third to -0.0, and a positive real diagonal, so that
+    the dense branch takes them."""
+    basis, eta, specs = fidelity._space(fidelity.ChannelLayout(kind, n))
+    dim = len(basis)
+    shape = (dim, dim) if k is None else (k, dim, dim)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (data.real, data.imag):
+        draw = rng.random(shape)
+        part[draw < 1 / 3] = 0.0
+        part[draw > 2 / 3] = -0.0
+    diagonal = np.arange(dim)
+    data[..., diagonal, diagonal] = rng.uniform(0.5, 1.0, size=shape[:-1])
+    return DensityMatrix(basis, data, eta, specs, n)
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["single", "stack"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_reductions_store_no_negative_zero_and_renormalize_by_division(kind,
+                                                                       n, k):
+    """Every dense DoF trace of a matrix with planted -0.0 parts (a stack
+    too) and every kernel reduction of one (each DoF and region trace)
+    returns no -0.0 part.  So `_renormalized`, which multiplies by the
+    reciprocal trace, gives the bytes of the division `_divided` on what
+    both branches hand it: the two differ only on -0.0 parts.  A one-DoF
+    indistinguishable region is traced on the kernel, which takes no
+    stack."""
+    rng = np.random.default_rng(1000 * n + (k or 0))
+    dm = _signed_zero_matrices(kind, n, k, rng)
+    assert _negative_zeros(dm.data) > 0
+    product, coherent = dm.basis, kind == "indistinguishable"
+    if coherent and n == 1 and k is not None:
+        with pytest.raises(StackError):
+            trace.trace_dof_indist(dm, Subsystem(product.regions[0], 1))
+        return
+    for slot, region in enumerate(product.regions):
+        for dof in range(1, n + 1):
+            if coherent:
+                reduced = trace.trace_dof_indist(dm, Subsystem(region, dof))
+            else:
+                reduced = trace.trace_dof_dist(dm, slot, dof)
+            assert _negative_zeros(reduced.data) == 0
+            if not (coherent and n == 1):
+                basis, data = trace._dense_trace(dm, product, slot, dof,
+                                                 coherent)
+                assert _negative_zeros(data) == 0
+                got = trace._renormalized(dm, basis, data.copy(), "")
+                assert got.data.tobytes() == _divided(data).tobytes()
+            if k is not None:
+                continue
+            plain = DensityMatrix(tuple(product), dm.data, dm.eta,
+                                  dm.dof_specs, n)
+            rules = [trace._slot_rule(region, dm.eta, None)]
+            if coherent:
+                rules.append(trace._slot_rule(region, dm.eta, dof))
+            else:
+                rules.append(trace._dof_value_rule(slot, dof))
+            for rule in rules:
+                basis, data = trace._operator_sum(plain, rule)
+                assert _negative_zeros(data) == 0
+                got = trace._renormalized(plain, basis, data.copy(), "")
+                assert got.data.tobytes() == _divided(data).tobytes()
