@@ -238,6 +238,9 @@ def _cmd_signaling(args):
 
 def _cmd_qpq(args):
     theta = _radians(args.theta)
+    if not 0 < args.theta < 180:
+        raise ValueError("--theta must lie in (0, 180) degrees, "
+                         f"got {args.theta}")
     return _emit(args, {"theta_deg": args.theta, "ancilla": args.ancilla,
                         "seed": args.seed},
                  {"generalized_singlet_fraction":
@@ -317,6 +320,8 @@ def _cmd_hardy_sample(args):
 
 
 def _cmd_hardy_estimate(args):
+    if not 0 < args.alpha < 1:
+        raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha}")
     p = _hardy_params(args)
     nm = _noise(args)
     offline = [hardy.noisy_sample(

@@ -7,10 +7,11 @@ the squared pairwise concurrences of a three-subsystem state against the
 one-vs-rest tangle 4 det(rho_A), classifying the outcome as holding, equality,
 violated, or maximally violated.
 
-A small case engine enumerates the thirteen ways three overlapping particles
-(each with several DoFs) can share eigenstates or superpositions, builds the
-corresponding region-labelled states, and runs the full projection / trace /
-concurrence pipeline on them.
+One table, `CATALOGUE`, describes the thirteen ways three overlapping
+particles (each with several DoFs) can share eigenstates or superpositions,
+one row per case with its expected concurrence pattern.  A small case engine
+draws a row's free parameters, builds the region-labelled state, and runs the
+full projection / trace / concurrence pipeline on it.
 """
 
 from __future__ import annotations
@@ -382,63 +383,49 @@ def _phased(rng):
     return (math.sqrt(x), math.sqrt(1 - x) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
 
 
+# The catalogue, one row per case: each particle's (prepared DoF, state), the
+# DoF each region reads, and the expected zero/nonneg pattern of
+# (C2_ab, C2_ac, C2_a|bc); 'nonneg' terms may come out zero at special
+# parameters.  A state is an eigenstate 'e0' or 'e1', 'new' for a fresh
+# random superposition, or 'chi' for one superposition the row shares.
+CATALOGUE = {
+    1: (((1, "e0"), (1, "e0"), (1, "e0")), (1, 1, 1), ("zero", "zero", "zero")),
+    2: (((1, "e0"), (1, "e0"), (1, "e1")), (1, 1, 1), ("nonneg", "nonneg", "nonneg")),
+    3: (((1, "e0"), (1, "e0"), (2, "e0")), (1, 1, 2), ("zero", "zero", "zero")),
+    4: (((1, "e0"), (1, "e1"), (2, "e0")), (1, 1, 2), ("nonneg", "zero", "nonneg")),
+    5: (((1, "e0"), (3, "e0"), (2, "e0")), (1, 3, 2), ("zero", "zero", "zero")),
+    6: (((1, "e0"), (1, "e0"), (1, "new")), (1, 1, 1), ("nonneg", "nonneg", "nonneg")),
+    7: (((1, "e0"), (1, "e1"), (1, "new")), (1, 1, 1), ("nonneg", "zero", "nonneg")),
+    8: (((1, "chi"), (1, "chi"), (1, "chi")), (1, 1, 1), ("zero", "zero", "zero")),
+    9: (((1, "new"), (1, "new"), (1, "new")), (1, 1, 1), ("nonneg", "zero", "nonneg")),
+    10: (((1, "e0"), (1, "e0"), (2, "new")), (1, 1, 2), ("zero", "zero", "zero")),
+    11: (((1, "e0"), (1, "e1"), (2, "new")), (1, 1, 2), ("nonneg", "zero", "nonneg")),
+    12: (((1, "e0"), (1, "new"), (2, "new")), (1, 1, 2), ("nonneg", "zero", "nonneg")),
+    13: (((1, "new"), (3, "new"), (2, "new")), (1, 3, 2), ("zero", "zero", "zero")),
+}
+
+
 def random_case(case_id, rng):
-    """Random parameterization of catalogue case 1..13."""
-    e0 = (1.0, 0.0)
-    e1 = (0.0, 1.0)
+    """Random parameterization of catalogue case 1..13: superpositions are
+    drawn particle by particle, then the configuration weights."""
+    if case_id not in CATALOGUE:
+        raise ValueError("case_id must be 1..13")
+    row, meas, _ = CATALOGUE[case_id]
+    amps = {"e0": (1.0, 0.0), "e1": (0.0, 1.0)}
+    parts = []
+    for dof, state in row:
+        c = amps[state] if state in amps else _phased(rng)
+        if state == "chi":
+            amps[state] = c
+        parts.append((dof, c))
+    parts = tuple(parts)
 
     def weights(k):
         w = rng.normal(size=k) + 1j * rng.normal(size=k)
         return tuple(w / np.linalg.norm(w))
 
-    if case_id == 1:
-        parts, meas = ((1, e0), (1, e0), (1, e0)), (1, 1, 1)
-    elif case_id == 2:
-        parts, meas = ((1, e0), (1, e0), (1, e1)), (1, 1, 1)
-    elif case_id == 3:
-        parts, meas = ((1, e0), (1, e0), (2, e0)), (1, 1, 2)
-    elif case_id == 4:
-        parts, meas = ((1, e0), (1, e1), (2, e0)), (1, 1, 2)
-    elif case_id == 5:
-        parts, meas = ((1, e0), (3, e0), (2, e0)), (1, 3, 2)
-    elif case_id == 6:
-        parts, meas = ((1, e0), (1, e0), (1, _phased(rng))), (1, 1, 1)
-    elif case_id == 7:
-        parts, meas = ((1, e0), (1, e1), (1, _phased(rng))), (1, 1, 1)
-    elif case_id == 8:
-        chi = _phased(rng)
-        parts, meas = ((1, chi), (1, chi), (1, chi)), (1, 1, 1)
-    elif case_id == 9:
-        parts, meas = ((1, _phased(rng)), (1, _phased(rng)), (1, _phased(rng))), (1, 1, 1)
-    elif case_id == 10:
-        parts, meas = ((1, e0), (1, e0), (2, _phased(rng))), (1, 1, 2)
-    elif case_id == 11:
-        parts, meas = ((1, e0), (1, e1), (2, _phased(rng))), (1, 1, 2)
-    elif case_id == 12:
-        parts, meas = ((1, e0), (1, _phased(rng)), (2, _phased(rng))), (1, 1, 2)
-    elif case_id == 13:
-        parts, meas = ((1, _phased(rng)), (3, _phased(rng)), (2, _phased(rng))), (1, 3, 2)
-    else:
-        raise ValueError("case_id must be 1..13")
+    # the probe's weight is never used, but its draw stays: every seeded
+    # `cases` record depends on the rng state it leaves
     probe = ThreeParticleCase(case_id, parts, meas, weights(1))
     k = len(_case_configs(probe))
     return ThreeParticleCase(case_id, parts, meas, weights(k))
-
-
-# expected zero/nonneg pattern per catalogue row (first two pairwise terms and
-# the one-vs-rest term); 'nonneg' rows may come out zero at special parameters
-CASE_PATTERNS = {
-    1: ("zero", "zero", "zero"),
-    2: ("nonneg", "nonneg", "nonneg"),
-    3: ("zero", "zero", "zero"),
-    4: ("nonneg", "zero", "nonneg"),
-    5: ("zero", "zero", "zero"),
-    6: ("nonneg", "nonneg", "nonneg"),
-    7: ("nonneg", "zero", "nonneg"),
-    8: ("zero", "zero", "zero"),
-    9: ("nonneg", "zero", "nonneg"),
-    10: ("zero", "zero", "zero"),
-    11: ("nonneg", "zero", "nonneg"),
-    12: ("nonneg", "zero", "nonneg"),
-    13: ("zero", "zero", "zero"),
-}

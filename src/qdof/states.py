@@ -69,10 +69,6 @@ class DofSpec:
         if len(set(self.values)) != len(self.values):
             raise ValueError("eigenvalue labels must be distinct")
 
-    @property
-    def dim(self):
-        return len(self.values)
-
 
 class Ket(NamedTuple):
     """Single-particle basis ket: spatial region plus (dof_index, value) pairs.

@@ -141,6 +141,30 @@ def test_points_below_one_names_the_flag(capsys, points):
                             f"got {points}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("qpq", "--theta", "200"),
+     "--theta must lie in (0, 180) degrees, got 200.0"),
+    (("hardy", "estimate", "--alpha", "0"),
+     "--alpha must lie in (0, 1), got 0.0"),
+])
+def test_out_of_range_value_names_its_flag_before_any_work(monkeypatch, capsys,
+                                                           argv, message):
+    """The library's own messages ("theta must lie in (0, pi)", "tail
+    probability must lie in (0, 0.5)") gave the range in other units, and
+    estimate drew all six sample sets first."""
+    from qdof import hardy, protocols
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the flag was checked")
+
+    monkeypatch.setattr(protocols, "qpq_sf", never)
+    monkeypatch.setattr(hardy, "noisy_sample", never)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("drop, message", [
     ("s9:1", "error: --drop: no region 's9'; the regions are s1, s2\n"),
     ("s1:1,s1:1", "error: --drop names DoF 1 of region 's1' twice\n"),
@@ -447,6 +471,13 @@ def test_hardy_sample_noise_flag_is_the_library_model(capsys):
     default = json.loads(run(capsys, "hardy", "sample", "--runs", "3",
                              "--shots", "100", "--seed", "4")[1])
     assert default["results"] != rec["results"]
+
+
+def test_hardy_estimate_echoes_the_noise_flag(capsys):
+    code, out = run(capsys, "hardy", "estimate", "--noise", "0.05,0.12,0.02",
+                    "--runs", "3", "--shots", "100")
+    assert code == 0
+    assert json.loads(out)["config"]["noise"] == "0.05,0.12,0.02"
 
 
 def test_hardy_estimate_csv_columns(capsys):

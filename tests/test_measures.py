@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdof.circuits import PhaseConfig, li_circuit
 from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
                            teleport_output)
-from qdof.measures import (CASE_PATTERNS, MonogamyReport, ThreeParticleCase,
+from qdof.measures import (CATALOGUE, MonogamyReport, ThreeParticleCase,
                            _case_configs, _check_density, _monogamy_reports,
                            case_state, concurrence, log_negativity,
                            mixed_monogamy_check, monogamy_report,
@@ -338,7 +338,7 @@ def test_case_equality_and_patterns():
             case = random_case(cid, rng)
             rep, pattern = three_particle_cases([case])[0]
             assert abs(rep.residual) <= 1e-9, (cid, rep.residual)
-            want = CASE_PATTERNS[cid]
+            want = CATALOGUE[cid][2]
             for got, expect in zip(pattern, want):
                 if expect == "zero":
                     assert got == "zero", (cid, pattern)
