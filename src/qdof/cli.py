@@ -11,6 +11,7 @@ flagged numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -63,6 +64,14 @@ def _radians(degrees):
     if not math.isfinite(value):
         raise ValueError(f"angles must be finite numbers of degrees, got {value}")
     return math.radians(value)
+
+
+def _seed(text):
+    """A --seed value: numpy's generators take integers of at least 0 only."""
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def _four_angles(text, flag):
@@ -198,11 +207,9 @@ def _cmd_fidelity_relation(args):
     layout = fidelity.ChannelLayout(args.kind, args.n)
     recs = fidelity.relation_check(layout,
                                    p_grid=np.linspace(0, 1, args.points))
-    csv_lines = ["p,f_g,F_g,predicted_f_g,residual"]
-    for r in recs:
-        csv_lines.append(",".join(f"{r[k]:.12g}" for k in
-                                  ("p", "f_g", "F_g", "predicted_f_g",
-                                   "residual")))
+    keys = ("p", "f_g", "F_g", "predicted_f_g", "residual")
+    csv_lines = [",".join(keys)] + [",".join(f"{r[k]:.12g}" for k in keys)
+                                    for r in recs]
     return _emit(args, {"kind": args.kind, "n": args.n, "points": args.points},
                  {"grid": recs,
                   "max_residual": max(abs(r["residual"]) for r in recs)},
@@ -410,7 +417,7 @@ def build_parser():
         p.add_argument("--format", choices=("json", *formats), default="json")
         p.add_argument("--output", default=None)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         p.set_defaults(func=func)
         return p
 

@@ -7,15 +7,10 @@ states are the real unit vectors (Hill & Wootters, PRL 78, 5022, 1997;
 Grondalski, Etlinger & James, PLA 300, 573, 2002).  Re rho_M is symmetrized,
 so a non-Hermitian matrix reads its Hermitian part, and a negative trace takes
 the smallest eigenvalue.  The generalized quantities sum the pairwise values
-over DoF pairs of a two-party state, whose pair grid is one (n, n, 4, 4) array
-built with the DoF trace rule of the particle kind: party 1 is reduced to each
-of its DoFs, sharing the traces of DoFs 1..i-1, then each distinct row of
-those (`_row_key`) to each DoF of party 2 in the same way.  The distinct rows
-of one product-basis layout go through party 2 as one (k, N, N) stack on the
-first row's basis, which the dense trace branch reduces matrix by matrix with
-the bytes each gets alone: (1 + g)(n(n-1)/2 + n-1) traces and g n qubit
-layouts for g such groups.  A stack with a step that would leave the dense
-branch (a zero diagonal entry) is reduced row by row from the start.
+over DoF pairs of a two-party state, whose pair grid (`_pair_matrices`) is one
+(n, n, 4, 4) array built with the DoF trace rule of the particle kind: party 1
+is reduced to each of its DoFs (`_each_dof`), then each distinct row of those
+to each DoF of party 2, the rows of one layout as one stack (`_reduce_rows`).
 `singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
 return a float) or a (k, 4, 4) stack (and return its k values, each the one
 its matrix gets alone, the trace divided out of the values); a grid goes to
@@ -28,9 +23,10 @@ layout, the identity of `dm.basis`, `dm.eta`, `dm.dof_specs`, `dm.n_dofs_orig`
 and the dtype, shape and bytes of `dm.data`: equal input gets the very grid a
 fresh reduction would build, and a matrix changed in place or set on another
 basis object is reduced again.  The memo's grid is read-only.
-`relation_check` and `sf_upper_bound_check` reduce each state past the memo,
-whose key would copy every random state's bytes for a hit that cannot come; a
-p = 1 grid point reuses the endpoint grid its ceilings were measured on.
+`relation_check` and `sf_upper_bound_check` reduce past the memo, whose key
+would copy every state's bytes for a hit that cannot come.  `relation_check`
+reduces only the noise family's two endpoints and reads every point's grid off
+them as p * grid(1) + (1 - p) * grid(0), the pair grid being affine in p.
 
 The noise family and the random states of `sf_upper_bound_check` take their
 basis, eta and DoF specs from `_space(layout)`, and the noise family its
@@ -46,11 +42,9 @@ Horodecki & Horodecki, PRA 60, 1888, 1999), which `average_teleport_fidelity`
 computes.  The per-matrix forms first written, six protocol runs and the
 signed singular values of the nine-product correlation matrix, are kept as
 oracles in `tests/oracles.py`; both closed forms agree with them within 1e-14
-relative.  `relation_check` records a residual below 1e-12 as 0.0, so no record
-pins the order of these sums.  Channels between DoFs of indistinguishable
-particles are scaled onto `F_MAX_INDIST` = 5/6, as unit-fidelity transfer is
-unavailable to them, or onto the `f_max` of the `FidelityParams` a caller
-passes.
+relative.  Channels between DoFs of indistinguishable particles are scaled onto
+`F_MAX_INDIST` = 5/6, as unit-fidelity transfer is unavailable to them, or onto
+the `f_max` of the `FidelityParams` a caller passes.
 """
 
 from __future__ import annotations
@@ -438,28 +432,27 @@ def two_param_state(p, layout):
 def relation_check(layout, p_grid=None):
     """Check f_g against its linear prediction from F_g across the noise family.
 
-    The ceilings are measured on the family's p = 1 endpoint, which keeps the
-    check self-consistent with the constructed resource state.  Returns a
-    list of records with the residuals, each on an absolute grid: below 1e-12
-    in magnitude it is recorded as 0.0, so the record does not pin the order
-    of floating-point sums.
+    Every p must lie in [0, 1].  The grid at p is p * grid(1) + (1 - p) *
+    grid(0) (module doc), and the ceilings are measured on p = 1,
+    self-consistent with the resource state.  A residual below 1e-12 in
+    magnitude is recorded as 0.0, so no record pins the order of sums.
     """
-    if p_grid is None:
-        p_grid = np.linspace(0.0, 1.0, 21)
-    if len(p_grid) == 0:
+    p_grid = [float(p) for p in
+              (np.linspace(0.0, 1.0, 21) if p_grid is None else p_grid)]
+    if not p_grid:
         raise ValueError("p_grid needs at least one point")
+    if not all(0.0 <= p <= 1.0 for p in p_grid):  # nan fails both
+        raise ValueError("p must lie in [0, 1]")
     n = layout.n
     endpoint = _pair_matrices(two_param_state(1.0, layout), layout)
+    noise = _pair_matrices(two_param_state(0.0, layout), layout)
     params = FidelityParams(
         _teleportation_fidelity_of(endpoint, layout,
                                    FidelityParams.for_layout(layout)),
         _singlet_fraction_of(endpoint))
     records = []
     for p in p_grid:
-        if float(p) == 1.0:
-            grid = endpoint  # the p = 1 state, already reduced
-        else:
-            grid = _pair_matrices(two_param_state(float(p), layout), layout)
+        grid = p * endpoint + (1.0 - p) * noise
         f_g = _teleportation_fidelity_of(grid, layout, params)
         big_f = _singlet_fraction_of(grid)
         predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
@@ -467,7 +460,7 @@ def relation_check(layout, p_grid=None):
         residual = f_g - predicted
         if abs(residual) < 1e-12:
             residual = 0.0  # round-off (and -0.0) is recorded as 0.0
-        records.append({"p": float(p), "f_g": f_g, "F_g": big_f,
+        records.append({"p": p, "f_g": f_g, "F_g": big_f,
                         "predicted_f_g": predicted, "residual": residual})
     return records
 

@@ -25,6 +25,11 @@ I/4 (distinguishable layout).  `unshared_pair_grid` is
 `qdof.fidelity._pair_matrices` as it was before a party-1 row equal to an
 earlier one reused that row's pair matrices: every row is reduced through
 party 2 again, and the library's grid must have its bytes.
+`per_point_relation_check` is `qdof.fidelity.relation_check` as it was
+before it read every point's grid off its two endpoint grids: it builds
+`two_param_state(p, layout)` at every p and reduces it through
+`_pair_matrices`, and the library's records must equal its records at 12
+significant digits.
 `eye_two_param_data` is the noise family's matrix as first written,
 p R + (1 - p) I/dim through a dim x dim identity, whose bytes
 `two_param_state` must give.  `hardy_q_grid` is `qdof.hardy.hardy_q` over an
@@ -99,8 +104,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, PHI_PLUS,
-                           _each_dof, _resource, _space, singlet_fraction)
+from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, D,
+                           PHI_PLUS, FidelityParams, _each_dof, _pair_matrices,
+                           _resource, _singlet_fraction_of, _space,
+                           _teleportation_fidelity_of, singlet_fraction,
+                           two_param_state)
 from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
                            _flip_eigenvalues, case_state, concurrence)
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, to_density,
@@ -358,6 +366,30 @@ def unshared_pair_grid(dm, layout):
     return np.array([[to_qubit_array(pair)
                       for pair in _each_dof(row, 1, trace, n)]
                      for row in _each_dof(dm, 0, trace, n)])
+
+
+def per_point_relation_check(layout, p_grid):
+    """`relation_check` records, the grid of every point reduced from its
+    own `two_param_state`."""
+    n = layout.n
+    endpoint = _pair_matrices(two_param_state(1.0, layout), layout)
+    params = FidelityParams(
+        _teleportation_fidelity_of(endpoint, layout,
+                                   FidelityParams.for_layout(layout)),
+        _singlet_fraction_of(endpoint))
+    records = []
+    for p in p_grid:
+        grid = _pair_matrices(two_param_state(float(p), layout), layout)
+        f_g = _teleportation_fidelity_of(grid, layout, params)
+        big_f = _singlet_fraction_of(grid)
+        predicted = ((big_f - n / D ** 2) * (params.f_max - 1 / D)
+                     / (params.big_f_max - n / D ** 2) + 1 / D)
+        residual = f_g - predicted
+        if abs(residual) < 1e-12:
+            residual = 0.0
+        records.append({"p": float(p), "f_g": f_g, "F_g": big_f,
+                        "predicted_f_g": predicted, "residual": residual})
+    return records
 
 
 def eye_two_param_data(p, layout):

@@ -165,6 +165,31 @@ def test_out_of_range_value_names_its_flag_before_any_work(monkeypatch, capsys,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("cases",), ("sf-bound",), ("signaling",), ("qpq",), ("hardy", "sample"),
+    ("hardy", "estimate"),
+])
+def test_negative_seed_names_its_flag_before_any_draw(monkeypatch, capsys,
+                                                      argv):
+    """numpy's own message ("expected non-negative integer") named no flag,
+    estimate drew all five calibration sets first, and qpq, which draws
+    nothing, took the seed."""
+    import numpy as np
+
+    from qdof import protocols
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    monkeypatch.setattr(protocols, "qpq_sf", never)
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: argument --seed: expected an integer "
+                            ">= 0, got '-1'\n")
+
+
 @pytest.mark.parametrize("drop, message", [
     ("s9:1", "error: --drop: no region 's9'; the regions are s1, s2\n"),
     ("s1:1,s1:1", "error: --drop names DoF 1 of region 's1' twice\n"),

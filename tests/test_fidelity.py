@@ -27,8 +27,9 @@ from qdof.trace import project_one_per_region
 from oracles import (MONOGAMY_MIN_TANGLE, _fef_closed, _six_run_output,
                      closed_form_singlet_fraction, eye_two_param_data,
                      monogamy_ascent, optimized_singlet_fraction,
-                     pure_vector_grid, singlet_fraction_ascent,
-                     singlet_fraction_grid, six_run_teleport_fidelity,
+                     per_point_relation_check, pure_vector_grid,
+                     singlet_fraction_ascent, singlet_fraction_grid,
+                     six_run_teleport_fidelity,
                      star_ceiling_state, star_projector_sum,
                      unshared_pair_grid, werner_grid)
 
@@ -746,11 +747,66 @@ def test_bound_check_builds_no_resource_matrix():
 
 
 def test_relation_check_reduces_the_endpoint_once(monkeypatch):
-    """The default grid's p = 1 point reuses the grid the ceilings were
-    measured on: 21 reductions for 21 points."""
+    """Only the family's endpoints are reduced, p = 1 (whose grid the
+    ceilings are measured on) and p = 0, whatever the number of points."""
     calls = _count_reductions(monkeypatch)
-    relation_check(ChannelLayout("indistinguishable", 3))
-    assert len(calls) == 21
+    for points in (1, 2, 21):
+        calls.clear()
+        relation_check(ChannelLayout("indistinguishable", 3),
+                       np.linspace(0.0, 1.0, points))
+        assert len(calls) == 2, points
+
+
+@pytest.mark.parametrize("p_grid", [[0.5, 1.5], [math.nan], [-1e-9]])
+def test_relation_check_refuses_a_bad_p_before_any_reduction(monkeypatch,
+                                                             p_grid):
+    calls = _count_reductions(monkeypatch)
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+        relation_check(ChannelLayout("distinguishable", 2), p_grid)
+    assert calls == []
+
+
+def _point_grids(layout, p_grid):
+    """The pair grid of each point of `relation_check(layout, p_grid)`, as
+    its F_g reads it."""
+    grids = []
+
+    def spy(grid, measure=fidelity._singlet_fraction_of):
+        grids.append(grid)
+        return measure(grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fidelity, "_singlet_fraction_of", spy)
+        relation_check(layout, p_grid)
+    return grids[1:]  # the first is the p = 1 endpoint's, for the ceiling
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["distinguishable", "indistinguishable"]),
+       n=st.integers(1, 5), p=st.floats(0.0, 1.0))
+def test_each_point_grid_is_the_grid_of_its_state(kind, n, p):
+    """The affine grid p * grid(1) + (1 - p) * grid(0) is the pair grid of
+    the state at p, and the Werner grid of the closed form."""
+    layout = ChannelLayout(kind, n)
+    (grid,) = _point_grids(layout, [p])
+    reduced = fidelity._pair_matrices(two_param_state(p, layout), layout)
+    assert np.abs(grid - reduced).max() <= 1e-15
+    assert np.abs(grid - werner_grid(p, layout)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_relation_records_are_the_per_point_records(kind, n):
+    """At the 12 significant digits the CLI prints, the records read off
+    the endpoint grids are those of a reduction at every point."""
+    layout = ChannelLayout(kind, n)
+    p_grid = np.linspace(0.0, 1.0, 21)
+
+    def printed(records):
+        return [{k: f"{v:.12g}" for k, v in r.items()} for r in records]
+
+    assert (printed(relation_check(layout, p_grid))
+            == printed(per_point_relation_check(layout, p_grid)))
 
 
 def _dof_trace_calls(monkeypatch, dm, layout):

@@ -16,13 +16,15 @@ round-off such as 1.11022302463e-16 (at most 3.3e-16) to 0.  The n = 5 and
 product basis carried its own slots).  So the records no longer pin the
 order of any floating-point sum.
 
-`relation_check` reduces each state itself, so the records above bypass the
-one-entry grid memo of `generalized_teleportation_fidelity` and
-`generalized_singlet_fraction`.  `PUBLIC_DIGESTS` pins those two functions,
-called back to back on one state as the benchmark's `relation` op calls
-them: for every (kind, n) group of that op's mix, the SHA-256 of
-`repr((f_g, F_g))` at p = 0, 0.37 and 0.9, one line each, recorded before
-the memo was added.
+`relation_check` reduces the noise family's two endpoints itself and reads
+every point's grid off them as p * grid(1) + (1 - p) * grid(0), so the records
+above bypass the one-entry grid memo of `generalized_teleportation_fidelity`
+and `generalized_singlet_fraction`.  They were recorded when every point was
+reduced on its own, and the affine grid prints the same bytes.
+`PUBLIC_DIGESTS` pins those two functions, called back to back on one state as
+the benchmark's `relation` op calls them: for every (kind, n) group of that
+op's mix, the SHA-256 of `repr((f_g, F_g))` at p = 0, 0.37 and 0.9, one line
+each, recorded before the memo was added.
 
 The printed fields are rounded to 12 significant digits, and
 `PUBLIC_DIGESTS` hashes full `repr`s.  Both pass through LAPACK (eigvalsh)
