@@ -25,8 +25,9 @@ fresh reduction would build, and a matrix changed in place or set on another
 basis object is reduced again.  The memo's grid is read-only.
 `relation_check` and `sf_upper_bound_check` reduce past the memo, whose key
 would copy every state's bytes for a hit that cannot come.  `relation_check`
-reduces only the noise family's two endpoints and reads every point's grid off
-them as p * grid(1) + (1 - p) * grid(0), the pair grid being affine in p.
+reduces one state, the family's p = 1 endpoint, built past `_resource`'s cache,
+and reads the grid at p as p * grid(1) + (1 - p) * I/4, the pair grid being
+affine in p and every pair of the maximally mixed p = 0 state I/4.
 
 The noise family and the random states of `sf_upper_bound_check` take their
 basis, eta and DoF specs from `_space(layout)`, and the noise family its
@@ -424,7 +425,8 @@ def two_param_state(p, layout):
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     basis, eta, specs = _space(layout)
-    data = p * _resource(layout) + 0.0
+    data = p * _resource(layout)
+    data += 0.0  # -0.0 becomes 0.0, in place: one 4^n x 4^n allocation
     data.flat[::len(basis) + 1] += (1.0 - p) / len(basis)
     return DensityMatrix(basis, data, eta, specs, layout.n)
 
@@ -432,10 +434,11 @@ def two_param_state(p, layout):
 def relation_check(layout, p_grid=None):
     """Check f_g against its linear prediction from F_g across the noise family.
 
-    Every p must lie in [0, 1].  The grid at p is p * grid(1) + (1 - p) *
-    grid(0) (module doc), and the ceilings are measured on p = 1,
-    self-consistent with the resource state.  A residual below 1e-12 in
-    magnitude is recorded as 0.0, so no record pins the order of sums.
+    Every p must lie in [0, 1].  Only the resource is reduced: the grid at
+    p is p * grid(1) + (1 - p) * I/4 (module doc), and the ceilings are
+    measured on p = 1, self-consistent with the resource state.  A residual
+    below 1e-12 in magnitude is recorded as 0.0, so no record pins the order
+    of sums.
     """
     p_grid = [float(p) for p in
               (np.linspace(0.0, 1.0, 21) if p_grid is None else p_grid)]
@@ -444,8 +447,11 @@ def relation_check(layout, p_grid=None):
     if not all(0.0 <= p <= 1.0 for p in p_grid):  # nan fails both
         raise ValueError("p must lie in [0, 1]")
     n = layout.n
-    endpoint = _pair_matrices(two_param_state(1.0, layout), layout)
-    noise = _pair_matrices(two_param_state(0.0, layout), layout)
+    basis, eta, specs = _space(layout)
+    resource = _resource.__wrapped__(layout)  # uncached: freed on return
+    endpoint = _pair_matrices(DensityMatrix(basis, resource, eta, specs, n),
+                              layout)
+    noise = np.eye(4, dtype=complex) / D ** 2  # the grid of every p = 0 pair
     params = FidelityParams(
         _teleportation_fidelity_of(endpoint, layout,
                                    FidelityParams.for_layout(layout)),

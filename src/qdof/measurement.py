@@ -131,13 +131,10 @@ def setting_phases(a, b):
 
 def chsh(kind, settings=ChshSettings(), obs=("external", "external"),
          circuit=li_circuit):
-    """|E00 + E10 + E01 - E11| from four circuit evaluations."""
+    """|E00 + E10 + E01 - E11| of the four states `circuit(kind, phases)`."""
 
     def e_of(a, b):
-        if circuit is li_circuit:
-            state = circuit(kind, setting_phases(a, b))
-        else:
-            state = circuit(setting_phases(a, b))
+        state = circuit(kind, setting_phases(a, b))
         return expectation(coincidence_table(state, *obs))
 
     e00 = e_of(settings.phi_a0, settings.phi_b0)

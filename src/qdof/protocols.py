@@ -175,7 +175,7 @@ def swap_verify(phases=PhaseConfig()):
     state = swap_circuit(phases)
     table = coincidence_table(state, "internal", "external")
     value = chsh(None, ChshSettings(), obs=("internal", "external"),
-                 circuit=swap_circuit)
+                 circuit=lambda _kind, setting: swap_circuit(setting))
     return {"table": table, "chsh": value, "phi": phases.phi}
 
 

@@ -747,14 +747,43 @@ def test_bound_check_builds_no_resource_matrix():
 
 
 def test_relation_check_reduces_the_endpoint_once(monkeypatch):
-    """Only the family's endpoints are reduced, p = 1 (whose grid the
-    ceilings are measured on) and p = 0, whatever the number of points."""
+    """Only the resource, the p = 1 endpoint whose grid the ceilings are
+    measured on, is reduced, whatever the number of points, and no state of
+    the family is built: the p = 0 grid is the constant I/4 grid."""
     calls = _count_reductions(monkeypatch)
+    states = []
+    build = fidelity.two_param_state
+    monkeypatch.setattr(fidelity, "two_param_state",
+                        lambda p, layout: states.append(p) or build(p, layout))
     for points in (1, 2, 21):
         calls.clear()
         relation_check(ChannelLayout("indistinguishable", 3),
                        np.linspace(0.0, 1.0, points))
-        assert len(calls) == 2, points
+        assert len(calls) == 1, points
+    assert states == []
+
+
+def test_relation_check_leaves_no_resource_matrix():
+    """The resource is built past `_resource`'s cache, so no 4^n x 4^n
+    matrix outlives the call."""
+    fidelity._resource.cache_clear()
+    relation_check(ChannelLayout("indistinguishable", 3))
+    relation_check(ChannelLayout("distinguishable", 2), [0.0, 1.0])
+    assert fidelity._resource.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_relation_check_closed_forms_are_byte_exact(kind, n):
+    """What `relation_check` uses in place of the family's endpoints: the
+    reduced p = 0 state is the I/4 grid, and the resource is the p = 1
+    state's matrix, byte for byte."""
+    layout = ChannelLayout(kind, n)
+    noise = fidelity._pair_matrices(two_param_state(0.0, layout), layout)
+    constant = np.broadcast_to(np.eye(4, dtype=complex) / 4, (n, n, 4, 4))
+    assert noise.tobytes() == np.ascontiguousarray(constant).tobytes()
+    assert (fidelity._resource(layout).tobytes()
+            == two_param_state(1.0, layout).data.tobytes())
 
 
 @pytest.mark.parametrize("p_grid", [[0.5, 1.5], [math.nan], [-1e-9]])

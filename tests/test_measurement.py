@@ -99,8 +99,16 @@ def test_chsh_never_beats_quantum_bound():
 
 
 def test_chsh_on_swap_circuit():
-    value = chsh(None, obs=("internal", "external"), circuit=swap_circuit)
+    value = chsh(None, obs=("internal", "external"),
+                 circuit=lambda _kind, setting: swap_circuit(setting))
     assert value == pytest.approx(TSIRELSON, abs=1e-9)
+
+
+def test_chsh_calls_any_circuit_with_kind_and_phases():
+    """A builder other than the default is called as the default is."""
+    for kind in ("boson", "fermion", "distinguishable"):
+        value = chsh(kind, circuit=lambda kind, ph: li_circuit(kind, ph))
+        assert value == chsh(kind)
 
 
 def test_setting_phases_expectation_identity():

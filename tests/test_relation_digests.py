@@ -16,10 +16,10 @@ round-off such as 1.11022302463e-16 (at most 3.3e-16) to 0.  The n = 5 and
 product basis carried its own slots).  So the records no longer pin the
 order of any floating-point sum.
 
-`relation_check` reduces the noise family's two endpoints itself and reads
-every point's grid off them as p * grid(1) + (1 - p) * grid(0), so the records
-above bypass the one-entry grid memo of `generalized_teleportation_fidelity`
-and `generalized_singlet_fraction`.  They were recorded when every point was
+`relation_check` reduces the noise family's p = 1 endpoint itself and reads
+every point's grid off it as p * grid(1) + (1 - p) * I/4, so the records above
+bypass the one-entry grid memo of `generalized_teleportation_fidelity` and
+`generalized_singlet_fraction`.  They were recorded when every point was
 reduced on its own, and the affine grid prints the same bytes.
 `PUBLIC_DIGESTS` pins those two functions, called back to back on one state as
 the benchmark's `relation` op calls them: for every (kind, n) group of that
