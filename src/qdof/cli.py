@@ -2,10 +2,14 @@
 
 Every subcommand prints one JSON record that is byte-identical across runs
 for the same configuration, including the seed; ``qdof <cmd> --help`` lists
-its flags and the other renderings ``--format`` offers.  Angles are taken in
-degrees on the command line and converted to radians internally.  Exit
-codes: 0 success, 2 validation error (one ``error:`` line on stderr), 3
-flagged numeric failure.
+its flags and the other renderings ``--format`` offers.  The record's
+``config`` holds every flag the subcommand took but ``--format`` and
+``--output``, given or defaulted: ``--phases``, ``--settings``, ``--theta``
+and ``--phi`` as ``<flag>_deg``, an omitted ``--case`` or ``--noise`` as
+``"all"`` or ``"default"``, and a switch only when it is on.  Angles are
+taken in degrees on the command line and converted to radians internally.
+Exit codes: 0 success, 2 validation error (one ``error:`` line on stderr),
+3 flagged numeric failure.
 """
 
 from __future__ import annotations
@@ -38,14 +42,34 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(args, config, results, method, text=None):
+# Left out of every config: the subcommand words, the handler, and the two
+# flags that say only where and how the record is written.
+_UNRECORDED = ("command", "hardy_mode", "func", "format", "output")
+_DEGREES = ("phases", "settings", "theta", "phi")
+_OMITTED = {"case": "all", "noise": "default"}  # flags whose default is None
+
+
+def _config(args):
+    """The record's config: the flags of `args`, by the rule of the module
+    doc."""
+    config = {}
+    for key, value in vars(args).items():
+        if key in _UNRECORDED or value is False:
+            continue
+        if value is None:
+            value = _OMITTED[key]
+        config[f"{key}_deg" if key in _DEGREES else key] = value
+    return config
+
+
+def _emit(args, results, method, text=None):
     """Write the JSON record, or `text` when --format picked the one other
     rendering the subcommand's parser offers."""
     if args.format == "json":
         from . import __version__
         record = {
             "schema_version": SCHEMA_VERSION,
-            "config": _round_floats(config),
+            "config": _round_floats(_config(args)),
             "results": _round_floats(results),
             "provenance": {"method": method, "version": __version__},
         }
@@ -114,8 +138,7 @@ def _cmd_tables(args):
         t = measurement.coincidence_table(state, *obs)
         results[f"{obs[0]}_{obs[1]}"] = _table_dict(t)
         plain.append(f"A:{obs[0]} B:{obs[1]}\n{t.as_text()}\n")
-    return _emit(args, {"kind": args.kind, "phases_deg": args.phases},
-                 results, "coincidence_tables", "\n".join(plain))
+    return _emit(args, results, "coincidence_tables", "\n".join(plain))
 
 
 def _cmd_chsh(args):
@@ -125,8 +148,7 @@ def _cmd_chsh(args):
     verdict = ("no violation" if value <= 2.0 + 1e-12 else
                "violation" if value < 2 * math.sqrt(2) - 1e-9 else
                "maximal violation")
-    return _emit(args, {"kind": args.kind, "settings_deg": args.settings},
-                 {"chsh": value, "verdict": verdict}, "chsh_scan")
+    return _emit(args, {"chsh": value, "verdict": verdict}, "chsh_scan")
 
 
 def _cmd_trace(args):
@@ -159,9 +181,7 @@ def _cmd_trace(args):
     for sub in subs:
         dm = trace_dof_indist(dm, sub)
     arr = to_qubit_array(dm)
-    return _emit(args, {"kind": args.kind, "phases_deg": args.phases,
-                        "drop": args.drop},
-                 {"matrix_re": arr.real, "matrix_im": arr.imag},
+    return _emit(args, {"matrix_re": arr.real, "matrix_im": arr.imag},
                  "dof_trace", matrix_csv(arr))
 
 
@@ -171,8 +191,7 @@ def _cmd_monogamy(args):
                                 ["s1", "s2"])
     rep = measures.monogamy_report(dm, Subsystem("s1", 2), Subsystem("s2", 2),
                                    Subsystem("s2", 1))
-    return _emit(args, {"kind": args.kind, "phases_deg": args.phases},
-                 rep.to_dict(), "interferometer_monogamy")
+    return _emit(args, rep.to_dict(), "interferometer_monogamy")
 
 
 def _case_ids(text):
@@ -196,9 +215,7 @@ def _cmd_cases(args):
     cases = [measures.random_case(cid, rng) for cid in ids]
     out = {str(cid): {**rep.to_dict(), "pattern": list(pattern)}
            for cid, (rep, pattern) in zip(ids, measures.three_particle_cases(cases))}
-    return _emit(args, {"case": "all" if args.case is None else args.case,
-                        "seed": args.seed},
-                 out, "three_particle_cases")
+    return _emit(args, out, "three_particle_cases")
 
 
 def _cmd_fidelity_relation(args):
@@ -210,9 +227,8 @@ def _cmd_fidelity_relation(args):
     keys = ("p", "f_g", "F_g", "predicted_f_g", "residual")
     csv_lines = [",".join(keys)] + [",".join(f"{r[k]:.12g}" for k in keys)
                                     for r in recs]
-    return _emit(args, {"kind": args.kind, "n": args.n, "points": args.points},
-                 {"grid": recs,
-                  "max_residual": max(abs(r["residual"]) for r in recs)},
+    return _emit(args, {"grid": recs,
+                        "max_residual": max(abs(r["residual"]) for r in recs)},
                  "fidelity_relation", "\n".join(csv_lines) + "\n")
 
 
@@ -220,10 +236,8 @@ def _cmd_sf_bound(args):
     layout = fidelity.ChannelLayout("distinguishable", args.n)
     rep = fidelity.sf_upper_bound_check(layout, samples=args.samples,
                                         seed=args.seed)
-    code = 0 if rep["within"] else 3
-    _emit(args, {"n": args.n, "samples": args.samples, "seed": args.seed},
-          rep, "singlet_fraction_bound")
-    return code
+    _emit(args, rep, "singlet_fraction_bound")
+    return 0 if rep["within"] else 3
 
 
 def _cmd_signaling(args):
@@ -236,9 +250,7 @@ def _cmd_signaling(args):
     p = float(exact)
     ok = (abs(mc["estimate"] - p)
           <= 4 * math.sqrt(p * (1 - p) / args.trials) + 1e-12)
-    _emit(args, {"n": args.n, "trials": args.trials, "seed": args.seed,
-                 "mode": args.mode},
-          {**mc, "exact_fraction": str(exact), "within_4_sigma": ok},
+    _emit(args, {**mc, "exact_fraction": str(exact), "within_4_sigma": ok},
           "signaling_probability")
     return 0 if ok else 3
 
@@ -248,28 +260,23 @@ def _cmd_qpq(args):
     if not 0 < args.theta < 180:
         raise ValueError("--theta must lie in (0, 180) degrees, "
                          f"got {args.theta}")
-    return _emit(args, {"theta_deg": args.theta, "ancilla": args.ancilla,
-                        "seed": args.seed},
-                 {"generalized_singlet_fraction":
-                  protocols.qpq_sf(theta, args.ancilla)},
+    return _emit(args, {"generalized_singlet_fraction":
+                        protocols.qpq_sf(theta, args.ancilla)},
                  "query_resource_comparison")
 
 
 def _cmd_swap(args):
     ph = _phases(args.phases)
     res = protocols.swap_verify(ph)
-    return _emit(args, {"phases_deg": args.phases},
-                 {"table": _table_dict(res["table"]), "chsh": res["chsh"],
-                  "phi": res["phi"]},
+    return _emit(args, {"table": _table_dict(res["table"]),
+                        "chsh": res["chsh"], "phi": res["phi"]},
                  "swap_verification")
 
 
 def _cmd_attack(args):
     cfg = protocols.AttackConfig(_radians(args.theta), _radians(args.phi),
                                  args.alpha)
-    return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
-                        "alpha": args.alpha},
-                 protocols.hardy_attack(cfg), "identity_mixing_attack")
+    return _emit(args, protocols.hardy_attack(cfg), "identity_mixing_attack")
 
 
 def _noise(args):
@@ -293,17 +300,16 @@ def _hardy_params(args):
 
 def _cmd_hardy_qmax(args):
     t, f, q = hardy.qmax_solve()
-    return _emit(args, {}, {"theta_deg": math.degrees(t),
-                            "phi_deg": math.degrees(f), "q_max": q,
-                            "q_max_closed_form": hardy.Q_MAX},
+    return _emit(args, {"theta_deg": math.degrees(t),
+                        "phi_deg": math.degrees(f), "q_max": q,
+                        "q_max_closed_form": hardy.Q_MAX},
                  "witness_maximum")
 
 
 def _cmd_hardy_probs(args):
     p = _hardy_params(args)
     probs = hardy.hardy_probs(p)
-    return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi},
-                 {**probs, "q_closed_form": hardy.hardy_q(p)},
+    return _emit(args, {**probs, "q_closed_form": hardy.hardy_q(p)},
                  "witness_probabilities")
 
 
@@ -318,12 +324,7 @@ def _cmd_hardy_sample(args):
     for name, s in sorted(sets.items()):
         for i, v in enumerate(s.values):
             csv_lines.append(f"{name},{i},{v:.12g}")
-    return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
-                        "noise": ("default" if args.noise is None
-                                  else args.noise),
-                        "runs": args.runs, "shots": args.shots,
-                        "seed": args.seed},
-                 results, "noisy_sampling", "\n".join(csv_lines) + "\n")
+    return _emit(args, results, "noisy_sampling", "\n".join(csv_lines) + "\n")
 
 
 def _cmd_hardy_estimate(args):
@@ -351,12 +352,8 @@ def _cmd_hardy_estimate(args):
                          + ci_cols(s))
     csv_lines.append(f"online,{args.theta},{args.phi},{online.mean:.6g},"
                      f"{online.sd:.6g}," + ci_cols(online))
-    return _emit(args, {"theta_deg": args.theta, "phi_deg": args.phi,
-                        "alpha": args.alpha, "runs": args.runs,
-                        "shots": args.shots, "seed": args.seed,
-                        "noise": ("default" if args.noise is None
-                                  else args.noise)},
-                 {**res, "online_mean": online.mean, "online_sd": online.sd},
+    return _emit(args, {**res, "online_mean": online.mean,
+                        "online_sd": online.sd},
                  "two_phase_estimator", "\n".join(csv_lines) + "\n")
 
 
@@ -472,7 +469,7 @@ def build_parser():
     p.add_argument("--phi", type=float, default=51.827)
     p.add_argument("--alpha", type=float, default=0.5)
 
-    modes = commands.add_parser("hardy").add_subparsers(dest="mode",
+    modes = commands.add_parser("hardy").add_subparsers(dest="hardy_mode",
                                                         required=True)
     command(modes, "qmax", _cmd_hardy_qmax)
     probs = command(modes, "probs", _cmd_hardy_probs)

@@ -70,9 +70,6 @@ _PAULI = [np.eye(2, dtype=complex),
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
-AXIS_STATES = [np.array(v, dtype=complex) / np.linalg.norm(v) for v in
-               ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])]
-
 D = 2  # every DoF is two-level
 F_MAX_INDIST = 5.0 / 6.0  # channel fidelity ceiling of indistinguishable DoFs
 

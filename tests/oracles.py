@@ -104,8 +104,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, AXIS_STATES, D,
-                           PHI_PLUS, FidelityParams, _each_dof, _pair_matrices,
+from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, D, PHI_PLUS,
+                           FidelityParams, _each_dof, _pair_matrices,
                            _resource, _singlet_fraction_of, _space,
                            _teleportation_fidelity_of, singlet_fraction,
                            two_param_state)
@@ -323,6 +323,11 @@ def _six_run_output(channel, psi_in):
         rho_b = np.einsum("ca,cabxyz,xy->bz", m.conj(), t, m)
         out += corr @ rho_b @ corr.conj().T
     return out
+
+
+# the six Pauli axis states, +-x, +-y, +-z, normalised
+AXIS_STATES = [np.array(v, dtype=complex) / np.linalg.norm(v) for v in
+               ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])]
 
 
 def six_run_teleport_fidelity(channel):

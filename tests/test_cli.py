@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from qdof.cli import main
+from qdof import cli
+from qdof.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -517,3 +519,63 @@ def test_provenance_carries_version(capsys):
     import qdof
     _, out = run(capsys, "hardy", "qmax")
     assert json.loads(out)["provenance"]["version"] == qdof.__version__
+
+
+@pytest.mark.parametrize("mode", ["probs", "sample", "estimate"])
+def test_allow_boundary_is_recorded_only_when_on(capsys, mode):
+    quick = () if mode == "probs" else ("--runs", "2", "--shots", "100")
+    argv = ("hardy", mode, "--theta", "90", "--phi", "90", *quick)
+    code, out = run(capsys, *argv, "--allow-boundary")
+    assert code == 0
+    assert json.loads(out)["config"]["allow_boundary"] is True
+    # without the switch the boundary point exits 2 and prints no record;
+    # off the boundary the record has no such key
+    assert run(capsys, *argv) == (2, "")
+    code, out = run(capsys, "hardy", mode, "--theta", "60", "--phi", "60",
+                    *quick)
+    assert code == 0
+    assert "allow_boundary" not in json.loads(out)["config"]
+
+
+def _subcommands(parser, words=()):
+    """(command words, parser) of every subcommand, each hardy mode too."""
+    groups = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [(words, parser)]
+    return [leaf for name, sub in groups[0].choices.items()
+            for leaf in _subcommands(sub, (*words, name))]
+
+
+# values that keep a run short; every other flag gets its default, its first
+# choice, or the switch on
+_QUICK = {"samples": "2", "trials": "1000", "points": "3", "runs": "2",
+          "shots": "100", "case": "2,7", "noise": "0.01,0.02,0.03"}
+
+
+@pytest.mark.parametrize("words, parser", [
+    pytest.param(words, parser, id=" ".join(words))
+    for words, parser in _subcommands(build_parser())])
+def test_config_records_every_flag_the_subcommand_takes(tmp_path, capsys,
+                                                        words, parser):
+    flags = [a for a in parser._actions
+             if a.option_strings and a.dest != "help"]
+    # an optional flag defaulting to None needs the name its omission is
+    # recorded under, or a run without it would fail in the rule
+    unnamed = [a.dest for a in flags if a.default is None and not a.required
+               and a.dest != "output" and a.dest not in cli._OMITTED]
+    assert not unnamed, f"no recorded name for an omitted {unnamed}"
+    target = tmp_path / "record.json"
+    argv = list(words)
+    for a in flags:
+        argv.append(a.option_strings[0])
+        if isinstance(a, argparse._StoreTrueAction):
+            continue
+        argv.append(str(target) if a.dest == "output" else
+                    _QUICK.get(a.dest) or (a.choices[0] if a.choices
+                                           else str(a.default)))
+    assert run(capsys, *argv) == (0, "")
+    config = json.loads(target.read_text())["config"]
+    assert set(config) == {
+        f"{a.dest}_deg" if a.dest in ("phases", "settings", "theta", "phi")
+        else a.dest for a in flags if a.dest not in ("format", "output")}

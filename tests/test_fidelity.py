@@ -12,8 +12,8 @@ import qdof.trace
 from qdof import fidelity
 from qdof.circuits import PhaseConfig, li_circuit, pol_oam_pair
 from qdof.cli import main
-from qdof.fidelity import (AXIS_STATES, ChannelLayout, FidelityParams,
-                           PHI_PLUS, average_teleport_fidelity,
+from qdof.fidelity import (ChannelLayout, FidelityParams, PHI_PLUS,
+                           average_teleport_fidelity,
                            generalized_singlet_fraction,
                            generalized_teleportation_fidelity, relation_check,
                            sf_upper_bound_check, singlet_fraction,
@@ -24,8 +24,9 @@ from qdof.states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
                          DofSpec, to_density)
 from qdof.trace import project_one_per_region
 
-from oracles import (MONOGAMY_MIN_TANGLE, _fef_closed, _six_run_output,
-                     closed_form_singlet_fraction, eye_two_param_data,
+from oracles import (AXIS_STATES, MONOGAMY_MIN_TANGLE, _fef_closed,
+                     _six_run_output, closed_form_singlet_fraction,
+                     eye_two_param_data,
                      monogamy_ascent, optimized_singlet_fraction,
                      per_point_relation_check, pure_vector_grid,
                      singlet_fraction_ascent, singlet_fraction_grid,
