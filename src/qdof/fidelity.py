@@ -57,9 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _check_density
 from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
-                     DensityMatrix, DofSpec, StackError)
+                     DensityMatrix, DofSpec, StackError, _check_density)
 from .trace import (ProductBasis, Subsystem, _product_basis, to_qubit_array,
                     trace_dof_dist, trace_dof_indist)
 

@@ -23,7 +23,7 @@ from .circuits import hardy_state, u_phase, u_rot
 
 
 class BoundaryError(ValueError):
-    """The rotation angle chi has no limit at theta = phi = 90 degrees."""
+    """The rotation angle chi has no limit where cos(theta) = cos(phi) = 0."""
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ class HardyParams:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("test-state angles must be finite")
-        if (abs(self.theta - math.pi / 2) < 1e-9
-                and abs(self.phi - math.pi / 2) < 1e-9):
-            raise BoundaryError("chi is undefined at theta = phi = 90 deg")
+        if max(abs(math.cos(self.theta)), abs(math.cos(self.phi))) < 1e-9:
+            raise BoundaryError("chi is undefined where cos(theta) = cos(phi) = 0")
 
     @property
     def chi(self):
@@ -238,7 +237,7 @@ def t_quantile(alpha_half, nu):
         raise ValueError("tail probability must lie in (0, 0.5)")
     if nu < 1:
         raise ValueError("need at least one degree of freedom")
-    from scipy.special import stdtrit  # its import costs most of `import qdof`
+    from scipy.special import stdtrit  # costs more than all of qdof's imports
     return float(stdtrit(nu, 1.0 - alpha_half))
 
 

@@ -109,10 +109,10 @@ from qdof.fidelity import (_BELL, _CORRECTION, _PAULI, D, PHI_PLUS,
                            _resource, _singlet_fraction_of, _space,
                            _teleportation_fidelity_of, singlet_fraction,
                            two_param_state)
-from qdof.measures import (_REGIONS, MonogamyReport, _check_density,
-                           _flip_eigenvalues, case_state, concurrence)
-from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, to_density,
-                         tuple_overlap)
+from qdof.measures import (_REGIONS, MonogamyReport, _flip_eigenvalues,
+                           case_state, concurrence)
+from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, _check_density,
+                         to_density, tuple_overlap)
 from qdof.trace import (Subsystem, project_one_per_region, to_qubit_array,
                         trace_dof_dist, trace_dof_indist, trace_region)
 

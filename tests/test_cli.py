@@ -537,6 +537,37 @@ def test_allow_boundary_is_recorded_only_when_on(capsys, mode):
     assert "allow_boundary" not in json.loads(out)["config"]
 
 
+# theta = phi = 90 deg and its images mod 180 deg, where chi has no limit
+BOUNDARY_IMAGES = [("270", "90"), ("-90", "90"), ("90", "270"), ("450", "-90")]
+HARDY_ANGLE_COMMANDS = {
+    "probs": ("hardy", "probs"),
+    "sample": ("hardy", "sample", "--runs", "2", "--shots", "100"),
+    "estimate": ("hardy", "estimate", "--runs", "2", "--shots", "100"),
+    "attack": ("attack",),
+}
+
+
+@pytest.mark.parametrize("theta, phi", BOUNDARY_IMAGES)
+@pytest.mark.parametrize("command", list(HARDY_ANGLE_COMMANDS))
+def test_every_image_of_the_boundary_exits_2(capsys, command, theta, phi):
+    argv = [*HARDY_ANGLE_COMMANDS[command], "--theta", theta, "--phi", phi]
+    # --allow-boundary maps exactly (90, 90) and nothing else
+    switches = [[]] if command == "attack" else [[], ["--allow-boundary"]]
+    for switch in switches:
+        assert main(argv + switch) == 2
+        assert capsys.readouterr() == (
+            "", "error: chi is undefined where cos(theta) = cos(phi) = 0\n")
+
+
+@pytest.mark.parametrize("theta, phi", [("89.99", "90"), ("90", "89.99")])
+@pytest.mark.parametrize("command", list(HARDY_ANGLE_COMMANDS))
+def test_points_beside_the_boundary_print(capsys, command, theta, phi):
+    code, out = run(capsys, *HARDY_ANGLE_COMMANDS[command], "--theta", theta,
+                    "--phi", phi)
+    assert code == 0
+    assert json.loads(out)["config"]["theta_deg"] == float(theta)
+
+
 def _subcommands(parser, words=()):
     """(command words, parser) of every subcommand, each hardy mode too."""
     groups = [a for a in parser._actions

@@ -125,9 +125,11 @@ def test_shared_operators_and_sample_values_are_read_only():
         s.values = np.zeros(3)
 
 
-def test_boundary_point_rejected():
+@pytest.mark.parametrize("theta, phi", [(90, 90), (270, 90), (-90, 90),
+                                        (90, 270), (450, -90)])
+def test_boundary_point_rejected(theta, phi):
     with pytest.raises(BoundaryError):
-        HardyParams(math.pi / 2, math.pi / 2)
+        HardyParams(deg(theta), deg(phi))
 
 
 @pytest.mark.parametrize("theta, phi", [(math.nan, 0.5), (0.5, math.inf)])

@@ -10,13 +10,13 @@ from qdof.circuits import PhaseConfig, li_circuit
 from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
                            teleport_output)
 from qdof.measures import (CATALOGUE, MonogamyReport, ThreeParticleCase,
-                           _case_configs, _check_density, _monogamy_reports,
+                           _case_configs, _monogamy_reports,
                            case_state, concurrence, log_negativity,
                            mixed_monogamy_check, monogamy_report,
                            monogamy_report_qubits, negativity,
                            random_case, three_particle_cases,
                            tangle_one_vs_rest, vn_entropy)
-from qdof.states import DegenerateStateError, to_density
+from qdof.states import DegenerateStateError, _check_density, to_density
 from qdof.trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist
 
 from oracles import (per_case_monogamy_report, per_case_three_particle,
