@@ -124,14 +124,19 @@ _MAGIC_H = _MAGIC.conj().T
 def _stack(matrices, message, zero):
     """(k, 4, 4) complex stack of one 4x4 matrix or of a stack, its k real
     traces, and whether the input was one matrix.  Other shapes raise
-    ValueError(message), and a trace of at most 1e-12 times its matrix's
-    largest |entry| in magnitude DegenerateStateError(zero)."""
+    ValueError(message).  Unless every trace exceeds 1e-12 times its
+    matrix's largest |entry| in magnitude (false for any nan or inf), a
+    non-finite entry raises ValueError and a small trace
+    DegenerateStateError(zero)."""
     matrices = np.asarray(matrices, dtype=complex)
     if matrices.ndim not in (2, 3) or matrices.shape[-2:] != (4, 4):
         raise ValueError(message)
     stack = matrices.reshape(-1, 4, 4)
     tr = stack.trace(axis1=1, axis2=2).real
-    if any((np.abs(tr) <= 1e-12 * np.abs(stack).max(axis=(1, 2))).tolist()):
+    largest = np.abs(stack).max(axis=(1, 2))
+    if not all((np.abs(tr) > 1e-12 * largest).tolist()):
+        if not np.isfinite(largest).all():
+            raise ValueError("matrix has non-finite entries")
         raise DegenerateStateError(zero)
     return stack, tr, matrices.ndim == 2
 

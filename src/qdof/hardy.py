@@ -169,6 +169,8 @@ class SampleSet:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
+        if values.size == 0:
+            raise ValueError("a sample set needs at least one value")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -363,11 +363,13 @@ def mix(states):
     index = {b: i for i, b in enumerate(basis)}
     data = np.zeros((len(basis), len(basis)), dtype=complex)
     eta = states[0][1].eta
-    specs = states[0][1].dof_specs
+    specs = next((dm.dof_specs for _, dm in states if dm.dof_specs), ())
     ndof = max(dm.n_dofs_orig for _, dm in states)
     for w, dm in states:
         if dm.eta != eta:
             raise ShapeError("cannot mix different statistics")
+        if dm.dof_specs and dm.dof_specs != specs:
+            raise ShapeError("cannot mix different DoF layouts")
         idx = [index[b] for b in dm.basis]
         data[np.ix_(idx, idx)] += w * dm.data
     return DensityMatrix(tuple(basis), data, eta, specs, ndof)

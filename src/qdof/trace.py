@@ -44,15 +44,16 @@ fills the array in its own order and whose diagonal has no zero entry is
 returned as a copy.
 
 What a call depends on beyond its data is worked out once per plan, never
-per call.  The operator sum's plan is keyed on ``(basis, rule, mask of the
-non-zero entries)``, the mask packed by ``np.packbits``.  It holds the
-reduced basis and, for each key of the mapped tuples in its order of first
-appearance, the (row, column, coefficient) index arrays of K_key.  Rules
-come from cached factories keyed on their arguments (``eta`` and the DoF
-included; the basis and ``dof_specs`` for the qubit layout), so equal
-arguments give the same rule and share plans.  A plan maps only the tuples
-its mask keeps, so a rule that raises for a tuple raises only when a call
-keeps it, and no error is cached.  Only the products stay per call: each K
+per call.  A rule is a value: the pair ``(images_of, args)`` of a
+module-level images function and its argument tuple (``eta`` and the DoF
+included; the layout's ket orders for the qubit array), and
+``images_of(kets, *args)`` lists the images of one tuple.  The operator
+sum's plan is keyed on ``(basis, rule, mask of the non-zero entries)``, the
+mask packed by ``np.packbits``, so equal rules share plans by value.  It
+holds the reduced basis and, for each key of the mapped tuples in its order
+of first appearance, the (row, column, coefficient) index arrays of K_key.
+A plan maps only the tuples its mask keeps, so a rule that raises for a
+tuple raises only when a call keeps it, and no error is cached.  Only the products stay per call: each K
 built from its index arrays and the sums ``k rho k^dagger`` in the plan's
 order, the ones a plan worked out on every call would give.  Plans hold
 index arrays, never a dense K or an unpacked mask, which would pin
@@ -133,9 +134,10 @@ def _unpacked(mask, shape):
 
 
 @functools.lru_cache(maxsize=512)
-def _kernel_plan(basis, images_of, mask):
-    """(reduced basis, maps) of `_operator_sum` on `basis`, where `mask` is
-    the packed `_linked` mask of the matrix.
+def _kernel_plan(basis, rule, mask):
+    """(reduced basis, maps) of `_operator_sum` on `basis`, where `rule` is
+    the pair (images function, argument tuple) and `mask` is the packed
+    `_linked` mask of the matrix; the cache key holds all three.
 
     Only tuples whose row or column carries a non-zero entry are mapped, so
     a rule error on one of them is raised (and never cached).  Images of
@@ -146,10 +148,11 @@ def _kernel_plan(basis, images_of, mask):
     coeff) triple of index arrays per key, in the keys' order of first
     appearance: K_key has coeff at (row, col).
     """
+    images_of, args = rule
     linked = _unpacked(mask, (len(basis), len(basis)))
     key_ids, slots, images = {}, {}, {}
     for col in np.flatnonzero(linked.any(axis=1)).tolist():
-        for key, coeff, reduced in images_of(basis[col]):
+        for key, coeff, reduced in images_of(basis[col], *args):
             image = (col, key_ids.setdefault(key, len(key_ids)),
                      slots.setdefault(reduced, len(slots)))
             images[image] = images.get(image, 0j) + coeff
@@ -169,12 +172,13 @@ def _kernel_plan(basis, images_of, mask):
     return tuple(reduced), tuple(maps)
 
 
-def _operator_sum(dm, images_of):
-    """Return (basis, sum_key K_key rho K_key^dagger) for ``images_of(kets)``,
-    the basis and each K_key's entries from the `_kernel_plan` of its support.
-    It takes one matrix: a stack raises StackError."""
+def _operator_sum(dm, rule):
+    """Return (basis, sum_key K_key rho K_key^dagger) for the rule
+    ``(images_of, args)``, the basis and each K_key's entries from the
+    `_kernel_plan` of its support.  It takes one matrix: a stack raises
+    StackError."""
     rho = dm._matrix()
-    basis, maps = _kernel_plan(tuple(dm.basis), images_of,
+    basis, maps = _kernel_plan(tuple(dm.basis), rule,
                                np.packbits(_linked(dm)).tobytes())
     data = np.zeros((len(basis), len(basis)), dtype=complex)
     for row, col, coeff in maps:
@@ -184,9 +188,9 @@ def _operator_sum(dm, images_of):
     return basis, data
 
 
-def _reduce(dm, images_of, empty, n_dofs=None):
+def _reduce(dm, rule, empty, n_dofs=None):
     """Renormalized `_operator_sum`; `empty` is the message when nothing is left."""
-    return _renormalized(dm, *_operator_sum(dm, images_of), empty, n_dofs)
+    return _renormalized(dm, *_operator_sum(dm, rule), empty, n_dofs)
 
 
 def _renormalized(dm, basis, data, empty, n_dofs=None):
@@ -286,29 +290,20 @@ def project_one_per_region(dm, regions):
     if len(set(regions)) != len(regions):
         raise ValueError("regions must be distinct")
 
-    return _reduce(dm, _sector_rule(tuple(sorted(regions))),
+    return _reduce(dm, (_sector_images, (tuple(sorted(regions)),)),
                    "no weight in the one-particle-per-region sector")
 
 
-# Rules come from cached factories: equal arguments give the very same rule,
-# so equal rules on one basis and support share a `_kernel_plan` entry.
-
-@functools.lru_cache(maxsize=256)
-def _sector_rule(wanted):
+def _sector_images(kets, wanted):
     """One key: a tuple maps to itself when its regions are `wanted` (sorted)."""
-    wanted = list(wanted)
-
-    def images_of(kets):
-        return [(None, 1.0, kets)] if sorted(k.region for k in kets) == wanted else []
-
-    return images_of
+    return [(None, 1.0, kets)] if tuple(sorted(k.region for k in kets)) == wanted else []
 
 
 def _norm_ratio(big, small, eta):
     return math.sqrt(tuple_overlap(small, small, eta) / tuple_overlap(big, big, eta))
 
 
-def _slot_images(kets, region, eta, dof_index=None):
+def _slot_images(kets, region, eta, dof_index):
     """Images (key, coeff, reduced_tuple) of a tuple under one `region` slot.
 
     With `dof_index` None the slot is removed and the key is its ket; else
@@ -335,17 +330,11 @@ def _slot_images(kets, region, eta, dof_index=None):
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _slot_rule(region, eta, dof_index):
-    """`_slot_images` of one `region` slot as a rule."""
-    return lambda kets: _slot_images(kets, region, eta, dof_index)
-
-
 def trace_region(dm, region):
     """Standard partial trace over one spatial region (one particle there)."""
     if not any(k.region == region for kets in dm.basis for k in kets):
         raise ValueError(f"unknown region {region!r}")
-    return _reduce(dm, _slot_rule(region, dm.eta, None),
+    return _reduce(dm, (_slot_images, (region, dm.eta, None)),
                    f"tracing region {region!r} left nothing")
 
 
@@ -367,7 +356,7 @@ def trace_dof_indist(dm, sub):
                              sub.dof_index, coherent=True)
         if dense is not None:
             return _renormalized(dm, *dense, "DoF trace left nothing", ndof)
-    return _reduce(dm, _slot_rule(sub.region, dm.eta, sub.dof_index),
+    return _reduce(dm, (_slot_images, (sub.region, dm.eta, sub.dof_index)),
                    "DoF trace left nothing", ndof)
 
 
@@ -382,32 +371,28 @@ def trace_dof_dist(dm, particle, dof_index):
         dense = _dense_trace(dm, product, particle, dof_index, coherent=False)
         if dense is not None:
             return _renormalized(dm, *dense, "DoF trace left nothing")
-    return _reduce(dm, _dof_value_rule(particle, dof_index),
+    return _reduce(dm, (_value_images, (particle, dof_index)),
                    "DoF trace left nothing")
 
 
-@functools.lru_cache(maxsize=256)
-def _dof_value_rule(particle, dof_index):
+def _value_images(kets, particle, dof_index):
     """Key = the value of DoF `dof_index` on slot `particle`, which is dropped."""
-
-    def images_of(kets):
-        k = kets[particle]
-        value = k.value(dof_index)
-        if value is None:
-            raise ValueError(f"dof index {dof_index} not present on that particle")
-        return [(value, 1.0,
-                 kets[:particle] + (k.drop(dof_index),) + kets[particle + 1:])]
-
-    return images_of
+    k = kets[particle]
+    value = k.value(dof_index)
+    if value is None:
+        raise ValueError(f"dof index {dof_index} not present on that particle")
+    return [(value, 1.0,
+             kets[:particle] + (k.drop(dof_index),) + kets[particle + 1:])]
 
 
 @functools.lru_cache(maxsize=256)
 def _layout_rule(basis, dof_specs):
     """(in_order, dim, rule) of `basis` in the qubit array of size `dim`.
 
-    The rule maps each tuple, under one key, to its position in the array,
-    so a tuple the layout cannot place raises only when a call keeps it.
-    `in_order` says that the basis fills the array in its own order.
+    The rule, `_position_images` with the layout's per-region ket orders,
+    maps each tuple to its position in the array, so a tuple the layout
+    cannot place raises only when a call keeps it.  `in_order` says that the
+    basis fills the array in its own order.
     """
     regions = sorted({k.region for kets in basis for k in kets})
     if len(regions) != len(basis[0]):
@@ -428,22 +413,27 @@ def _layout_rule(basis, dof_specs):
                 use = [v for v in declared if any(k.value(di) == v for k in slot_kets)]
             if len(use) > 2:
                 raise ShapeError(f"region {r!r} is not a qubit here")
-            orders.append([Ket(r, ((di, v),)) for v in use])
+            orders.append(tuple(Ket(r, ((di, v),)) for v in use))
         else:
-            orders.append([Ket(r)])
+            orders.append((Ket(r),))
     dim = math.prod(len(o) for o in orders)
-
-    def position(kets):
-        by_region = {k.region: k for k in kets}
-        p = 0
-        for o in orders:
-            p = p * len(o) + o.index(by_region[o[0].region])
-        return p
-
     # tuple i holds the kets of position i, one per region
     in_order = [{k.region: k for k in kets} for kets in basis] == [
         dict(zip(regions, combo)) for combo in itertools.product(*orders)]
-    return in_order, dim, lambda kets: [(None, 1.0, position(kets))]
+    return in_order, dim, (_position_images, (tuple(orders),))
+
+
+def _position_images(kets, orders):
+    """One key: a tuple maps to its position in the qubit array whose slots
+    take the kets of `orders`, one tuple of kets per region."""
+    by_region = {k.region: k for k in kets}
+    p = 0
+    for o in orders:
+        ket = by_region[o[0].region]
+        if ket not in o:
+            raise ValueError(f"{ket!r} has no place in the qubit layout")
+        p = p * len(o) + o.index(ket)
+    return [(None, 1.0, p)]
 
 
 def to_qubit_array(dm):

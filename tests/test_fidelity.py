@@ -283,6 +283,21 @@ def test_a_small_scale_is_not_a_zero_trace(measure):
     assert measure(np.array([BELL, 1e-13 * BELL])).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 3)], ids=["diagonal", "off"])
+@pytest.mark.parametrize("measure", [singlet_fraction,
+                                     average_teleport_fidelity])
+def test_non_finite_entries_are_refused(measure, entry, value):
+    """A nan or an infinity on or off the diagonal of I/4, alone or as the
+    second matrix of a stack, is refused as non-finite, never measured or
+    called a zero trace."""
+    rho = np.eye(4, dtype=complex) / 4
+    rho[entry] = value
+    for matrices in (rho, np.array([BELL, rho])):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            measure(matrices)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4,), (4, 8), (8, 8),
                                    (2, 4, 3), (2, 2, 4, 4)])
 @pytest.mark.parametrize("measure", [singlet_fraction,

@@ -45,6 +45,8 @@ CHECKS = {
         ValueError, "p_grid needs at least one point"),
     "noise probability": (lambda: hardy.NoiseModel(depolarizing=1.5),
                           ValueError, "noise probabilities must lie in [0, 1]"),
+    "empty sample set": (lambda: hardy.SampleSet([]),
+                         ValueError, "a sample set needs at least one value"),
     "t tail": (lambda: hardy.t_quantile(0.6, 3),
                ValueError, "tail probability must lie in (0, 0.5)"),
     "observable": (lambda: measurement.coincidence_table(
@@ -85,6 +87,11 @@ CHECKS = {
     "mixed statistics": (lambda: mix([(0.5, _pair(BOSON)),
                                       (0.5, _pair(FERMION))]),
                          ShapeError, "cannot mix different statistics"),
+    "mixed layouts": (lambda: mix([
+        (0.5, _pair()),
+        (0.5, to_density(SymState(BOSON, {TWO_KETS: 1.0},
+                                  (DofSpec(1, ("up", "dn")),))))]),
+        ShapeError, "cannot mix different DoF layouts"),
     "repeated region": (lambda: project_one_per_region(_pair(), ["r1", "r1"]),
                         ValueError, "regions must be distinct"),
     "no dof index": (lambda: trace_dof_indist(_pair(), Subsystem("r1")),

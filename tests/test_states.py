@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
-                         DofSpec, Ket, ShapeError, SymState, mix, normalize,
-                         norm_squared, symmetric_inner, to_density)
+                         DensityMatrix, DofSpec, Ket, ShapeError, SymState,
+                         mix, normalize, norm_squared, symmetric_inner,
+                         to_density)
 from qdof.trace import to_qubit_array
 
 SPIN = DofSpec(1, ("dn", "up"))
@@ -134,6 +135,9 @@ def test_mix_identity_and_diagonal():
     assert m.trace == pytest.approx(1.0)
     assert purity(m) == pytest.approx(0.5)
     assert purity(m) < max(purity(d0), purity(d1))
+    # a matrix that declares no layout takes the layout of the others
+    bare = DensityMatrix(d1.basis, d1.data, d1.eta)
+    assert mix([(0.5, bare), (0.5, d0)]).dof_specs == (SPIN,)
 
 
 def dn_b():

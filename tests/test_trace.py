@@ -280,7 +280,7 @@ def test_a_value_the_spec_lacks_raises_only_when_its_tuple_is_kept():
     assert to_qubit_array(dm).tobytes() == (want + 0j).tobytes()
     data[2, 0] = data[0, 2] = 0.1
     with pytest.raises(ValueError, match=re.escape(
-            "Ket(region='b', dofs=((1, 'z'),)) is not in list")):
+            "Ket(region='b', dofs=((1, 'z'),)) has no place in the qubit layout")):
         to_qubit_array(DensityMatrix(basis, data, DISTINGUISHABLE, (spec,), 1))
 
 

@@ -279,13 +279,14 @@ def test_reductions_are_density_matrices_and_commute(state, data):
              lambda m: trace.trace_dof_indist(m, Subsystem(r2, d2)), projected)
 
 
-def _per_call_operator_sum(dm, images_of):
+def _per_call_operator_sum(dm, rule):
     """`trace._operator_sum` before it tabled the images: every call maps
     each mapped tuple afresh; kept as its byte-for-byte oracle."""
+    images_of, args = rule
     linked = trace._linked(dm)
     by_key = {}
     for col in np.flatnonzero(linked.any(axis=1)):
-        for key, coeff, reduced in images_of(dm.basis[col]):
+        for key, coeff, reduced in images_of(dm.basis[col], *args):
             by_key.setdefault(key, []).append((col, coeff, reduced))
     for key, images in by_key.items():
         reach = linked[:, [col for col, _, _ in images]].any(axis=1)
@@ -313,19 +314,20 @@ def _assert_same_operator_sum(dm, rule):
 
 
 def _draw_rule(data, dm):
-    """One of the trace rules' image maps, drawn against the basis."""
+    """One of the trace rules, (images function, arguments), drawn against
+    the basis."""
     regions = sorted({k.region for kets in dm.basis for k in kets})
     dofs = sorted({i for kets in dm.basis for k in kets for i, _ in k.dofs})
     region = data.draw(st.sampled_from(regions))
     dof = data.draw(st.sampled_from(dofs + [9]))
     return data.draw(st.sampled_from([
-        trace._slot_rule(region, dm.eta, None),
-        trace._slot_rule(region, dm.eta, dof),
-        trace._dof_value_rule(
-            data.draw(st.integers(0, len(dm.basis[0]) - 1)), dof),
-        trace._sector_rule(tuple(sorted(
+        (trace._slot_images, (region, dm.eta, None)),
+        (trace._slot_images, (region, dm.eta, dof)),
+        (trace._value_images,
+         (data.draw(st.integers(0, len(dm.basis[0]) - 1)), dof)),
+        (trace._sector_images, (tuple(sorted(
             data.draw(st.lists(st.sampled_from(regions), min_size=1,
-                               unique=True))))),
+                               unique=True)))),)),
     ]))
 
 
@@ -359,9 +361,9 @@ def test_many_keys_into_one_entry_sum_in_the_per_call_order(eta):
              complex(*rng.normal(size=2))
              for s in "xyz" for t in "uvw" for q in "xy"}
     dm = to_density(normalize(SymState(eta, terms, specs)))
-    _assert_same_operator_sum(dm, trace._slot_rule("a", eta, None))
-    _assert_same_operator_sum(dm, trace._slot_rule("a", eta, 1))
-    _assert_same_operator_sum(dm, trace._dof_value_rule(0, 1))
+    _assert_same_operator_sum(dm, (trace._slot_images, ("a", eta, None)))
+    _assert_same_operator_sum(dm, (trace._slot_images, ("a", eta, 1)))
+    _assert_same_operator_sum(dm, (trace._value_images, (0, 1)))
 
 
 def _product_density(eta, regions, values, rng, mixture):
@@ -596,10 +598,13 @@ def _kernel_qubit_array(dm):
         by_region = {k.region: k for k in kets}
         pos = 0
         for o, d in zip(orders, dims):
-            pos = pos * d + o.index(by_region[o[0].region])
+            ket = by_region[o[0].region]
+            if ket not in o:
+                raise ValueError(f"{ket!r} has no place in the qubit layout")
+            pos = pos * d + o.index(ket)
         return [(None, 1.0, pos)]
 
-    positions, data = trace._operator_sum(dm, embed)
+    positions, data = trace._operator_sum(dm, (embed, ()))
     out[np.ix_(np.array(positions, dtype=int), np.array(positions, dtype=int))] = data
     return out
 
@@ -982,7 +987,7 @@ def test_a_stack_gives_each_matrix_its_bytes_alone(kind, n, k, data, seed):
             assert (trace.to_qubit_array(pair)[m].tobytes()
                     == trace.to_qubit_array(single).tobytes())
 
-    refusals = [lambda: trace._operator_sum(stack, trace._dof_value_rule(1, 1)),
+    refusals = [lambda: trace._operator_sum(stack, (trace._value_images, (1, 1))),
                 stack.check, lambda: stack.trace, stack.to_json, stack.to_csv]
     for refuse in refusals:
         with pytest.raises(ShapeError):
@@ -993,9 +998,9 @@ def test_a_stack_gives_each_matrix_its_bytes_alone(kind, n, k, data, seed):
         refused = []
         operator_sum = trace._operator_sum
 
-        def spy(dm, images_of):
+        def spy(dm, rule):
             refused.append(dm.data.ndim == 3)
-            return operator_sum(dm, images_of)
+            return operator_sum(dm, rule)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace, "_operator_sum", spy)
@@ -1073,11 +1078,11 @@ def test_reductions_store_no_negative_zero_and_renormalize_by_division(kind,
                 continue
             plain = DensityMatrix(tuple(product), dm.data, dm.eta,
                                   dm.dof_specs, n)
-            rules = [trace._slot_rule(region, dm.eta, None)]
+            rules = [(trace._slot_images, (region, dm.eta, None))]
             if coherent:
-                rules.append(trace._slot_rule(region, dm.eta, dof))
+                rules.append((trace._slot_images, (region, dm.eta, dof)))
             else:
-                rules.append(trace._dof_value_rule(slot, dof))
+                rules.append((trace._value_images, (slot, dof)))
             for rule in rules:
                 basis, data = trace._operator_sum(plain, rule)
                 assert _negative_zeros(data) == 0
