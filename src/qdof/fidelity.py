@@ -5,12 +5,12 @@ maximally entangled states (1 x U)|Phi+>, U in U(2), is the largest eigenvalue
 of Re rho_M over the trace, rho_M being rho in the magic basis, where those
 states are the real unit vectors (Hill & Wootters, PRL 78, 5022, 1997;
 Grondalski, Etlinger & James, PLA 300, 573, 2002).  Re rho_M is symmetrized,
-so a non-Hermitian matrix reads its Hermitian part, and a negative trace takes
-the smallest eigenvalue.  The generalized quantities sum the pairwise values
-over DoF pairs of a two-party state, whose pair grid (`_pair_matrices`) is one
-(n, n, 4, 4) array built with the DoF trace rule of the particle kind: party 1
-is reduced to each of its DoFs (`_each_dof`), then each distinct row of those
-to each DoF of party 2, the rows of one layout as one stack (`_reduce_rows`).
+so a non-Hermitian matrix reads its Hermitian part.  The generalized
+quantities sum the pairwise values over DoF pairs of a two-party state, whose
+pair grid (`_pair_matrices`) is one (n, n, 4, 4) array built with the DoF
+trace rule of the particle kind: party 1 is reduced to each of its DoFs
+(`_each_dof`), then each distinct row of those to each DoF of party 2, the
+rows of one layout as one stack (`_reduce_rows`).
 `singlet_fraction` and `average_teleport_fidelity` take one 4x4 matrix (and
 return a float) or a (k, 4, 4) stack (and return its k values, each the one
 its matrix gets alone, the trace divided out of the values); a grid goes to
@@ -57,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (BOSON, DISTINGUISHABLE, DegenerateStateError,
-                     DensityMatrix, DofSpec, StackError, _check_density)
+from .states import (BOSON, DISTINGUISHABLE, DensityMatrix, DofSpec,
+                     StackError, _check_density, _traced)
 from .trace import (ProductBasis, Subsystem, _product_basis, to_qubit_array,
                     trace_dof_dist, trace_dof_indist)
 
@@ -83,6 +83,8 @@ class ChannelLayout:
     def __post_init__(self):
         if self.kind not in ("distinguishable", "indistinguishable"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("v1 supports n >= 1 two-level DoFs")
         if self.n > 6:  # one matrix is 4.3 GB at n = 7
@@ -121,41 +123,19 @@ _MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1],
 _MAGIC_H = _MAGIC.conj().T
 
 
-def _stack(matrices, message, zero):
-    """(k, 4, 4) complex stack of one 4x4 matrix or of a stack, its k real
-    traces, and whether the input was one matrix.  Other shapes raise
-    ValueError(message).  Unless every trace exceeds 1e-12 times its
-    matrix's largest |entry| in magnitude (false for any nan or inf), a
-    non-finite entry raises ValueError and a small trace
-    DegenerateStateError(zero)."""
-    matrices = np.asarray(matrices, dtype=complex)
-    if matrices.ndim not in (2, 3) or matrices.shape[-2:] != (4, 4):
-        raise ValueError(message)
-    stack = matrices.reshape(-1, 4, 4)
-    tr = stack.trace(axis1=1, axis2=2).real
-    largest = np.abs(stack).max(axis=(1, 2))
-    if not all((np.abs(tr) > 1e-12 * largest).tolist()):
-        if not np.isfinite(largest).all():
-            raise ValueError("matrix has non-finite entries")
-        raise DegenerateStateError(zero)
-    return stack, tr, matrices.ndim == 2
-
-
 def singlet_fraction(rho):
     """Maximal overlap of `rho` with a maximally entangled state (closed form).
 
     `rho` is one 4x4 matrix, for which a float is returned, or a (k, 4, 4)
     stack, for which the k values are; each value is the one its matrix
-    gets alone.
+    gets alone.  Input passes `states._traced`, which refuses a zero,
+    negative or non-finite trace, but is not checked to be a density matrix.
     """
-    stack, tr, single = _stack(
-        rho, "v1 computes singlet fractions of two-qubit states",
-        "singlet fraction of a zero-trace matrix")
+    rho, tr = _traced(rho, 4, stack=True)
     # r + r^T is 4 Re rho_M of the Hermitian part of rho
-    r = (_MAGIC_H @ stack @ _MAGIC).real
-    w = np.linalg.eigvalsh(r + r.transpose(0, 2, 1))
-    values = np.where(tr > 0, w[:, -1], w[:, 0]) / (4.0 * tr)
-    return float(values[0]) if single else values
+    r = (_MAGIC_H @ rho @ _MAGIC).real
+    values = np.linalg.eigvalsh(r + r.mT)[..., -1] / (4.0 * tr)
+    return float(values) if rho.ndim == 2 else values
 
 
 # -- pair reductions -----------------------------------------------------------
@@ -295,9 +275,6 @@ _BELL = [np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
 
 _CORRECTION = [_PAULI[0], _PAULI[1], _PAULI[3], _PAULI[1] @ _PAULI[3]]
 
-_CHANNEL_SHAPE = "v1 teleports through two-qubit channels"
-_ZERO_CHANNEL = "teleportation through a zero-trace channel"
-
 
 def _unit(psi_in):
     """`psi_in` as a unit complex 2-vector; any other shape, or a norm that
@@ -318,9 +295,6 @@ def _unit(psi_in):
 def teleport_output(channel, psi_in):
     """Output state of the Bell-measurement protocol through a two-qubit
     channel, a density matrix up to a positive factor (`_check_density`)."""
-    channel = np.asarray(channel, dtype=complex)
-    if channel.shape != (4, 4):
-        raise ValueError(_CHANNEL_SHAPE)
     channel = _check_density(channel, 4)
     psi_in = _unit(psi_in)
     joint = np.kron(np.outer(psi_in, psi_in.conj()), channel)  # C x A x B
@@ -346,13 +320,14 @@ def average_teleport_fidelity(channel):
     `channel` is one 4x4 matrix, for which a float is returned, or a
     (k, 4, 4) stack, for which the k values are.  The mean is linear in the
     channel and equals (2 <Phi+|rho|Phi+> + 1) / 3 on the unit-trace `rho`.
+    Input passes `states._traced`, as in `singlet_fraction`.
     """
-    stack, tr, single = _stack(channel, _CHANNEL_SHAPE, _ZERO_CHANNEL)
+    rho, tr = _traced(channel, 4, stack=True)
     # <Phi+|rho|Phi+>, entry by entry so that each value is its matrix's alone
-    overlap = 0.5 * (stack[:, 0, 0] + stack[:, 0, 3]
-                     + stack[:, 3, 0] + stack[:, 3, 3]).real / tr
+    overlap = 0.5 * (rho[..., 0, 0] + rho[..., 0, 3]
+                     + rho[..., 3, 0] + rho[..., 3, 3]).real / tr
     values = (2.0 * overlap + 1.0) / 3.0
-    return float(values[0]) if single else values
+    return float(values) if rho.ndim == 2 else values
 
 
 def _rescale_to_ceiling(raw, f_max):
@@ -476,6 +451,8 @@ def sf_upper_bound_check(layout, samples=200, seed=0):
     """Random distinguishable states never beat the 1 + (n-1)/D ceiling."""
     if layout.kind != "distinguishable":
         raise ValueError("the ceiling check applies to distinguishable layouts")
+    if not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)

@@ -156,8 +156,9 @@ class NoiseModel:
         for v in (self.depolarizing, self.dephasing, self.readout):
             if not 0.0 <= v <= 1.0:
                 raise ValueError("noise probabilities must lie in [0, 1]")
-        if self.shots < 1:
-            raise ValueError("need at least one shot per run")
+        if not (isinstance(self.shots, (int, np.integer))
+                and 1 <= self.shots <= 2 ** 63 - 1):  # numpy's binomial n
+            raise ValueError("shots must be an integer in 1..2**63 - 1")
 
 
 @dataclass(frozen=True)

@@ -296,29 +296,43 @@ class DensityMatrix:
         return matrix_csv(self._matrix())
 
 
-def _check_density(rho, dim, stack=False):
-    """A finite, Hermitian, positive dim x dim `rho` over its real trace; with
-    `stack`, also each matrix of a (k, dim, dim) stack, checked alone.  The
-    input check of `measures` and `fidelity`, kept beside `DensityMatrix`.
+def _traced(rho, dim, stack=False):
+    """(complex array, real traces) of a dim x dim `rho`, or with `stack` of
+    a (k, dim, dim) stack: the one input gate of the matrix measures of
+    `measures` and `fidelity`, kept beside `DensityMatrix`.
 
-    The matrix is divided by its |trace| first, so c * rho gets the verdict
-    of rho for every c > 0; a trace of at most 1e-12 times the largest
-    |entry|, zero for a zero matrix, raises DegenerateStateError.
+    Any other shape raises ValueError.  Unless every trace exceeds 1e-12
+    times its matrix's largest |entry| (false for any nan or inf), a
+    non-finite entry raises ValueError, a smaller |trace| (zero for a zero
+    matrix) DegenerateStateError, and a negative trace ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (dim, dim) or rho.ndim > 2 + stack:
         raise ValueError(f"expected a {dim}x{dim} matrix")
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
-    tr = np.abs(np.trace(rho, axis1=-2, axis2=-1).real)
-    if (tr <= 1e-12 * np.abs(rho).max(axis=(-2, -1))).any():
-        raise DegenerateStateError("zero-trace matrix")
+    tr = rho.trace(axis1=-2, axis2=-1).real
+    largest = np.abs(rho).max(axis=(-2, -1))
+    if not (tr > 1e-12 * largest).all():
+        if not np.isfinite(largest).all():
+            raise ValueError("matrix has non-finite entries")
+        if (np.abs(tr) <= 1e-12 * largest).any():
+            raise DegenerateStateError("zero-trace matrix")
+        raise ValueError("matrix has a negative trace")
+    return rho, tr
+
+
+def _check_density(rho, dim, stack=False):
+    """A Hermitian, positive `rho` that passes `_traced`, over its trace;
+    with `stack`, each matrix of a (k, dim, dim) stack, checked alone.
+
+    The matrix is divided by its trace first, so c * rho gets the verdict
+    of rho for every c > 0.
+    """
+    rho, tr = _traced(rho, dim, stack)
     rho = rho / tr[..., None, None]
     # np.allclose's test on finite input, minus its wrappers
     adj = rho.conj().swapaxes(-1, -2)
     if not (np.abs(rho - adj) <= 1e-7 + 1e-5 * np.abs(adj)).all():
         raise ValueError("matrix is not Hermitian")
-    # a negative trace leaves eigenvalues summing to -1 here: refused
     if np.linalg.eigvalsh(rho).min() < -1e-7:
         raise ValueError("matrix is not positive semidefinite")
     return rho

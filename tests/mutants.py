@@ -31,17 +31,26 @@ COPIED = ("src", "tests", "README.md", "pyproject.toml")
 
 # (file, old text, new text, node ids that must fail)
 MUTANTS = [
-    # fidelity._stack: a nan or an infinity is refused as non-finite ...
-    ("src/qdof/fidelity.py",
+    # states._traced, the input gate: a nan or an infinity is refused as
+    # non-finite ...
+    ("src/qdof/states.py",
      '''        if not np.isfinite(largest).all():
             raise ValueError("matrix has non-finite entries")
 ''', "",
+     ["tests/test_fidelity.py::test_non_finite_entries_are_refused",
+      "tests/test_measures.py::test_non_finite_matrices_are_refused"]),
+    # ... which a zero-trace test true for no nan would let through ...
+    ("src/qdof/states.py",
+     "    if not (tr > 1e-12 * largest).all():",
+     "    if (tr <= 1e-12 * largest).any():",
      ["tests/test_fidelity.py::test_non_finite_entries_are_refused"]),
-    # ... which the old zero-trace test, true for no nan, let through
-    ("src/qdof/fidelity.py",
-     "    if not all((np.abs(tr) > 1e-12 * largest).tolist()):",
-     "    if any((np.abs(tr) <= 1e-12 * largest).tolist()):",
-     ["tests/test_fidelity.py::test_non_finite_entries_are_refused"]),
+    # ... and the trace cut is signed, so a negative trace is refused
+    ("src/qdof/states.py",
+     "    if not (tr > 1e-12 * largest).all():",
+     "    if not (np.abs(tr) > 1e-12 * largest).all():",
+     ["tests/test_fidelity.py::test_a_negative_trace_is_refused",
+      "tests/test_measures.py::"
+      "test_the_gate_accepts_what_the_absolute_trace_rule_accepts"]),
     # states.mix keeps the one DoF layout that its states declare ...
     ("src/qdof/states.py",
      "    specs = next((dm.dof_specs for _, dm in states if dm.dof_specs), ())",
@@ -77,7 +86,9 @@ MUTANTS = [
     ("src/qdof/trace.py",
      "sign = 1 if (eta == DISTINGUISHABLE or i % 2 == 0) else eta",
      "sign = 1",
-     ["tests/test_trace.py::test_image_tables_are_kept_per_rule"]),
+     ["tests/test_trace.py::test_image_tables_are_kept_per_rule",
+      "tests/test_trace.py::"
+      "test_removing_the_odd_slot_of_a_fermion_tuple_flips_its_sign"]),
     # ... and sorting a fermion tuple
     ("src/qdof/states.py",
      "return sorted_kets, -1 if inv % 2 else 1",
@@ -104,8 +115,8 @@ MUTANTS = [
       "test_relation_records_are_the_per_point_records"]),
     # the magic basis is scaled by sqrt(2), so r + r^T is 4 Re rho_M
     ("src/qdof/fidelity.py",
-     "w[:, 0]) / (4.0 * tr)",
-     "w[:, 0]) / (2.0 * tr)",
+     "[..., -1] / (4.0 * tr)",
+     "[..., -1] / (2.0 * tr)",
      ["tests/test_fidelity.py::test_singlet_fraction_endpoints",
       "tests/test_fidelity.py::"
       "test_a_small_scale_is_not_a_zero_trace[singlet_fraction]"]),

@@ -87,6 +87,12 @@ lengths of the sorted tuple; both must give `repr`-equal floats.
 written, conjugating each amplitude with `np.conj`; the library's
 `complex.conjugate` must give the same `repr`.
 
+`abs_trace_accepts` is the verdict of `qdof.states._check_density` as it
+was before its input gate refused a negative trace: a finite matrix whose
+|trace| exceeds 1e-12 times its largest |entry|, divided by that |trace|,
+must pass np.allclose's Hermitian test and have no eigenvalue below -1e-7.
+The library must accept exactly the matrices it accepts.
+
 `DataclassKet` and `dataclass_canonical` are `qdof.states.Ket` and
 `canonical` as they were before a ket became a plain tuple: a frozen,
 ordered dataclass that stores the hash of ``(region, dofs)``, sorted by
@@ -628,6 +634,19 @@ def per_case_monogamy_report(dm, sub_a, sub_b, sub_c):
              "marginal_spectrum_a": np.linalg.eigvalsh(rho_a).tolist()}
     tangle = float(max(0.0, 4.0 * np.linalg.det(_check_density(rho_a, 2)).real))
     return MonogamyReport(c2_ab, c2_ac, tangle, audit)
+
+
+def abs_trace_accepts(rho):
+    """Whether the density check over |trace| accepts `rho` (module doc)."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        return False
+    tr = abs(np.trace(rho).real)
+    if tr <= 1e-12 * np.abs(rho).max():
+        return False
+    rho = rho / tr
+    return (np.allclose(rho, rho.conj().T, rtol=1e-5, atol=1e-7)
+            and np.linalg.eigvalsh(rho).min() >= -1e-7)
 
 
 def per_case_three_particle(case):

@@ -123,6 +123,13 @@ def test_empty_samples_nonfinite_angles_and_bad_drop_exit_2(capsys, argv):
     _exit_2_with_one_line(capsys, *argv)
 
 
+@pytest.mark.parametrize("mode", ["sample", "estimate"])
+def test_shots_beyond_int64_exit_2(capsys, mode):
+    assert main(["hardy", mode, "--shots", str(2 ** 63)]) == 2
+    assert capsys.readouterr().err == (
+        "error: shots must be an integer in 1..2**63 - 1\n")
+
+
 @pytest.mark.parametrize("noise", ["0.1,0.2", "a,b,c", "0.1,0.1,0.1,0.1"])
 def test_hardy_noise_names_its_three_values(capsys, noise):
     assert main(["hardy", "sample", "--noise", noise]) == 2

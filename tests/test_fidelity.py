@@ -150,16 +150,25 @@ def _noise_pair_matrices():
                 yield from grid.reshape(-1, 4, 4)
 
 
+NEGATIVE_TRACE = "^matrix has a negative trace$"
+
+
 def test_average_teleport_fidelity_matches_six_runs():
     """The closed form (2 <Phi+|rho|Phi+> + 1) / 3 against six full protocol
-    runs, non-Hermitian and x1e-7 channels included."""
+    runs, non-Hermitian and x1e-7 channels included; a non-Hermitian channel
+    with a negative trace is refused."""
     rng = np.random.default_rng(4)
     channels = [_random_rho(rng) for _ in range(100)]
     channels += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                  for _ in range(50)]
     channels += [1e-7 * _random_rho(rng) for _ in range(50)]
     channels += list(_noise_pair_matrices())
+    assert any(np.trace(channel).real < 0 for channel in channels)
     for channel in channels:
+        if np.trace(channel).real < 0:
+            with pytest.raises(ValueError, match=NEGATIVE_TRACE):
+                average_teleport_fidelity(channel)
+            continue
         assert average_teleport_fidelity(channel) == \
             pytest.approx(six_run_teleport_fidelity(channel), rel=1e-14, abs=0)
 
@@ -185,10 +194,15 @@ def _byte_test_matrices(seed):
 def test_singlet_fraction_matches_nine_products():
     """The magic-basis eigenvalue against the signed singular values of the
     correlation matrix, built from nine 4x4 products, I/4 (t = 0, det = +-0)
-    included."""
+    included; a non-Hermitian matrix with a negative trace is refused."""
     matrices = _byte_test_matrices(5)
     assert any(np.array_equal(m, np.eye(4) / 4) for m in matrices)
+    assert any(np.trace(m).real < 0 for m in matrices)
     for matrix in matrices:
+        if np.trace(matrix).real < 0:
+            with pytest.raises(ValueError, match=NEGATIVE_TRACE):
+                singlet_fraction(matrix)
+            continue
         assert singlet_fraction(matrix) == \
             pytest.approx(closed_form_singlet_fraction(matrix), rel=1e-14,
                           abs=0)
@@ -214,17 +228,25 @@ def _drawn_matrix(rng, kind):
                       min_size=1, max_size=25))
 def test_singlet_fraction_stack_matches_the_correlation_oracle(seed, drawn):
     """Stacks of 1-25 Hermitian PSD, Hermitian indefinite, non-Hermitian and
-    negative-trace matrices, each scaled by 10^e for e in [-8, 8]: every
-    value is within 1e-14 relative of `closed_form_singlet_fraction` (which
-    reads the Hermitian part, over the signed trace) and is the value its
-    matrix gets alone, bit for bit."""
+    negative-trace matrices, each scaled by 10^e for e in [-8, 8]: a matrix
+    with a negative trace is refused, alone and in the stack, and the stack
+    of the others gives values within 1e-14 relative of
+    `closed_form_singlet_fraction` (which reads the Hermitian part, over the
+    trace), each the value its matrix gets alone, bit for bit."""
     rng = np.random.default_rng(seed)
     stack = np.array([10.0 ** e * _drawn_matrix(rng, kind)
                       for kind, e in drawn])
-    tr = np.abs(stack.trace(axis1=1, axis2=2).real)
-    assume((tr > 1e-12 * np.abs(stack).max(axis=(1, 2))).all())
+    tr = stack.trace(axis1=1, axis2=2).real
+    assume((np.abs(tr) > 1e-12 * np.abs(stack).max(axis=(1, 2))).all())
+    for matrix in stack[tr < 0]:
+        with pytest.raises(ValueError, match=NEGATIVE_TRACE):
+            singlet_fraction(matrix)
+    if (tr < 0).any():
+        with pytest.raises(ValueError, match=NEGATIVE_TRACE):
+            singlet_fraction(stack)
+    stack = stack[tr > 0]
     values = singlet_fraction(stack)
-    assert values.shape == (len(drawn),)
+    assert values.shape == (len(stack),)
     for matrix, value in zip(stack, values.tolist()):
         assert value == pytest.approx(closed_form_singlet_fraction(matrix),
                                       rel=1e-14, abs=0)
@@ -249,9 +271,16 @@ def test_teleport_output_matches_one_run_byte_for_byte():
                                      average_teleport_fidelity])
 def test_stacked_values_are_each_matrix_alone(measure):
     """Stacks of 1-9 matrices, with repeats, in shuffled order: each value is
-    the one its matrix gets in a call of its own, bit for bit."""
+    the one its matrix gets in a call of its own, bit for bit.  A matrix with
+    a negative trace refuses the stack it is in."""
     rng = np.random.default_rng(8)
     pool = _byte_test_matrices(9)
+    negative = [m for m in pool if np.trace(m).real < 0]
+    assert negative
+    for m in negative:
+        with pytest.raises(ValueError, match=NEGATIVE_TRACE):
+            measure(np.array([pool[0], m, pool[0]]))
+    pool = [m for m in pool if np.trace(m).real > 0]
     alone = {i: np.float64(measure(m)).tobytes() for i, m in enumerate(pool)}
     for size in range(1, 10):
         for _ in range(20):
@@ -264,14 +293,23 @@ def test_stacked_values_are_each_matrix_alone(measure):
             assert [v.tobytes() for v in values] == [alone[i] for i in picks]
 
 
-@pytest.mark.parametrize("measure, message", [
-    (singlet_fraction, "singlet fraction of a zero-trace matrix"),
-    (average_teleport_fidelity, "teleportation through a zero-trace channel"),
-])
-def test_a_later_zero_trace_matrix_fails_the_stack(measure, message):
+@pytest.mark.parametrize("measure", [singlet_fraction,
+                                     average_teleport_fidelity])
+def test_a_later_zero_trace_matrix_fails_the_stack(measure):
     stack = np.array([BELL, np.eye(4) / 4, np.diag([0.5, -0.5, 0.0, 0.0])])
-    with pytest.raises(DegenerateStateError, match=f"^{message}$"):
+    with pytest.raises(DegenerateStateError, match="^zero-trace matrix$"):
         measure(stack)
+
+
+@pytest.mark.parametrize("measure", [singlet_fraction,
+                                     average_teleport_fidelity])
+def test_a_negative_trace_is_refused(measure):
+    """-I/4 and -BELL, alone or after BELL in a stack, are refused: the
+    closed forms hold only over a positive trace."""
+    for rho in (-np.eye(4) / 4, -BELL):
+        for matrices in (rho, np.array([BELL, rho])):
+            with pytest.raises(ValueError, match=NEGATIVE_TRACE):
+                measure(matrices)
 
 
 @pytest.mark.parametrize("measure", [singlet_fraction,
@@ -307,7 +345,7 @@ def test_non_finite_entries_are_refused(measure, entry, value):
                               "teleport_output"])
 def test_non_two_qubit_input_raises_value_error(measure, shape):
     matrix = np.ones(shape, dtype=complex)
-    with pytest.raises(ValueError, match="two-qubit"):
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
         measure(matrix)
 
 
@@ -318,19 +356,19 @@ _LONE_09[0, 3] = 0.9
 @pytest.mark.parametrize("channel, message", [
     (np.diag([1.5, -0.5, 0.0, 0.0]), "not positive semidefinite"),
     (_LONE_09, "not Hermitian"),
-    (-BELL, "not positive semidefinite"),
+    (-BELL, NEGATIVE_TRACE),
 ], ids=["negative-eigenvalue", "non-hermitian", "negative-trace"])
 @pytest.mark.parametrize("run", [teleport_output, teleport_fidelity])
 def test_teleport_refuses_a_channel_that_is_no_density_matrix(run, channel,
                                                               message):
-    # a shape-and-trace check passes all three: fidelities 1.5 and 0.95, and
-    # -BELL divided by its trace into BELL
+    # a shape check passes all three: fidelities 1.5 and 0.95, and -BELL,
+    # whose trace is negative
     with pytest.raises(ValueError, match=message):
         run(channel, [1, 0])
 
 
 def test_teleport_output_takes_one_channel():
-    with pytest.raises(ValueError, match="two-qubit"):
+    with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
         teleport_output(np.array([BELL]), [1, 0])
 
 

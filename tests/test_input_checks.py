@@ -40,11 +40,21 @@ CHECKS = {
                     ValueError, "unknown kind 'foo'"),
     "layout n": (lambda: fidelity.ChannelLayout("distinguishable", 0),
                  ValueError, "v1 supports n >= 1 two-level DoFs"),
+    "layout n type": (lambda: fidelity.ChannelLayout("distinguishable", 2.0),
+                      ValueError, "n must be an integer, got 2.0"),
+    "bound samples": (lambda: fidelity.sf_upper_bound_check(
+        fidelity.ChannelLayout("distinguishable", 1), samples=1.5),
+        ValueError, "samples must be an integer, got 1.5"),
     "relation grid": (lambda: fidelity.relation_check(
         fidelity.ChannelLayout("distinguishable", 1), []),
         ValueError, "p_grid needs at least one point"),
     "noise probability": (lambda: hardy.NoiseModel(depolarizing=1.5),
                           ValueError, "noise probabilities must lie in [0, 1]"),
+    "noise shots": (lambda: hardy.NoiseModel(shots=1.5),
+                    ValueError, "shots must be an integer in 1..2**63 - 1"),
+    "noise shots beyond int64": (lambda: hardy.NoiseModel(shots=2 ** 63),
+                                 ValueError,
+                                 "shots must be an integer in 1..2**63 - 1"),
     "empty sample set": (lambda: hardy.SampleSet([]),
                          ValueError, "a sample set needs at least one value"),
     "t tail": (lambda: hardy.t_quantile(0.6, 3),

@@ -19,8 +19,8 @@ from qdof.measures import (CATALOGUE, MonogamyReport, ThreeParticleCase,
 from qdof.states import DegenerateStateError, _check_density, to_density
 from qdof.trace import Subsystem, project_one_per_region, to_qubit_array, trace_dof_indist
 
-from oracles import (per_case_monogamy_report, per_case_three_particle,
-                     z_form_pair, z_form_tangle)
+from oracles import (abs_trace_accepts, per_case_monogamy_report,
+                     per_case_three_particle, z_form_pair, z_form_tangle)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -93,13 +93,18 @@ def near_hermitian(draw):
 @PROPERTY_SETTINGS
 @given(rho=near_hermitian())
 def test_hermitian_test_gives_the_allclose_verdict(rho):
-    # the test runs on the matrix over |trace|, after the degenerate ones
-    # are refused as such
-    tr = abs(np.trace(rho).real)
-    if tr <= 1e-12 * np.abs(rho).max():
+    # the test runs on the matrix over its trace, after the degenerate ones
+    # are refused as such and those with a negative trace as such; the
+    # Hermitian verdict is then that of -rho
+    tr = np.trace(rho).real
+    if abs(tr) <= 1e-12 * np.abs(rho).max():
         with pytest.raises(DegenerateStateError):
             _check_density(rho, len(rho))
         return
+    if tr < 0:
+        with pytest.raises(ValueError, match="^matrix has a negative trace$"):
+            _check_density(rho, len(rho))
+        rho, tr = -rho, -tr
     unit = rho / tr
     assert _passes_hermitian_test(rho) == np.allclose(unit, unit.conj().T,
                                                       atol=1e-7)
@@ -174,6 +179,22 @@ def test_the_verdict_on_a_scaled_matrix_is_the_verdict_on_the_matrix(case):
     assert (verdict is None) == (kind == "valid")
     for c in (1e-300, 1e-8, 1.0, 1e8):
         assert _verdict(c * rho) == verdict
+
+
+@PROPERTY_SETTINGS
+@given(rho=st.one_of(near_hermitian(),
+                     judged_matrices().map(lambda case: case[1])),
+       sign=st.sampled_from((1, -1)))
+def test_the_gate_accepts_what_the_absolute_trace_rule_accepts(rho, sign):
+    """Refusing a negative trace in the gate moves only a message: the
+    density check accepts a matrix, or its negated copy, exactly when the
+    rule over |trace| does, and names a negative trace above the zero cut."""
+    rho = sign * rho
+    verdict = _verdict(rho)
+    assert (verdict is None) == abs_trace_accepts(rho)
+    tr = np.trace(rho).real
+    if -tr > 1e-12 * np.abs(rho).max():
+        assert verdict == (ValueError, "matrix has a negative trace")
 
 
 @st.composite

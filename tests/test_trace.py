@@ -364,6 +364,22 @@ def test_pauli_excluded_image_is_left_out():
     assert np.allclose(red.data, np.outer(v, v.conj()), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("eta, off", [(FERMION, -0.5), (BOSON, 0.5)],
+                         ids=["fermion", "boson"])
+def test_removing_the_odd_slot_of_a_fermion_tuple_flips_its_sign(eta, off):
+    """(c+_x c+_y + c+_y' c+_x)|0>/sqrt(2), with x at r1, y at r2 and y' at
+    r0: both tuples are canonical, x in slot 0 of (x, y) and slot 1 of
+    (y', x).  Tracing r1 out gives [[1/2, off], [off, 1/2]] over (y', y),
+    off = -1/2 for fermions, as c_x c+_y' c+_x|0> = -c+_y'|0>, and +1/2 for
+    bosons: a closed form read off no reference engine."""
+    x, y, y_ = k1("r1", "dn"), k1("r2", "dn"), k1("r0", "dn")
+    state = SymState(eta, {(x, y): 1 / math.sqrt(2),
+                           (y_, x): 1 / math.sqrt(2)}, (SPIN,))
+    red = trace_region(to_density(state), "r1")
+    assert red.basis == ((y_,), (y,))
+    assert np.allclose(red.data, [[0.5, off], [off, 0.5]], rtol=0, atol=1e-15)
+
+
 def test_region_without_a_dof_is_one_dimensional_in_the_qubit_array():
     """Tracing particle 0's only DoF leaves it a ket without DoFs, which the
     layout places as a factor of dimension 1: the array is particle 1's."""
