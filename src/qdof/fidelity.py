@@ -134,7 +134,7 @@ def singlet_fraction(rho):
     rho, tr = _traced(rho, 4, stack=True)
     # r + r^T is 4 Re rho_M of the Hermitian part of rho
     r = (_MAGIC_H @ rho @ _MAGIC).real
-    values = np.linalg.eigvalsh(r + r.mT)[..., -1] / (4.0 * tr)
+    values = np.linalg.eigvalsh(r + r.swapaxes(-1, -2))[..., -1] / (4.0 * tr)
     return float(values) if rho.ndim == 2 else values
 
 
