@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (BOSON, DISTINGUISHABLE, DensityMatrix, DofSpec,
-                     StackError, _check_density, _traced)
+                     _check_density, _traced)
 from .trace import (ProductBasis, Subsystem, _product_basis, to_qubit_array,
                     trace_dof_dist, trace_dof_indist)
 
@@ -161,8 +161,9 @@ def _each_dof(dm, side, trace, n):
 
 def _row_key(row, i):
     """(bytes, layout): what row i's party-2 reduction reads that rows can
-    differ in.  On a product basis the layout is DoF i's values and order;
-    else it is the basis and the bytes, as the kernel takes no stack."""
+    differ in: on a product basis DoF i's values and order, else the basis
+    and the bytes, as the kernel's basis for a stack holds every row's
+    support, more than a row of smaller support gets alone."""
     data = row.data.tobytes()
     if type(row.basis) is not ProductBasis:
         return data, (row.basis, data)
@@ -174,26 +175,17 @@ def _reduce_rows(grid, rows, at, trace, n):
     """Write into grid[i, j - 1] row i of `rows` reduced to DoF j of party
     2, for the indices `at` of distinct rows of one layout.
 
-    More than one row is reduced as one stack on the first row's basis.  A
-    step that leaves the dense branch raises StackError, and then the rows
-    are reduced one by one from the start.
+    The rows are reduced as one stack on the first row's basis: rows of
+    one layout differ there only in party 1's DoF index, which neither
+    party 2's traces nor the qubit layout read.
     """
-    if len(at) > 1:
-        first = rows[at[0]]
-        block = np.array([rows[i].data for i in at])
-        stack = DensityMatrix(first.basis, block, first.eta, first.dof_specs,
-                              first.n_dofs_orig)
-        run = at[-1] - at[0] == len(at) - 1  # a slice indexes it faster
-        where = slice(at[0], at[-1] + 1) if run else at
-        try:
-            for j, pair in enumerate(_each_dof(stack, 1, trace, n)):
-                grid[where, j] = to_qubit_array(pair)
-            return
-        except StackError:
-            pass
-    for i in at:
-        for j, pair in enumerate(_each_dof(rows[i], 1, trace, n)):
-            grid[i, j] = to_qubit_array(pair)
+    first = rows[at[0]]
+    stack = DensityMatrix(first.basis, np.array([rows[i].data for i in at]),
+                          first.eta, first.dof_specs, first.n_dofs_orig)
+    run = at[-1] - at[0] == len(at) - 1  # a slice indexes it faster
+    where = slice(at[0], at[-1] + 1) if run else at
+    for j, pair in enumerate(_each_dof(stack, 1, trace, n)):
+        grid[where, j] = to_qubit_array(pair)
 
 
 def _pair_matrices(dm, layout):

@@ -51,10 +51,6 @@ class ShapeError(ValueError):
     """Raised when two states do not share DoF layout or statistics."""
 
 
-class StackError(ShapeError):
-    """Raised when a stack of matrices reaches what takes one matrix."""
-
-
 @dataclass(frozen=True)
 class DofSpec:
     """One degree of freedom: its index (1-based) and ordered eigenvalue labels."""
@@ -238,11 +234,9 @@ class DensityMatrix:
     matrix traces coincide with physical norms.
 
     `data` is one (N, N) matrix or a (k, N, N) stack of k matrices on the
-    one basis.  Only the dense branch of the DoF traces, their
-    renormalization and the in-order copy of `trace.to_qubit_array` take a
-    stack, and each gives every matrix of it the bytes it gets alone;
-    everything else (the operator-sum kernel, `check`, `trace`, `to_json`,
-    `to_csv`) raises `StackError`, a `ShapeError`, on one.
+    one basis.  Every reduction of `trace` and `trace.to_qubit_array` take a
+    stack (see `trace`); `check`, `trace`, `to_json` and `to_csv` raise
+    `ShapeError` on one.
     """
 
     basis: tuple
@@ -259,9 +253,9 @@ class DensityMatrix:
             raise ShapeError("matrix shape does not match basis size")
 
     def _matrix(self):
-        """`data` as one matrix; a stack raises StackError."""
+        """`data` as one matrix; a stack raises ShapeError."""
         if self.data.ndim != 2:
-            raise StackError("expected one matrix, got a stack of "
+            raise ShapeError("expected one matrix, got a stack of "
                              f"{len(self.data)}")
         return self.data
 
@@ -333,7 +327,7 @@ def _check_density(rho, dim, stack=False):
     adj = rho.conj().swapaxes(-1, -2)
     if not (np.abs(rho - adj) <= 1e-7 + 1e-5 * np.abs(adj)).all():
         raise ValueError("matrix is not Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -1e-7:
+    if (np.linalg.eigvalsh(rho) < -1e-7).any():
         raise ValueError("matrix is not positive semidefinite")
     return rho
 

@@ -30,9 +30,10 @@ apart:
     Ordinary partial trace over one DoF factor of a labelled distinguishable
     particle; the key is the traced value.
 
-``project_one_per_region`` is a one-key map (sector selection).  The
-support alone chooses the basis: a tuple is left out when its row and column
-are all zero, and mapped otherwise, however small its entries.  Every
+``project_one_per_region`` is a one-key map (sector selection).  On every
+basis but a product basis (below), the support alone chooses the basis: a
+tuple is left out when its row and column are all zero, and mapped
+otherwise, however small its entries.  Every
 reduction renormalizes to unit trace, so downstream entanglement measures can
 assume proper density matrices.
 
@@ -40,8 +41,8 @@ assume proper density matrices.
 each one to its position in the tensor-ordered qubit array, so
 distinguishable particles in swapped slots that land on one position add.
 The reduced matrix is scattered at its positions.  A matrix whose basis
-fills the array in its own order and whose diagonal has no zero entry is
-returned as a copy.
+fills the array in its own order is returned as a copy, whose zero rows and
+columns are the positions the kernel would leave empty.
 
 What a call depends on beyond its data is worked out once per plan, never
 per call.  A rule is a value: the pair ``(images_of, args)`` of a
@@ -65,26 +66,23 @@ by ``_product_basis`` (cached), as are ``fidelity``'s noise-family and random
 bases and every basis the branch returns.  Such a basis carries only what
 its slots determine: the slots, regions and DoFs and whether the regions are
 in canonical order (as the symmetrized kinds need).  Each DoF trace's plan
-is cached on the slots, which hash faster than the basis.  Only the diagonal
-test stays per call: with every diagonal entry non-zero every tuple is kept,
-so the branch applies.  On a product basis each kernel coefficient is +-1 (one
-sign per slot, so it cancels between ket and bra) and each output entry is
-the sum of two input entries, so the branch adds two slices of the
-``(pre, 2, post) * 2`` view in the kernel's order (ket axis first for the
-coherent trace), then adds 0.0 as the kernel's sums start from zeros.  Its
-result is the kernel's bit for bit.  Every other input (a full product built
-any other way, sparse circuit states, bunched sectors, a zero diagonal entry)
-takes the kernel, as do ``trace_region`` and ``project_one_per_region``.
+is cached on the slots, which hash faster than the basis; the support plays
+no part, and every tuple of the reduced product is kept.  On a product basis
+each kernel coefficient is +-1 (one sign per slot, so it cancels between ket
+and bra), so the branch adds slices of the ``(pre, 2, post) * 2`` view in
+the kernel's order (ket axis first for the coherent trace), then adds 0.0 as
+the kernel's sums start from zeros.  On a full support its result is the
+kernel's bit for bit; where the kernel leaves a tuple out, the branch keeps
+a zero row and column, and its renormalizing trace may differ in the last
+bit.  Every other input (a full product built any other way, sparse circuit
+states, bunched sectors) takes the kernel, as do ``trace_region`` and
+``project_one_per_region``.
 
-A ``DensityMatrix`` may hold a (k, N, N) stack of k matrices on one basis.
-Only the dense branch takes it, when no matrix of the stack has a zero
-diagonal entry: the stack's matrices lie one after another on the view's
-first axis, so each output entry is the same sum of the same two entries as
-alone, and each matrix is renormalized over its own trace.  The in-order
-copy of ``to_qubit_array`` takes a stack too.  The kernel takes one matrix
-and raises ``StackError``, a ``ShapeError``, on a stack, so a stack that
-would leave the dense branch stops there instead of being reduced as one
-matrix.
+Every reduction takes a (k, N, N) stack of matrices on one basis, each
+renormalized over its own trace.  The dense branch sums each matrix as
+alone; the kernel replays one plan, keyed on the union of the supports, so
+a matrix whose support is that union gets the basis and bytes it gets alone
+and any other a larger basis, zero on the tuples it lacks.
 """
 
 from __future__ import annotations
@@ -97,8 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DISTINGUISHABLE, DegenerateStateError, DensityMatrix,
-                     Ket, ShapeError, StackError, canonical, tuple_overlap,
-                     value_order)
+                     Ket, ShapeError, canonical, tuple_overlap, value_order)
 
 
 @dataclass(frozen=True)
@@ -114,17 +111,11 @@ class EmptySubspaceError(DegenerateStateError):
 
 
 def _linked(dm):
-    """Mask of the non-zero entries, mirrored: a tuple is kept when its row
-    has one."""
-    weight = dm.data != 0
+    """Mask of the non-zero entries of any matrix of a stack, mirrored: a
+    tuple is kept when its row has one."""
+    size = len(dm.basis)
+    weight = (dm.data != 0).reshape(-1, size, size).any(axis=0)
     return weight | weight.T
-
-
-def _keeps_every_tuple(dm):
-    """Whether every diagonal entry (of every matrix of a stack) is non-zero,
-    so `_linked` keeps every tuple."""
-    diagonal = dm.data.diagonal(0, -2, -1)
-    return np.count_nonzero(diagonal) == diagonal.size
 
 
 def _unpacked(mask, shape):
@@ -175,16 +166,16 @@ def _kernel_plan(basis, rule, mask):
 def _operator_sum(dm, rule):
     """Return (basis, sum_key K_key rho K_key^dagger) for the rule
     ``(images_of, args)``, the basis and each K_key's entries from the
-    `_kernel_plan` of its support.  It takes one matrix: a stack raises
-    StackError."""
-    rho = dm._matrix()
+    `_kernel_plan` of its support; a stack's matrices are summed one after
+    another on its first axis, on the plan of the union of their supports."""
     basis, maps = _kernel_plan(tuple(dm.basis), rule,
                                np.packbits(_linked(dm)).tobytes())
-    data = np.zeros((len(basis), len(basis)), dtype=complex)
+    data = np.zeros(dm.data.shape[:-2] + (len(basis), len(basis)),
+                    dtype=complex)
     for row, col, coeff in maps:
         k = np.zeros((len(basis), len(dm.basis)), dtype=complex)
         k[row, col] = coeff
-        data += k @ rho @ k.conj().T
+        data += k @ dm.data @ k.conj().T
     return basis, data
 
 
@@ -237,8 +228,7 @@ def _product_slots(dm):
     """The `ProductBasis` of `dm` if the dense branch applies, else None."""
     basis = dm.basis
     if (type(basis) is not ProductBasis
-            or not (basis.canonical or dm.eta == DISTINGUISHABLE)
-            or not _keeps_every_tuple(dm)):
+            or not (basis.canonical or dm.eta == DISTINGUISHABLE)):
         return None
     return basis
 
@@ -263,25 +253,21 @@ def _dense_plan(slots, slot, dof_index):
 
 def _dense_trace(dm, basis, slot, dof_index, coherent):
     """(basis, data) of the trace of `dof_index` at `slot`, or None.  The
-    coherent sum adds over the ket axis first, as K rho does before K^dagger.
-    The kernel adds onto 0: (0 + a) + b is (a + b) + 0, which stores -0.0 as
-    +0.0.  A stack's matrices lie one after another on the first axis, each
-    summed as alone."""
+    coherent sum adds over the ket axis first, as K rho does before K^dagger
+    (from two quarter-size temporaries).  The kernel adds onto 0: (0 + a) + b
+    is (a + b) + 0, which stores -0.0 as +0.0."""
     plan = _dense_plan(basis.slots, slot, dof_index)
     if plan is None:
         return None
     shape, traced = plan
-    data = dm.data
-    t = data.reshape(shape)
+    t = dm.data.reshape(shape)
     if coherent:
-        half = t[:, 0] + t[:, 1]
-        out = half[:, :, :, 0] + half[:, :, :, 1]
+        out = t[:, 0, :, :, 0] + t[:, 1, :, :, 0]
+        out += t[:, 0, :, :, 1] + t[:, 1, :, :, 1]
     else:
         out = t[:, 0, :, :, 0] + t[:, 1, :, :, 1]
     out += 0.0
-    size = len(traced)
-    return traced, out.reshape((size, size) if data.ndim == 2
-                               else (-1, size, size))
+    return traced, out.reshape(dm.data.shape[:-2] + (len(traced),) * 2)
 
 
 def project_one_per_region(dm, regions):
@@ -442,14 +428,14 @@ def to_qubit_array(dm):
     Every remaining slot must carry at most a single DoF with at most two
     values.  Slots are ordered by region label; within a slot the DoF's
     declared eigenvalue order fixes |0>,|1>.  Tuples whose row and column
-    are all zero are left out.  A stack takes only the in-order copy: the
-    kernel raises StackError on it.
+    are all zero are left out, so a basis already in qubit order is copied.
+    A (k, N, N) stack gives a (k, dim, dim) array.
     """
     in_order, dim, rule = _layout_rule(tuple(dm.basis), tuple(dm.dof_specs))
-    if in_order and _keeps_every_tuple(dm):
+    if in_order:
         return dm.data + 0.0  # + 0.0 stores -0.0 as +0.0, as the kernel does
     cells, data = _operator_sum(dm, rule)
     cells = np.array(cells, dtype=np.intp)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[cells[:, None], cells] = data
+    out = np.zeros(data.shape[:-2] + (dim, dim), dtype=complex)
+    out[..., cells[:, None], cells] = data
     return out

@@ -120,12 +120,20 @@ MUTANTS = [
      ["tests/test_fidelity.py::test_singlet_fraction_endpoints",
       "tests/test_fidelity.py::"
       "test_a_small_scale_is_not_a_zero_trace[singlet_fraction]"]),
-    # a stack that meets a zero diagonal entry is reduced row by row
-    ("src/qdof/fidelity.py",
-     "        except StackError:",
-     "        except ImportError:",
+    # the coherent dense trace adds over the ket axis first, as the kernel
+    # does: added left to right, its last bits move
+    ("src/qdof/trace.py",
+     "        out += t[:, 0, :, :, 1] + t[:, 1, :, :, 1]\n",
+     "        out += t[:, 0, :, :, 1]\n        out += t[:, 1, :, :, 1]\n",
      ["tests/test_trace_properties.py::"
-      "test_a_stack_gives_each_matrix_its_bytes_alone"]),
+      "test_dense_branch_matches_the_kernel_bit_for_bit"]),
+    # a stack on the kernel shares the plan of the union of its supports:
+    # the first matrix's support alone drops a later row's entries
+    ("src/qdof/trace.py",
+     "    weight = (dm.data != 0).reshape(-1, size, size).any(axis=0)",
+     "    weight = dm.data.reshape(-1, size, size)[0] != 0",
+     ["tests/test_fidelity.py::"
+      "test_a_reversed_value_order_gives_both_measures_the_unshared_grid"]),
     # the distinguishable ceiling 1 + (n - 1)/D, in the bound check ...
     ("src/qdof/fidelity.py",
      "    bound = 1.0 + (n - 1) / D",

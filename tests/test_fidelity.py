@@ -916,12 +916,12 @@ def _grid_traces(kind, n, groups):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
 def test_pair_grid_shares_its_dof_traces(monkeypatch, kind, n):
-    """At p = 0.37 every indistinguishable row is the same matrix, and
-    distinguishable rows 2..n are one matrix, stacked with row 1 on one
-    layout: 0/4/10/18/28 calls at n = 1-5 either way.  At p = 0 every row
-    is the same matrix."""
+    """At p = 0.37 and at p = 1 every indistinguishable row is the same
+    matrix, and distinguishable rows 2..n are one matrix, stacked with row 1
+    on one layout: 0/4/10/18/28 calls at n = 1-5 either way.  At p = 0
+    every row is the same matrix."""
     layout = ChannelLayout(kind, n)
-    for p in (0.37, 0.0):
+    for p in (1.0, 0.37, 0.0):
         assert (_dof_trace_calls(monkeypatch, two_param_state(p, layout),
                                  layout)
                 == _grid_traces(kind, n, 1)), p
@@ -955,8 +955,8 @@ def test_shared_rows_give_the_unshared_grid_bytes(kind, n, p):
 @given(kind=st.sampled_from(["distinguishable", "indistinguishable"]),
        n=st.integers(1, 3), data=st.data())
 def test_random_pure_states_give_the_unshared_grid_bytes(kind, n, data):
-    """Drawn amplitudes, zeros included (which take the kernel), through
-    both kinds' rules: shared or not, every row has the unshared bytes."""
+    """Drawn amplitudes, zeros included, through both kinds' rules: shared
+    or not, every row has the unshared bytes."""
     layout = ChannelLayout(kind, n)
     basis, eta, specs = fidelity._space(layout)
     parts = data.draw(arrays(float, (2, 4 ** n), elements=st.floats(
@@ -982,6 +982,33 @@ def test_a_reversed_value_order_keeps_its_own_row():
     psi_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
     werner = 0.37 * np.outer(psi_plus, psi_plus) + 0.63 * np.eye(4) / 4
     assert np.abs(grid[1, 0] - werner).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["distinguishable", "indistinguishable"])
+def test_a_reversed_value_order_gives_both_measures_the_unshared_grid(kind,
+                                                                      n):
+    """With DoF 2 declared ("1", "0"), its pairs are laid out on the kernel,
+    which at n >= 3 takes rows 1 and 3 as one stack.  Party 1's DoF 1 holds
+    "0" alone, so row 1's support has zeros that row 3's has not: the
+    stack's plan, on the union of their supports, must give both measures
+    the unshared grid's bytes."""
+    layout = ChannelLayout(kind, n)
+    basis, eta, specs = fidelity._space(layout)
+    specs = (specs[0], DofSpec(2, ("1", "0"))) + specs[2:]
+    rng = np.random.default_rng(n)
+    t = rng.normal(size=(2,) * (2 * n)) + 1j * rng.normal(size=(2,) * (2 * n))
+    t[1] = 0.0  # party 1's DoF 1 at "1"
+    v = t.reshape(-1) / np.linalg.norm(t)
+    dm = DensityMatrix(basis, np.outer(v, v.conj()), eta, specs, n)
+    want = unshared_pair_grid(dm, layout)
+    assert not want[0, :, 2:].any() and want[1:].diagonal(0, -2, -1).all()
+    assert (generalized_singlet_fraction(dm, layout)
+            == fidelity._singlet_fraction_of(want))
+    assert (generalized_teleportation_fidelity(dm, layout)
+            == fidelity._teleportation_fidelity_of(
+                want, layout, FidelityParams.for_layout(layout)))
+    assert fidelity._full_grid(dm, layout).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [0.0, 0.37, 0.9, 1.0, 1e-300])

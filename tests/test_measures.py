@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdof.circuits import PhaseConfig, li_circuit
-from qdof.fidelity import (average_teleport_fidelity, teleport_fidelity,
-                           teleport_output)
+from qdof.fidelity import (average_teleport_fidelity, singlet_fraction,
+                           teleport_fidelity, teleport_output)
 from qdof.measures import (CATALOGUE, MonogamyReport, ThreeParticleCase,
                            _case_configs, _monogamy_reports,
                            case_state, concurrence, log_negativity,
@@ -231,6 +231,15 @@ def test_only_concurrence_takes_a_stack(measure, dim, shapes):
     for shape in shapes:
         with pytest.raises(ValueError, match=f"^expected a {dim}x{dim} matrix$"):
             measure(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("measure", [
+    concurrence, singlet_fraction, average_teleport_fidelity,
+], ids=["concurrence", "singlet_fraction", "average_teleport_fidelity"])
+def test_an_empty_stack_gives_no_values(measure):
+    values = measure(np.empty((0, 4, 4)))
+    assert values.shape == (0,)
+    assert _check_density(np.empty((0, 2, 2)), 2, stack=True).shape == (0, 2, 2)
 
 
 def test_a_stack_is_refused_when_any_matrix_is():

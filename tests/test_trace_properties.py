@@ -53,8 +53,8 @@ from qdof import fidelity, trace
 from qdof.circuits import KINDS, PhaseConfig, li_circuit, pol_oam_pair
 from qdof.measures import case_state, random_case
 from qdof.states import (BOSON, DISTINGUISHABLE, FERMION, DegenerateStateError,
-                         DensityMatrix, DofSpec, Ket, ShapeError, StackError,
-                         SymState, normalize, to_density)
+                         DensityMatrix, DofSpec, Ket, ShapeError, SymState,
+                         normalize, to_density)
 from qdof.trace import Subsystem
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -451,19 +451,51 @@ def test_dense_branch_matches_the_kernel_bit_for_bit(dm, data):
         dm = reduced
 
 
+@PROPERTY_SETTINGS
+@given(dm=product_densities(), data=st.data())
+def test_dense_branch_holds_the_kernels_values_on_a_zero_diagonal_entry(dm,
+                                                                        data):
+    """With drawn rows and columns zeroed, a product basis still takes the
+    dense branch.  The kernel, on a plain-tuple copy, leaves those tuples
+    out: its basis lies in the dense result's product basis, and the dense
+    result is zero outside it and within 1e-15 of the kernel's inside."""
+    zeroed = data.draw(st.lists(st.sampled_from(range(len(dm.basis))),
+                                min_size=1, max_size=len(dm.basis) - 1,
+                                unique=True))
+    dm.data[zeroed, :] = dm.data[:, zeroed] = 0.0
+    slot = data.draw(st.sampled_from(range(len(dm.basis[0]))))
+    ket = dm.basis[0][slot]
+    dof = data.draw(st.sampled_from([i for i, _ in ket.dofs]))
+    if dm.eta == DISTINGUISHABLE and data.draw(st.booleans()):
+        fn, args = trace.trace_dof_dist, (slot, dof)
+    else:
+        assume(dm.n_dofs_orig > 1)  # else the region is traced on the kernel
+        fn, args = trace.trace_dof_indist, (Subsystem(ket.region, dof),)
+    dense = fn(dm, *args)
+    assert type(dense.basis) is trace.ProductBasis
+    kernel = fn(DensityMatrix(tuple(dm.basis), dm.data, dm.eta, dm.dof_specs,
+                              dm.n_dofs_orig), *args)
+    inside = [dense.basis.index(kets) for kets in kernel.basis]
+    outside = np.ones(len(dense.basis), dtype=bool)
+    outside[inside] = False
+    assert not dense.data[outside].any() and not dense.data[:, outside].any()
+    assert np.abs(dense.data[np.ix_(inside, inside)] - kernel.data).max() <= 1e-15
+
+
 def _li_projected():
     state = li_circuit("boson", PhaseConfig(0.1, 0.2, 0.3, 0.4))
     return trace.project_one_per_region(to_density(state), ["s1", "s2"])
 
 
 def _zero_row(eta):
-    """A pure full product with tuple 3's row and column zeroed: the kernel
-    leaves that tuple out."""
+    """A pure full product with tuple 3's row and column zeroed, on a
+    plain-tuple copy of its basis: the kernel leaves that tuple out."""
     rng = np.random.default_rng(5)
     dm = _product_density(eta, ("s1", "s2"), [(("0", "1"),) * 2] * 2, rng,
                           "pure")
     dm.data[3, :] = dm.data[:, 3] = 0.0
-    return dm
+    return DensityMatrix(tuple(dm.basis), dm.data, eta, dm.dof_specs,
+                         dm.n_dofs_orig)
 
 
 def _three_valued(eta):
@@ -816,15 +848,15 @@ def _zero_diagonal_entry():
 @pytest.mark.parametrize("dm, short", [
     (_qubit_pair(), True),
     (_with_negative_zeros(_qubit_pair(_qubit_pair().data.real + 0j)), True),
-    (_zero_diagonal_entry(), False),
+    (_zero_diagonal_entry(), True),
     (_qubit_pair(specs=(DofSpec(1, ("1", "0")),)), False),
 ], ids=["full", "negative-zeros", "zero-diagonal-entry", "reversed-values"])
 def test_qubit_layout_short_path_matches_the_general_path(monkeypatch, dm,
                                                            short):
-    """On a `ProductBasis` in qubit order with every diagonal entry non-zero,
+    """On a `ProductBasis` in qubit order, whatever its support,
     `to_qubit_array` copies the matrix without laying it out; its bytes
-    are those of a plain-tuple copy of the basis, which takes the general
-    path, and those of the kernel's layout."""
+    are those of a plain-tuple copy of the basis and those of the kernel's
+    layout."""
     assert type(dm.basis) is trace.ProductBasis
     masks = []
     linked = trace._linked
@@ -898,8 +930,9 @@ def _arrays(plan):
 @pytest.mark.parametrize("kind, n", [("distinguishable", 5),
                                      ("indistinguishable", 5)])
 def test_plans_hold_no_dense_map(monkeypatch, kind, n):
-    """The p = 1 endpoint of a five-DoF pair grid runs on the kernel, its
-    DoF traces and its qubit layouts alike.  No array a plan holds has
+    """The p = 1 endpoint of a five-DoF pair grid on a plain-tuple copy of
+    its basis runs on the kernel, its DoF traces and its qubit layouts
+    alike.  No array a plan holds has
     len(basis)**2 or more entries, nor more than one per tuple and slot of
     its basis, so no plan pins a dense K or an unpacked mask."""
     held = []
@@ -911,8 +944,10 @@ def test_plans_hold_no_dense_map(monkeypatch, kind, n):
 
     monkeypatch.setattr(trace, "_kernel_plan", spy)
     layout = fidelity.ChannelLayout(kind, n)
-    fidelity._pair_matrices(fidelity.two_param_state(1.0, layout), layout)
-    assert max(len(basis) for basis, _ in held) >= 256
+    dm = fidelity.two_param_state(1.0, layout)
+    fidelity._pair_matrices(DensityMatrix(tuple(dm.basis), dm.data, dm.eta,
+                                          dm.dof_specs, n), layout)
+    assert max(len(basis) for basis, _ in held) == 4 ** n
     # a layout's reduced basis holds array positions, a trace's ket tuples
     assert {type(reduced[0]) for _, (reduced, _) in held} == {int, tuple}
     for basis, plan in held:
@@ -962,12 +997,13 @@ def _planted_zero(n, rng):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_a_stack_gives_each_matrix_its_bytes_alone(kind, n, k, data, seed):
     """A (k, N, N) stack of pair-grid rows through party 2's dense DoF
-    traces and the qubit layout: every matrix gets the basis and bytes it
-    gets alone (n = 4-5 rows of 32-64 tuples give traces of 8 or more
-    entries, which numpy sums pairwise).  The
-    kernel, `check`, `trace`, `to_json` and `to_csv` refuse the stack.  A
-    planted zero diagonal entry in one row's coherent trace sends the pair
-    grid's stack back to row by row, with the unshared grid's bytes."""
+    traces and the qubit layout, and through the kernel on a plain-tuple
+    copy of its basis: every matrix gets the basis and bytes it gets alone
+    (n = 4-5 rows of 32-64 tuples give traces of 8 or more entries, which
+    numpy sums pairwise).  `check`, `trace`, `to_json` and `to_csv` refuse
+    the stack.  A planted zero diagonal entry in one row's coherent trace
+    keeps the pair grid's stack on the dense branch, with the unshared
+    grid's bytes."""
     rng = np.random.default_rng(seed)
     i = data.draw(st.integers(1, n))
     basis, matrices, eta, specs = _row_matrices(kind, n, i, k, rng)
@@ -977,35 +1013,36 @@ def test_a_stack_gives_each_matrix_its_bytes_alone(kind, n, k, data, seed):
     else:
         def rule(dm, side, j):
             return trace.trace_dof_indist(dm, Subsystem(("s1", "s2")[side], j))
-    pairs = fidelity._each_dof(stack, 1, rule, n)
-    for m in range(k):
-        alone = fidelity._each_dof(
-            DensityMatrix(basis, matrices[m], eta, specs, n), 1, rule, n)
-        for pair, single in zip(pairs, alone):
-            assert pair.basis is single.basis
-            assert pair.data[m].tobytes() == single.data.tobytes()
-            assert (trace.to_qubit_array(pair)[m].tobytes()
-                    == trace.to_qubit_array(single).tobytes())
+    for rows in (basis, tuple(basis)):
+        pairs = fidelity._each_dof(
+            DensityMatrix(rows, matrices, eta, specs, n), 1, rule, n)
+        for m in range(k):
+            alone = fidelity._each_dof(
+                DensityMatrix(rows, matrices[m], eta, specs, n), 1, rule, n)
+            for pair, single in zip(pairs, alone):
+                assert pair.basis is single.basis
+                assert pair.data[m].tobytes() == single.data.tobytes()
+                assert (trace.to_qubit_array(pair)[m].tobytes()
+                        == trace.to_qubit_array(single).tobytes())
 
-    refusals = [lambda: trace._operator_sum(stack, (trace._value_images, (1, 1))),
-                stack.check, lambda: stack.trace, stack.to_json, stack.to_csv]
-    for refuse in refusals:
+    for refuse in [stack.check, lambda: stack.trace, stack.to_json,
+                   stack.to_csv]:
         with pytest.raises(ShapeError):
             refuse()
 
     if kind == "indistinguishable" and n >= 2:
         layout, dm = _planted_zero(n, rng)
-        refused = []
+        kernel = []
         operator_sum = trace._operator_sum
 
         def spy(dm, rule):
-            refused.append(dm.data.ndim == 3)
+            kernel.append(rule)
             return operator_sum(dm, rule)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace, "_operator_sum", spy)
             grid = fidelity._pair_matrices(dm, layout)
-        assert refused[0]  # the stack reached the kernel first
+        assert kernel == []  # the stack stays on the dense branch
         assert grid.tobytes() == unshared_pair_grid(dm, layout).tobytes()
 
 
@@ -1051,15 +1088,22 @@ def test_reductions_store_no_negative_zero_and_renormalize_by_division(kind,
     returns no -0.0 part.  So `_renormalized`, which multiplies by the
     reciprocal trace, gives the bytes of the division `_divided` on what
     both branches hand it: the two differ only on -0.0 parts.  A one-DoF
-    indistinguishable region is traced on the kernel, which takes no
-    stack."""
+    indistinguishable region is traced on the kernel, where each matrix of
+    a stack gets the basis and bytes it gets alone."""
     rng = np.random.default_rng(1000 * n + (k or 0))
     dm = _signed_zero_matrices(kind, n, k, rng)
     assert _negative_zeros(dm.data) > 0
     product, coherent = dm.basis, kind == "indistinguishable"
     if coherent and n == 1 and k is not None:
-        with pytest.raises(StackError):
-            trace.trace_dof_indist(dm, Subsystem(product.regions[0], 1))
+        for region in product.regions:
+            reduced = trace.trace_dof_indist(dm, Subsystem(region, 1))
+            assert _negative_zeros(reduced.data) == 0
+            for m in range(k):
+                alone = trace.trace_dof_indist(
+                    DensityMatrix(product, dm.data[m], dm.eta, dm.dof_specs, n),
+                    Subsystem(region, 1))
+                assert reduced.basis == alone.basis
+                assert reduced.data[m].tobytes() == alone.data.tobytes()
         return
     for slot, region in enumerate(product.regions):
         for dof in range(1, n + 1):
